@@ -30,7 +30,7 @@ from .classify import (
     PhasePoint,
     default_n_max,
 )
-from .eigen import DEFAULT_TOL
+from .eigen import DEFAULT_TOL, EigensolverError
 from .groundstate import BracketExhausted, PsiSearchSpec
 from .sweep import GridSpec, classify_at, energy_scan, refine_boundary, run_grid
 from .validation import ValidationSettings, run_all
@@ -651,6 +651,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INVALID
     except IndeterminatePhaseError as err:
         print(f"indeterminate: {err}", file=sys.stderr)
+        return EXIT_INDETERMINATE
+    except EigensolverError as err:
+        print(f"indeterminate: eigensolver: {err}", file=sys.stderr)
         return EXIT_INDETERMINATE
 
 

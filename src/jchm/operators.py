@@ -1,22 +1,27 @@
-"""Dense matrix representations of the one-site and mean-field Hamiltonians.
+"""Band representations of the one-site and mean-field Hamiltonians.
 
 All energies are dimensionless: frequencies are divided by the l-photon
 coupling strength, so the coupling itself enters with unit prefactor.  The
 conserved combination L = l * excitation + photon number commutes with the
 one-site Hamiltonian; only the hopping drive proportional to psi mixes its
 sectors.
+
+In the atom-fastest basis the l-photon coupling sits on the (2l-1)-th
+off-diagonal and the hopping drive on the second, so the builders return a
+SymmetricMatrix (eigen.py): the lower band of width max(2, 2l-1), assembled
+in place with entries bitwise equal to the full matrix; .dense() gives the
+full matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .eigen import SymmetricMatrix
 from .hilbert import HilbertSpace
-
-# Alias kept for signatures: real symmetric (dim, dim) float64 array.
-SymmetricMatrix = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,16 +60,29 @@ class ModelParams:
         return cls(l=l, omega=omega, Omega=omega, mu=mu, kappa=kappa, z=z)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
 def coupling_elements(l: int, n_max: int) -> np.ndarray:
     """Matrix elements <e,n| sigma+ a^l |g,n+l> = sqrt((n+l)!/n!) for n = 0..n_max-l.
 
     Computed as a running product of (n+1)...(n+l); no factorial overflow.
+    Cached, so the result is read-only.
     """
     n = np.arange(n_max - l + 1, dtype=np.float64)
     prod = np.ones_like(n)
     for k in range(1, l + 1):
         prod = prod * (n + k)
-    return np.sqrt(prod)
+    return _frozen(np.sqrt(prod))
+
+
+def bandwidth(l: int) -> int:
+    """Band half-width of the l-photon Hamiltonian: the drive sits on the
+    second off-diagonal, the l-photon coupling on the (2l-1)-th."""
+    return max(2, 2 * l - 1)
 
 
 def build_mpjc(params: ModelParams, space: HilbertSpace) -> SymmetricMatrix:
@@ -72,26 +90,26 @@ def build_mpjc(params: ModelParams, space: HilbertSpace) -> SymmetricMatrix:
     if params.l != space.l:
         raise ValueError(f"params have l={params.l}, space has l={space.l}")
     n = np.arange(space.n_max + 1)
-    g = 2 * n        # indices of |g,n>
-    e = 2 * n + 1    # indices of |e,n>
-    h = np.zeros((space.dim, space.dim))
-    h[g, g] = params.omega * n
-    h[e, e] = params.Omega + params.omega * n
-    c = coupling_elements(space.l, space.n_max)
-    rows = e[: space.n_max - space.l + 1]
-    cols = g[space.l:]
-    h[rows, cols] = c
-    h[cols, rows] = c
-    return h
+    band = np.zeros((bandwidth(space.l) + 1, space.dim), order="F")
+    band[0, 0::2] = params.omega * n                  # |g,n>
+    band[0, 1::2] = params.Omega + params.omega * n   # |e,n>
+    # <e,n| sigma+ a^l |g,n+l> joins columns 2n+1 and 2(n+l)
+    last = 2 * (space.n_max - space.l) + 1
+    band[2 * space.l - 1, 1:last + 1:2] = coupling_elements(space.l, space.n_max)
+    return SymmetricMatrix(band)
 
 
+@lru_cache(maxsize=64)
 def build_l_diag(space: HilbertSpace) -> np.ndarray:
-    """Diagonal of the conserved quantity L in the basis ordering, as floats."""
+    """Diagonal of the conserved quantity L in the basis ordering, as floats.
+
+    Cached, so the result is read-only.
+    """
     n = np.arange(space.n_max + 1, dtype=np.float64)
     d = np.empty(space.dim)
     d[0::2] = n
     d[1::2] = n + space.l
-    return d
+    return _frozen(d)
 
 
 def build_mean_field(params: ModelParams, psi: float,
@@ -104,17 +122,15 @@ def build_mean_field(params: ModelParams, psi: float,
     At psi = 0 the result is bitwise independent of kappa.
     """
     h = build_mpjc(params, space)
-    idx = np.arange(space.dim)
+    diag = h.band[0]
     if params.mu != 0.0:
-        h[idx, idx] -= params.mu * build_l_diag(space)
+        diag -= params.mu * build_l_diag(space)
     drive = params.z * params.kappa * psi
     if drive != 0.0:
-        h[idx, idx] += drive * psi
-        n = np.arange(space.n_max)
-        amp = -drive * np.sqrt(n + 1.0)
-        for s in (0, 1):  # photon raising keeps the atomic state
-            i = 2 * n + s
-            j = 2 * (n + 1) + s
-            h[i, j] = amp
-            h[j, i] = amp
+        diag += drive * psi
+        amp = -drive * np.sqrt(np.arange(space.n_max) + 1.0)
+        # photon raising keeps the atomic state: |s,n> to |s,n+1>, columns
+        # 2n+s on the second off-diagonal
+        h.band[2, 0:-2:2] = amp
+        h.band[2, 1:-2:2] = amp
     return h

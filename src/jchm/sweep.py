@@ -23,7 +23,7 @@ from .classify import (
     classify_point,
     default_n_max,
 )
-from .eigen import DEFAULT_TOL
+from .eigen import DEFAULT_TOL, EigensolverError
 from .groundstate import PsiSearchSpec, minimize_over_psi
 from .hilbert import build_space
 from .operators import ModelParams
@@ -133,6 +133,12 @@ def classify_at(l: int, x: float, y: float, *, z: int = 2, mu: float = 1.0,
     return replace(pt, x=float(x), y=float(y))
 
 
+def _failed_cell(x: float, y: float, note: str) -> PhasePoint:
+    return PhasePoint(x=float(x), y=float(y), psi_star=float("nan"),
+                      energy=float("nan"), l_expect=float("nan"), label=None,
+                      n_max_used=0, converged=False, note=note)
+
+
 def _evaluate_cell(task) -> PhasePoint:
     """Worker for one grid cell; never raises, records failures in the cell."""
     (spec, base_n_max, psi_spec, schedule, tol_conv, pin_fraction, tol,
@@ -143,10 +149,9 @@ def _evaluate_cell(task) -> PhasePoint:
                            schedule=schedule, tol_conv=tol_conv,
                            pin_fraction=pin_fraction, tol=tol)
     except ValueError as err:
-        return PhasePoint(x=float(x), y=float(y), psi_star=float("nan"),
-                          energy=float("nan"), l_expect=float("nan"),
-                          label=None, n_max_used=0, converged=False,
-                          note=f"invalid: {err}")
+        return _failed_cell(x, y, f"invalid: {err}")
+    except EigensolverError as err:
+        return _failed_cell(x, y, f"indeterminate: eigensolver: {err}")
     except IndeterminatePhaseError as err:
         report = err.report
         energy = report.energies[-1] if report else float("nan")

@@ -245,7 +245,7 @@ def _invariant_suite() -> CheckResult:
         params = random_params()
         space = build_space(params.l, int(rng.integers(params.l + 2, 30)))
         psi = float(rng.uniform(-2.0, 2.0))
-        h = build_mean_field(params, psi, space)
+        h = build_mean_field(params, psi, space).dense()
         if not np.array_equal(h, h.T):
             failures.append(f"matrix not symmetric for {params}")
 
@@ -253,7 +253,7 @@ def _invariant_suite() -> CheckResult:
     for _ in range(25):
         params = random_params()
         space = build_space(params.l, int(rng.integers(params.l + 2, 30)))
-        h = build_mean_field(params, 0.0, space)
+        h = build_mean_field(params, 0.0, space).dense()
         d = np.diag(build_l_diag(space))
         comm = np.abs(h @ d - d @ h).max()
         if comm > 1e-12:
@@ -293,7 +293,7 @@ def _invariant_suite() -> CheckResult:
                         f"at l={l}, L={L}, omega={omega}")
                 params = ModelParams.resonant(l, omega)
                 space = build_space(l, L)
-                h = build_mean_field(params, 0.0, space)
+                h = build_mean_field(params, 0.0, space).dense()
                 i = [2 * (L - l) + 1, 2 * L]  # |e, L-l> and |g, L>
                 block = h[np.ix_(i, i)]
                 e_block = smallest_eigpair(block).value

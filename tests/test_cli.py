@@ -72,6 +72,28 @@ def test_point_indeterminate_exit_code(capsys):
     assert "note = " in out
 
 
+def test_point_eigensolver_failure_exit_code(capsys):
+    # a residual bound below rounding fails every eigensolve
+    code, out, err = run_cli(capsys, "point", "--l", "1", "--x=-1", "--y=-1",
+                             "--tol", "1e-17")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("indeterminate: eigensolver: residual")
+    assert len(err.splitlines()) == 1
+
+
+def test_diagram_eigensolver_failure_writes_indet_cells(tmp_path, capsys):
+    out_file = tmp_path / "grid.csv"
+    code, _, err = run_cli(capsys, "diagram", "--l", "1", "--x-range=-2:-1:2",
+                           "--y-range=-1:-0.5:2", "--tol", "1e-17",
+                           "--out", str(out_file))
+    assert code == 3
+    assert "INDET=4" in err
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [ln.split(",")[5] for ln in lines[1:]] == ["INDET"] * 4
+
+
 def test_diagram_csv_file(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     args = ["diagram", "--l", "1", "--x-range=-4:-3:5",

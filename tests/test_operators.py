@@ -54,7 +54,7 @@ def test_coupling_elements_values():
 def test_mpjc_entries():
     params = ModelParams(l=2, omega=1.5, Omega=1.2)
     space = build_space(2, 4)
-    h = build_mpjc(params, space)
+    h = build_mpjc(params, space).dense()
     # diagonal: omega * n on |g,n>, Omega + omega * n on |e,n>
     assert h[0, 0] == 0.0
     assert h[1, 1] == pytest.approx(1.2)
@@ -84,8 +84,8 @@ def test_l_diag_values():
 def test_mean_field_psi_zero_matches_mpjc_minus_mu_l():
     params = ModelParams(l=2, omega=1.3, Omega=1.1, mu=0.7, kappa=0.4)
     space = build_space(2, 6)
-    h = build_mean_field(params, 0.0, space)
-    expected = build_mpjc(params, space)
+    h = build_mean_field(params, 0.0, space).dense()
+    expected = build_mpjc(params, space).dense()
     idx = np.arange(space.dim)
     expected[idx, idx] -= params.mu * build_l_diag(space)
     assert np.array_equal(h, expected)
@@ -95,14 +95,14 @@ def test_mean_field_kappa_independent_at_psi_zero():
     space = build_space(1, 8)
     h1 = build_mean_field(ModelParams(l=1, omega=1.0, Omega=1.0, kappa=0.0), 0.0, space)
     h2 = build_mean_field(ModelParams(l=1, omega=1.0, Omega=1.0, kappa=0.9), 0.0, space)
-    assert np.array_equal(h1, h2)
+    assert np.array_equal(h1.band, h2.band)
 
 
 def test_mean_field_drive_entries():
     params = ModelParams(l=1, omega=1.0, Omega=1.0, mu=0.0, kappa=0.1, z=2)
     space = build_space(1, 3)
     psi = 0.5
-    h = build_mean_field(params, psi, space)
+    h = build_mean_field(params, psi, space).dense()
     # -z kappa psi sqrt(n+1) between |s,n> and |s,n+1>
     assert h[0, 2] == pytest.approx(-0.1)
     assert h[1, 3] == pytest.approx(-0.1)
@@ -116,17 +116,48 @@ def test_sector_block_values():
     l, L, omega = 2, 3, 1.7
     params = ModelParams(l=l, omega=omega, Omega=omega, mu=1.0)
     space = build_space(l, L)
-    h = build_mean_field(params, 0.0, space)
+    h = build_mean_field(params, 0.0, space).dense()
     idx = [2 * (L - l) + 1, 2 * L]  # |e, L-l>, |g, L>
     block = h[np.ix_(idx, idx)]
     assert np.allclose(block, sector_matrix(l, L, omega), atol=1e-14)
+
+
+def dense_mean_field_reference(params, psi, space):
+    """The full matrix written entry by entry, in the same floating-point
+    order as the band assembly, so the two must agree bitwise."""
+    n = np.arange(space.n_max + 1)
+    h = np.zeros((space.dim, space.dim))
+    h[2 * n, 2 * n] = params.omega * n
+    h[2 * n + 1, 2 * n + 1] = params.Omega + params.omega * n
+    for m, c in enumerate(coupling_elements(space.l, space.n_max)):
+        h[2 * m + 1, 2 * (m + space.l)] = h[2 * (m + space.l), 2 * m + 1] = c
+    idx = np.arange(space.dim)
+    if params.mu != 0.0:
+        h[idx, idx] -= params.mu * build_l_diag(space)
+    drive = params.z * params.kappa * psi
+    if drive != 0.0:
+        h[idx, idx] += drive * psi
+        for m in range(space.n_max):
+            for s in (0, 1):
+                h[2 * m + s, 2 * (m + 1) + s] = -drive * math.sqrt(m + 1.0)
+                h[2 * (m + 1) + s, 2 * m + s] = -drive * math.sqrt(m + 1.0)
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=params_st, n_extra=st.integers(0, 30), psi=st.floats(-2.0, 2.0))
+def test_band_assembly_matches_dense_reference_bitwise(params, n_extra, psi):
+    space = build_space(params.l, params.l + n_extra)
+    h = build_mean_field(params, psi, space)
+    assert len(h) == space.dim
+    assert np.array_equal(h.dense(), dense_mean_field_reference(params, psi, space))
 
 
 @settings(max_examples=60, deadline=None)
 @given(params=params_st, n_extra=st.integers(2, 12), psi=st.floats(-2.0, 2.0))
 def test_exact_symmetry(params, n_extra, psi):
     space = build_space(params.l, params.l + n_extra)
-    h = build_mean_field(params, psi, space)
+    h = build_mean_field(params, psi, space).dense()
     assert np.array_equal(h, h.T)
 
 
@@ -134,7 +165,7 @@ def test_exact_symmetry(params, n_extra, psi):
 @given(params=params_st, n_extra=st.integers(2, 10))
 def test_commutes_with_l_at_psi_zero(params, n_extra):
     space = build_space(params.l, params.l + n_extra)
-    h = build_mean_field(params, 0.0, space)
+    h = build_mean_field(params, 0.0, space).dense()
     d = np.diag(build_l_diag(space))
     assert np.abs(h @ d - d @ h).max() <= 1e-12
 
@@ -145,8 +176,8 @@ def test_spectrum_even_in_psi_by_gauge(params, n_extra, psi):
     # the diagonal sign flip s_n = (-1)^n, extended by (-1)^l on excited
     # states, conjugates H(psi) into H(-psi) exactly
     space = build_space(params.l, params.l + n_extra)
-    h_plus = build_mean_field(params, psi, space)
-    h_minus = build_mean_field(params, -psi, space)
+    h_plus = build_mean_field(params, psi, space).dense()
+    h_minus = build_mean_field(params, -psi, space).dense()
     n = np.arange(space.n_max + 1)
     s = np.empty(space.dim)
     s[0::2] = (-1.0) ** n

@@ -103,6 +103,16 @@ def test_run_grid_marks_invalid_rows():
     assert tokens.get("FORBIDDEN", 0) == 2  # y = 0.8 row survives
 
 
+def test_run_grid_records_eigensolver_failure_as_indet():
+    # no eigenpair meets a residual bound of 1e-17: every cell is recorded
+    spec = GridSpec(l=1, x_lo=-2.0, x_hi=-1.0, nx=2, y_lo=-1.0, y_hi=-0.5, ny=2)
+    grid = run_grid(spec, tol=1e-17)
+    for pt in grid.iter_cells():
+        assert pt.token == "INDET"
+        assert pt.note.startswith("indeterminate: eigensolver: residual")
+        assert math.isnan(pt.energy)
+
+
 def test_run_grid_rejects_bad_inputs():
     spec = GridSpec(l=2, x_lo=-3.0, x_hi=-1.0, nx=2, y_lo=-1.0, y_hi=-0.2, ny=2)
     with pytest.raises(ValueError, match="jobs"):
