@@ -29,6 +29,7 @@ from .classify import (
     PhaseKind,
     PhaseLabel,
     PhasePoint,
+    SolverSettings,
     classify_point,
     convergence_probe,
     default_n_max,
@@ -42,7 +43,7 @@ from .groundstate import (
     expected_L,
     minimize_over_psi,
 )
-from .hilbert import Atom, BasisState, HilbertSpace, build_space, l_eigenvalue
+from .hilbert import HilbertSpace, build_space
 from .operators import (
     ModelParams,
     SymmetricMatrix,
@@ -66,15 +67,15 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "BasisState", "HilbertSpace", "build_space", "l_eigenvalue",
+    "HilbertSpace", "build_space",
     "ModelParams", "SymmetricMatrix", "build_mpjc", "build_mean_field",
     "build_l_diag", "coupling_elements",
     "EigPair", "EigensolverError", "smallest_eigpair",
     "PsiSearchSpec", "MeanFieldSolution", "BracketExhausted",
     "energy_at_psi", "minimize_over_psi", "expected_L",
     "PhaseKind", "PhaseLabel", "ConvergenceReport", "PhasePoint",
-    "IndeterminatePhaseError", "classify_point", "convergence_probe",
-    "default_n_max",
+    "IndeterminatePhaseError", "SolverSettings", "classify_point",
+    "convergence_probe", "default_n_max",
     "Branch", "Side", "SectorSpec", "BoundaryCurve", "sector_energy",
     "resonant_sector_energy", "resonant_ground_energy", "solve_sector_zero",
     "solve_sector_crossing", "asymptotic_slope", "strong_coupling_boundary",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .eigen import DEFAULT_TOL, smallest_eigpair
@@ -38,6 +38,49 @@ def default_n_max(l: int) -> int:
     if not 1 <= l <= 4:
         raise ValueError(f"l must be between 1 and 4, got {l}")
     return 40 if l <= 2 else 24
+
+
+@dataclass(frozen=True)
+class SolverSettings:
+    """Solver settings shared by every point of a run.
+
+    n_max is the base truncation, psi_max the top of the psi search, psi_eps
+    the psi_star below which a point is not superfluid, tol the eigensolver
+    residual bound, and tol_conv and pin_fraction the truncation probe's
+    convergence and pin thresholds (see convergence_probe).  None means the
+    default for the photon order: default_n_max(l), sqrt(n_max)/2 and
+    PsiSearchSpec's psi_zero_eps.
+    """
+
+    n_max: int | None = None
+    psi_max: float | None = None
+    psi_eps: float | None = None
+    tol: float = DEFAULT_TOL
+    tol_conv: float = DEFAULT_TOL_CONV
+    pin_fraction: float = DEFAULT_PIN_FRACTION
+
+    def for_l(self, l: int) -> "SolverSettings":
+        """These settings with n_max resolved for photon order l.
+
+        Raises ValueError for a truncation too small to resolve the coupling
+        or an unusable psi search.
+        """
+        n_max = default_n_max(l) if self.n_max is None else self.n_max
+        if n_max < l + 2:
+            raise ValueError(f"n_max: must be at least l + 2 = {l + 2}, got {n_max}")
+        resolved = replace(self, n_max=n_max)
+        resolved.psi_spec()
+        return resolved
+
+    def psi_spec(self) -> PsiSearchSpec:
+        """The psi search protocol; needs a resolved n_max (see for_l)."""
+        overrides = {} if self.psi_eps is None else {"psi_zero_eps": self.psi_eps}
+        try:
+            if self.psi_max is None:
+                return PsiSearchSpec.for_truncation(self.n_max, **overrides)
+            return PsiSearchSpec(psi_max=self.psi_max, **overrides)
+        except ValueError as err:
+            raise ValueError(f"psi_max/psi_eps: {err}") from err
 
 
 class PhaseKind(enum.Enum):
@@ -160,40 +203,28 @@ def convergence_probe(params: ModelParams, schedule: Sequence[int], *,
     )
 
 
-def classify_point(params: ModelParams, base_n_max: int | None = None,
-                   psi_spec: PsiSearchSpec | None = None, *,
-                   schedule: Sequence[int] | None = None,
-                   tol_conv: float = DEFAULT_TOL_CONV,
-                   pin_fraction: float = DEFAULT_PIN_FRACTION,
-                   tol: float = DEFAULT_TOL) -> PhasePoint:
+def classify_point(params: ModelParams,
+                   settings: SolverSettings = SolverSettings()) -> PhasePoint:
     """Classify one parameter point as SF, MI(L) or forbidden.
 
-    The psi minimisation runs at base_n_max; if it returns psi_star above
-    psi_zero_eps the point is superfluid.  Otherwise the psi = 0 problem is
-    probed on `schedule` (default [base_n_max, 2 base_n_max]) and the reported
-    energy, <L> and n_max_used come from the finest level.  A minimisation
-    whose minimum runs into psi_max is still called superfluid: the drive is
-    resolvably nonzero even though its magnitude is truncation-limited.
+    The psi minimisation runs at the base truncation n_max; if it returns
+    psi_star above psi_eps the point is superfluid.  Otherwise the psi = 0
+    problem is probed at [n_max, 2 n_max] and the reported energy, <L> and
+    n_max_used come from the finer level.  A minimisation whose minimum runs
+    into psi_max is still called superfluid: the drive is resolvably nonzero
+    even though its magnitude is truncation-limited.
 
     Raises IndeterminatePhaseError when the probe is inconclusive and
-    ValueError for an unusable base_n_max.
+    ValueError for unusable settings.
     """
-    if base_n_max is None:
-        base_n_max = default_n_max(params.l)
-    if base_n_max < params.l + 2:
-        raise ValueError(
-            f"n_max must be at least l + 2 = {params.l + 2} "
-            f"to resolve the coupling, got {base_n_max}"
-        )
-    if psi_spec is None:
-        psi_spec = PsiSearchSpec.for_truncation(base_n_max)
-
+    settings = settings.for_l(params.l)
+    psi_spec = settings.psi_spec()
     x = math.log10(params.kappa) if params.kappa > 0 else -math.inf
     y = params.l * params.mu - params.omega
 
-    space = build_space(params.l, base_n_max)
+    space = build_space(params.l, settings.n_max)
     try:
-        sol = minimize_over_psi(params, space, psi_spec, tol)
+        sol = minimize_over_psi(params, space, psi_spec, settings.tol)
     except BracketExhausted as err:
         sol = err.solution
     if sol.psi_star > psi_spec.psi_zero_eps:
@@ -203,10 +234,10 @@ def classify_point(params: ModelParams, base_n_max: int | None = None,
             n_max_used=sol.n_max_used, converged=True,
         )
 
-    if schedule is None:
-        schedule = (base_n_max, 2 * base_n_max)
-    report = convergence_probe(params, schedule, tol_conv=tol_conv,
-                               pin_fraction=pin_fraction, tol=tol)
+    report = convergence_probe(params, (settings.n_max, 2 * settings.n_max),
+                               tol_conv=settings.tol_conv,
+                               pin_fraction=settings.pin_fraction,
+                               tol=settings.tol)
     energy = report.energies[-1]
     l_expect = report.l_expects[-1]
     n_used = report.n_max_sequence[-1]

@@ -8,27 +8,7 @@ leading principal submatrix of a larger one.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class Atom(enum.Enum):
-    """Atomic level of a basis state."""
-
-    GROUND = 0
-    EXCITED = 1
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """Product state |atom> (x) |photons>."""
-
-    atom: Atom
-    photons: int
-
-    def __post_init__(self) -> None:
-        if self.photons < 0:
-            raise ValueError(f"photons must be non-negative, got {self.photons}")
 
 
 @dataclass(frozen=True)
@@ -56,29 +36,7 @@ class HilbertSpace:
     def dim(self) -> int:
         return 2 * (self.n_max + 1)
 
-    def index_of(self, state: BasisState) -> int:
-        if state.photons > self.n_max:
-            raise ValueError(
-                f"state has {state.photons} photons, space is truncated at {self.n_max}"
-            )
-        return 2 * state.photons + (1 if state.atom is Atom.EXCITED else 0)
-
-    def state_of(self, index: int) -> BasisState:
-        if not 0 <= index < self.dim:
-            raise IndexError(f"index {index} outside basis of dimension {self.dim}")
-        atom = Atom.EXCITED if index % 2 else Atom.GROUND
-        return BasisState(atom=atom, photons=index // 2)
-
-    def states(self):
-        """All basis states in index order."""
-        return (self.state_of(i) for i in range(self.dim))
-
 
 def build_space(l: int, n_max: int) -> HilbertSpace:
     """Validated constructor for a truncated space."""
     return HilbertSpace(l=l, n_max=n_max)
-
-
-def l_eigenvalue(state: BasisState, l: int) -> int:
-    """Value of the conserved quantity L = l * excitation + photon number."""
-    return state.photons + (l if state.atom is Atom.EXCITED else 0)

@@ -8,7 +8,6 @@ to parallelise over processes.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -16,15 +15,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .classify import (
-    DEFAULT_PIN_FRACTION,
-    DEFAULT_TOL_CONV,
     IndeterminatePhaseError,
     PhasePoint,
+    SolverSettings,
     classify_point,
-    default_n_max,
 )
-from .eigen import DEFAULT_TOL, EigensolverError
-from .groundstate import PsiSearchSpec, minimize_over_psi
+from .eigen import EigensolverError
+from .groundstate import minimize_over_psi
 from .hilbert import build_space
 from .operators import ModelParams
 
@@ -89,9 +86,6 @@ class GridSpec:
     def y_values(self) -> np.ndarray:
         return np.linspace(self.y_lo, self.y_hi, self.ny)
 
-    def params_at(self, x: float, y: float) -> ModelParams:
-        return params_for(self.l, x, y, z=self.z, mu=self.mu, delta=self.delta)
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -119,18 +113,12 @@ class PhaseGrid:
                 if pt.label is not None and pt.label.L is not None}
 
 
-def classify_at(l: int, x: float, y: float, *, z: int = 2, mu: float = 1.0,
-                delta: float = 0.0, base_n_max: int | None = None,
-                psi_spec: PsiSearchSpec | None = None,
-                schedule: Sequence[int] | None = None,
-                tol_conv: float = DEFAULT_TOL_CONV,
-                pin_fraction: float = DEFAULT_PIN_FRACTION,
-                tol: float = DEFAULT_TOL) -> PhasePoint:
+def classify_at(l: int, x: float, y: float,
+                settings: SolverSettings = SolverSettings(), *, z: int = 2,
+                mu: float = 1.0, delta: float = 0.0) -> PhasePoint:
     """classify_point at diagram coordinates, reporting the exact (x, y) given."""
     params = params_for(l, x, y, z=z, mu=mu, delta=delta)
-    pt = classify_point(params, base_n_max, psi_spec, schedule=schedule,
-                        tol_conv=tol_conv, pin_fraction=pin_fraction, tol=tol)
-    return replace(pt, x=float(x), y=float(y))
+    return replace(classify_point(params, settings), x=float(x), y=float(y))
 
 
 def _failed_cell(x: float, y: float, note: str) -> PhasePoint:
@@ -139,57 +127,47 @@ def _failed_cell(x: float, y: float, note: str) -> PhasePoint:
                       n_max_used=0, converged=False, note=note)
 
 
+def indeterminate_point(x: float, y: float,
+                        err: IndeterminatePhaseError) -> PhasePoint:
+    """The unlabelled (INDET) point for an inconclusive truncation probe,
+    carrying the probe's finest level when there is a report."""
+    report = err.report
+    return PhasePoint(
+        x=float(x), y=float(y), psi_star=0.0,
+        energy=report.energies[-1] if report else float("nan"),
+        l_expect=report.l_expects[-1] if report else float("nan"),
+        label=None, n_max_used=report.n_max_sequence[-1] if report else 0,
+        converged=False, note=f"indeterminate: {err}", report=report,
+    )
+
+
 def _evaluate_cell(task) -> PhasePoint:
     """Worker for one grid cell; never raises, records failures in the cell."""
-    (spec, base_n_max, psi_spec, schedule, tol_conv, pin_fraction, tol,
-     x, y) = task
+    spec, settings, x, y = task
     try:
-        return classify_at(spec.l, x, y, z=spec.z, mu=spec.mu, delta=spec.delta,
-                           base_n_max=base_n_max, psi_spec=psi_spec,
-                           schedule=schedule, tol_conv=tol_conv,
-                           pin_fraction=pin_fraction, tol=tol)
+        return classify_at(spec.l, x, y, settings, z=spec.z, mu=spec.mu,
+                           delta=spec.delta)
     except ValueError as err:
         return _failed_cell(x, y, f"invalid: {err}")
     except EigensolverError as err:
         return _failed_cell(x, y, f"indeterminate: eigensolver: {err}")
     except IndeterminatePhaseError as err:
-        report = err.report
-        energy = report.energies[-1] if report else float("nan")
-        l_expect = report.l_expects[-1] if report else float("nan")
-        n_used = report.n_max_sequence[-1] if report else 0
-        return PhasePoint(x=float(x), y=float(y), psi_star=0.0, energy=energy,
-                          l_expect=l_expect, label=None, n_max_used=n_used,
-                          converged=False, note=f"indeterminate: {err}",
-                          report=report)
+        return indeterminate_point(x, y, err)
 
 
-def run_grid(spec: GridSpec, base_n_max: int | None = None,
-             psi_spec: PsiSearchSpec | None = None, *, jobs: int = 1,
-             schedule: Sequence[int] | None = None,
-             tol_conv: float = DEFAULT_TOL_CONV,
-             pin_fraction: float = DEFAULT_PIN_FRACTION,
-             tol: float = DEFAULT_TOL) -> PhaseGrid:
+def run_grid(spec: GridSpec, settings: SolverSettings = SolverSettings(), *,
+             jobs: int = 1) -> PhaseGrid:
     """Classify every cell of the grid.
 
-    Unclassifiable cells are recorded (tokens INVALID / INDET), never fatal.
-    The result is independent of `jobs`.
+    Unclassifiable cells are recorded (tokens INVALID / INDET), never fatal;
+    unusable settings raise ValueError before any cell runs.  The result is
+    independent of `jobs`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if base_n_max is None:
-        base_n_max = default_n_max(spec.l)
-    if base_n_max < spec.l + 2:
-        # a bad truncation is a configuration error, not a per-cell condition
-        raise ValueError(f"n_max must be at least l + 2 = {spec.l + 2}, got {base_n_max}")
-    if psi_spec is None:
-        psi_spec = PsiSearchSpec.for_truncation(base_n_max)
-
-    xs = spec.x_values
+    settings = settings.for_l(spec.l)
     ys = spec.y_values
-    tasks = [
-        (spec, base_n_max, psi_spec, schedule, tol_conv, pin_fraction, tol, x, y)
-        for x in xs for y in ys
-    ]
+    tasks = [(spec, settings, x, y) for x in spec.x_values for y in ys]
     if jobs == 1:
         flat = [_evaluate_cell(t) for t in tasks]
     else:
@@ -232,25 +210,21 @@ def refine_boundary(evaluate: Callable[[float], PhasePoint], lo: float,
     return 0.5 * (lo + hi)
 
 
-def energy_scan(l: int, y: float, x_points: Sequence[float], *, z: int = 2,
-                mu: float = 1.0, delta: float = 0.0,
-                base_n_max: int | None = None,
-                psi_spec: PsiSearchSpec | None = None,
-                tol: float = DEFAULT_TOL) -> list[tuple[float, float, float]]:
+def energy_scan(l: int, y: float, x_points: Sequence[float],
+                settings: SolverSettings = SolverSettings(), *, z: int = 2,
+                mu: float = 1.0, delta: float = 0.0) -> list[tuple[float, float, float]]:
     """Minimised ground energy along a horizontal cut of the diagram.
 
     Returns (x, energy, psi_star) per requested x.  Exposes the kink where
     the minimiser leaves psi = 0 at the insulator-superfluid boundary.
     """
-    if base_n_max is None:
-        base_n_max = default_n_max(l)
-    if psi_spec is None:
-        psi_spec = PsiSearchSpec.for_truncation(base_n_max)
-    space = build_space(l, base_n_max)
+    settings = settings.for_l(l)
+    psi_spec = settings.psi_spec()
+    space = build_space(l, settings.n_max)
     out: list[tuple[float, float, float]] = []
     for x in x_points:
         params = params_for(l, x, y, z=z, mu=mu, delta=delta)
-        sol = minimize_over_psi(params, space, psi_spec, tol)
+        sol = minimize_over_psi(params, space, psi_spec, settings.tol)
         out.append((float(x), sol.energy, sol.psi_star))
     return out
 

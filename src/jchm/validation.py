@@ -26,27 +26,14 @@ from .analytic import (
     solve_sector_zero,
     strong_coupling_boundary,
 )
-from .classify import DEFAULT_PIN_FRACTION, DEFAULT_TOL_CONV
+from .classify import SolverSettings
 from .eigen import smallest_eigpair
 from .groundstate import energy_at_psi
 from .hilbert import build_space
-from .operators import ModelParams, build_l_diag, build_mean_field
+from .operators import ModelParams, bandwidth, build_l_diag, build_mean_field
 from .sweep import GridSpec, classify_at, refine_boundary, run_grid
 
 _RNG_SEED = 20240817
-
-
-@dataclass(frozen=True)
-class ValidationSettings:
-    """Knobs shared by the classification-based checks.
-
-    Loosening or tightening these deliberately (e.g. pin_fraction > 1) should
-    make the affected checks fail; that is the point of exposing them.
-    """
-
-    jobs: int = 1
-    tol_conv: float = DEFAULT_TOL_CONV
-    pin_fraction: float = DEFAULT_PIN_FRACTION
 
 
 @dataclass
@@ -113,12 +100,11 @@ def check_sector_crossing() -> CheckResult:
     return _run("sector-crossing-l2", body)
 
 
-def check_lobe_threshold(settings: ValidationSettings = ValidationSettings()) -> CheckResult:
+def check_lobe_threshold(settings: SolverSettings = SolverSettings()) -> CheckResult:
     """Classified MI(0)/MI(2) boundary at l=2, x=-4 against the closed form."""
     def body() -> CheckResult:
         y = refine_boundary(
-            lambda t: classify_at(2, -4.0, t, tol_conv=settings.tol_conv,
-                                  pin_fraction=settings.pin_fraction),
+            lambda t: classify_at(2, -4.0, t, settings),
             -1.0, -0.3, pair=("MI:0", "MI:2"), tol=1e-4,
         )
         ok = abs(y - (-0.6180)) < 2e-3
@@ -129,12 +115,11 @@ def check_lobe_threshold(settings: ValidationSettings = ValidationSettings()) ->
     return _run("lobe-threshold-l2", body)
 
 
-def check_forbidden_frontier(settings: ValidationSettings = ValidationSettings()) -> CheckResult:
+def check_forbidden_frontier(settings: SolverSettings = SolverSettings()) -> CheckResult:
     """Onset of the forbidden region above the l=2 Mott lobes at x=-4."""
     def body() -> CheckResult:
         def evaluate(t: float):
-            return classify_at(2, -4.0, t, tol_conv=settings.tol_conv,
-                               pin_fraction=settings.pin_fraction)
+            return classify_at(2, -4.0, t, settings)
         lo = evaluate(-0.1)
         hi = evaluate(0.1)
         if hi.token != "FORBIDDEN":
@@ -151,17 +136,15 @@ def check_forbidden_frontier(settings: ValidationSettings = ValidationSettings()
     return _run("forbidden-frontier-l2", body)
 
 
-def check_sf_boundaries(settings: ValidationSettings = ValidationSettings()) -> CheckResult:
+def check_sf_boundaries(settings: SolverSettings = SolverSettings()) -> CheckResult:
     """Single-photon insulator-superfluid boundary at two reference cuts."""
     def body() -> CheckResult:
         x1 = refine_boundary(
-            lambda t: classify_at(1, t, -1.2, tol_conv=settings.tol_conv,
-                                  pin_fraction=settings.pin_fraction),
+            lambda t: classify_at(1, t, -1.2, settings),
             -1.2, -0.4, pair=("MI:0", "SF"), tol=1e-3,
         )
         x2 = refine_boundary(
-            lambda t: classify_at(1, t, -0.7, tol_conv=settings.tol_conv,
-                                  pin_fraction=settings.pin_fraction),
+            lambda t: classify_at(1, t, -0.7, settings),
             -1.6, -0.8, pair=("MI:1", "SF"), tol=1e-3,
         )
         ok = abs(x1 - (-0.737)) < 0.02 and abs(x2 - (-1.14)) < 0.02
@@ -173,14 +156,13 @@ def check_sf_boundaries(settings: ValidationSettings = ValidationSettings()) -> 
     return _run("sf-boundary-l1", body)
 
 
-def check_strong_coupling_match(settings: ValidationSettings = ValidationSettings()) -> CheckResult:
+def check_strong_coupling_match(settings: SolverSettings = SolverSettings()) -> CheckResult:
     """Mean-field MI(0) upper edge against the small-kappa closed form."""
     def body() -> CheckResult:
         diffs = []
         for x in (-2.0, -2.5, -3.0):
             y_mf = refine_boundary(
-                lambda t: classify_at(1, x, t, tol_conv=settings.tol_conv,
-                                      pin_fraction=settings.pin_fraction),
+                lambda t: classify_at(1, x, t, settings),
                 -1.3, -0.9, tol=1e-3,
             )
             y_sc = strong_coupling_boundary(0, Side.UPPER, 10.0 ** x)
@@ -194,15 +176,15 @@ def check_strong_coupling_match(settings: ValidationSettings = ValidationSetting
     return _run("strong-coupling-match-l1", body)
 
 
-def check_phase_census(settings: ValidationSettings = ValidationSettings()) -> CheckResult:
+def check_phase_census(settings: SolverSettings = SolverSettings(),
+                       jobs: int = 1) -> CheckResult:
     """Default 41x51 diagrams: which Mott lobes exist per photon order."""
     def body() -> CheckResult:
         failures = []
         summary = []
         for l in (1, 2, 3, 4):
-            grid = run_grid(GridSpec.default(l, nx=41, ny=51),
-                            jobs=settings.jobs, tol_conv=settings.tol_conv,
-                            pin_fraction=settings.pin_fraction)
+            grid = run_grid(GridSpec.default(l, nx=41, ny=51), settings,
+                            jobs=jobs)
             levels = grid.mi_levels()
             counts = grid.token_counts()
             bad = counts.get("INDET", 0) + counts.get("INVALID", 0)
@@ -240,14 +222,18 @@ def _invariant_suite() -> CheckResult:
             z=int(rng.integers(1, 7)),
         )
 
-    # exact symmetry of the assembled matrix
+    # band layout: (bandwidth + 1, dim) in Fortran order, nothing stored past
+    # the end of a subdiagonal
     for _ in range(25):
         params = random_params()
         space = build_space(params.l, int(rng.integers(params.l + 2, 30)))
         psi = float(rng.uniform(-2.0, 2.0))
-        h = build_mean_field(params, psi, space).dense()
-        if not np.array_equal(h, h.T):
-            failures.append(f"matrix not symmetric for {params}")
+        band = build_mean_field(params, psi, space).band
+        dim = space.dim
+        if (band.shape != (bandwidth(params.l) + 1, dim)
+                or not band.flags.f_contiguous
+                or any(np.any(band[k, dim - k:]) for k in range(1, len(band)))):
+            failures.append(f"band layout broken for {params}")
 
     # L is conserved at psi = 0
     for _ in range(25):
@@ -339,9 +325,14 @@ def check_invariants() -> CheckResult:
     return _run("invariant-suite", _invariant_suite)
 
 
-def run_all(quick: bool = False,
-            settings: ValidationSettings = ValidationSettings()) -> list[CheckResult]:
-    """All checks in a stable order; quick skips the long diagram census."""
+def run_all(quick: bool = False, settings: SolverSettings = SolverSettings(),
+            jobs: int = 1) -> list[CheckResult]:
+    """All checks in a stable order; quick skips the long diagram census.
+
+    settings go to every classification-based check; moving them off their
+    defaults (e.g. pin_fraction > 1) should make those checks fail.  jobs is
+    the census's worker-process count.
+    """
     results = [
         check_sector_zero(),
         check_sector_crossing(),
@@ -352,5 +343,5 @@ def run_all(quick: bool = False,
         check_strong_coupling_match(settings),
     ]
     if not quick:
-        results.append(check_phase_census(settings))
+        results.append(check_phase_census(settings, jobs))
     return results

@@ -63,5 +63,5 @@ def test_c7_strong_coupling_expansion_agreement():
 
 
 def test_c8_model_invariants():
-    # symmetry, conservation, parity, truncation monotonicity, sector forms
+    # band layout, conservation, parity, truncation monotonicity, sector forms
     _gate(check_invariants(), budget_s=300.0)

@@ -6,6 +6,7 @@ from jchm.classify import (
     IndeterminatePhaseError,
     PhaseKind,
     PhaseLabel,
+    SolverSettings,
     classify_point,
     convergence_probe,
     default_n_max,
@@ -127,7 +128,8 @@ def test_classify_forbidden_two_photon_above_lobes():
 def test_forbidden_wins_over_loose_convergence():
     # an enormous tol_conv makes the probe "converged", but a pinned <L>
     # must still be called forbidden
-    pt = classify_point(ModelParams.resonant(2, 1.5, kappa=1e-4), tol_conv=1e6)
+    pt = classify_point(ModelParams.resonant(2, 1.5, kappa=1e-4),
+                        SolverSettings(tol_conv=1e6))
     assert pt.token == "FORBIDDEN"
 
 
@@ -147,7 +149,8 @@ def test_classify_label_matches_sector_argmin():
 
 def test_classify_stable_under_truncation_doubling():
     for base in (40, 80):
-        pt = classify_point(ModelParams.resonant(2, 2.3, kappa=1e-4), base_n_max=base)
+        pt = classify_point(ModelParams.resonant(2, 2.3, kappa=1e-4),
+                            SolverSettings(n_max=base))
         assert pt.token == "MI:2"
 
 
@@ -164,13 +167,16 @@ def test_classify_indeterminate_near_escape():
 
 def test_classify_rejects_small_truncation():
     with pytest.raises(ValueError, match="n_max"):
-        classify_point(ModelParams.resonant(2, 2.5, kappa=1e-4), base_n_max=3)
+        classify_point(ModelParams.resonant(2, 2.5, kappa=1e-4),
+                       SolverSettings(n_max=3))
 
 
 def test_classify_custom_schedule_and_coordinates():
+    # the probe schedule follows the base truncation: (n_max, 2 n_max)
     pt = classify_point(ModelParams.resonant(1, 2.5, kappa=1e-2),
-                        schedule=(20, 30, 45))
+                        SolverSettings(n_max=20))
     assert pt.token == "MI:0"
-    assert pt.n_max_used == 45
+    assert pt.report.n_max_sequence == (20, 40)
+    assert pt.n_max_used == 40
     assert pt.x == pytest.approx(-2.0, abs=1e-12)
     assert pt.y == pytest.approx(1.0 - 2.5, abs=1e-12)

@@ -280,6 +280,55 @@ def test_config_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("point", "tol", "x"),
+    ("point", "l", "two"),
+    ("point", "z", 2.7),
+    ("point", "n_max", 40.9),
+    ("validate", "quick", "false"),
+])
+def test_config_value_errors_name_the_key(tmp_path, capsys, monkeypatch,
+                                          command, key, value):
+    # each value is converted to its declared type; nothing is truncated
+    monkeypatch.setattr(cli, "run_all",
+                        lambda quick, settings, jobs: pytest.fail("checks ran"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"l": 1, "x": -2.0, "y": -1.2, key: value}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"invalid parameter: {key}: ")
+    assert repr(value) in err
+
+
+def test_diagram_json_spec_echo(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("JCHM_JOBS", raising=False)
+    out_file = tmp_path / "grid.json"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol_conv": 1e-6, "jobs": 2}))
+
+    def spec(*extra):
+        code, _, _ = run_cli(capsys, "diagram", "--l", "2", "--format", "json",
+                             "--x-range=-4:-3.5:2", "--y-range=-1.8:-1.6:2",
+                             "--out", str(out_file), *extra)
+        assert code == 0
+        return json.loads(out_file.read_text())["spec"]
+
+    assert spec() == {
+        "command": "diagram", "delta": 0.0, "format": "json", "jobs": 1,
+        "l": 2, "mu": 1.0, "n_max": 40, "pin_fraction": 0.8, "psi_eps": None,
+        "psi_max": None, "tol": 1e-10, "tol_conv": 1e-08,
+        "x_range": [-4.0, -3.5, 2], "y_range": [-1.8, -1.6, 2], "z": 2,
+    }
+    # config beats the default (tol_conv) and JCHM_JOBS (jobs)
+    monkeypatch.setenv("JCHM_JOBS", "3")
+    echo = spec("--config", str(cfg))
+    assert (echo["tol_conv"], echo["jobs"]) == (1e-6, 2)
+    # a flag beats the config
+    echo = spec("--config", str(cfg), "--tol-conv", "1e-7", "--jobs", "1")
+    assert (echo["tol_conv"], echo["jobs"]) == (1e-7, 1)
+
+
 def test_jobs_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("JCHM_JOBS", "2")
     out_file = tmp_path / "grid.csv"
@@ -317,7 +366,7 @@ def _fake_results(all_pass):
 
 def test_validate_reports_pass(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "run_all",
-                        lambda quick, settings: _fake_results(True))
+                        lambda quick, settings, jobs: _fake_results(True))
     report = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "validate", "--quick", "--out", str(report))
     assert code == 0
@@ -329,7 +378,7 @@ def test_validate_reports_pass(capsys, monkeypatch, tmp_path):
 
 def test_validate_reports_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_all",
-                        lambda quick, settings: _fake_results(False))
+                        lambda quick, settings, jobs: _fake_results(False))
     code, out, err = run_cli(capsys, "validate")
     assert code == 1
     assert "[FAIL] beta" in out

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jchm.hilbert import Atom, BasisState, build_space, l_eigenvalue
+from jchm.hilbert import build_space
+from jchm.operators import build_l_diag
 
 
 def test_dimension():
@@ -11,20 +14,10 @@ def test_dimension():
 
 
 def test_interleaved_ordering():
-    space = build_space(1, 3)
-    first = [space.state_of(i) for i in range(4)]
-    assert first == [
-        BasisState(Atom.GROUND, 0),
-        BasisState(Atom.EXCITED, 0),
-        BasisState(Atom.GROUND, 1),
-        BasisState(Atom.EXCITED, 1),
-    ]
-
-
-def test_l_eigenvalue_examples():
-    assert l_eigenvalue(BasisState(Atom.EXCITED, 2), 3) == 5
-    assert l_eigenvalue(BasisState(Atom.GROUND, 3), 3) == 3
-    assert l_eigenvalue(BasisState(Atom.EXCITED, 4), 1) == 5
+    # atom-fastest: |g,0>, |e,0>, |g,1>, |e,1>, ... with L = n + l * excitation
+    for l in (1, 2, 3, 4):
+        diag = build_l_diag(build_space(l, l + 3))
+        assert list(diag[:4]) == [0, l, 1, 1 + l]
 
 
 def test_rejects_bad_arguments():
@@ -34,33 +27,13 @@ def test_rejects_bad_arguments():
         build_space(0, 10)
     with pytest.raises(ValueError, match="l"):
         build_space(5, 10)
-    with pytest.raises(ValueError):
-        BasisState(Atom.GROUND, -1)
-
-
-def test_index_bounds():
-    space = build_space(1, 2)
-    with pytest.raises(IndexError):
-        space.state_of(space.dim)
-    with pytest.raises(ValueError, match="photons"):
-        space.index_of(BasisState(Atom.GROUND, 3))
-
-
-@given(l=st.integers(1, 4), n_max=st.integers(4, 40))
-def test_roundtrip(l, n_max):
-    space = build_space(l, n_max)
-    for i in range(space.dim):
-        assert space.index_of(space.state_of(i)) == i
 
 
 @given(l=st.integers(1, 4), n_max=st.integers(4, 40))
 def test_l_multiplicities(l, n_max):
     # every L between l and n_max appears exactly twice, the rest once
     space = build_space(l, n_max)
-    counts = {}
-    for s in space.states():
-        val = l_eigenvalue(s, l)
-        counts[val] = counts.get(val, 0) + 1
+    counts = Counter(int(v) for v in build_l_diag(space))
     for L in range(0, n_max + l + 1):
         expected = 2 if l <= L <= n_max else 1
         assert counts.get(L, 0) == expected

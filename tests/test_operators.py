@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from jchm.hilbert import build_space
 from jchm.operators import (
     ModelParams,
+    bandwidth,
     build_l_diag,
     build_mean_field,
     build_mpjc,
@@ -155,10 +156,16 @@ def test_band_assembly_matches_dense_reference_bitwise(params, n_extra, psi):
 
 @settings(max_examples=60, deadline=None)
 @given(params=params_st, n_extra=st.integers(2, 12), psi=st.floats(-2.0, 2.0))
-def test_exact_symmetry(params, n_extra, psi):
+def test_band_layout(params, n_extra, psi):
+    # (bandwidth + 1, dim) in Fortran order, nothing stored past the end of a
+    # subdiagonal
     space = build_space(params.l, params.l + n_extra)
-    h = build_mean_field(params, psi, space).dense()
-    assert np.array_equal(h, h.T)
+    band = build_mean_field(params, psi, space).band
+    dim = space.dim
+    assert band.shape == (bandwidth(params.l) + 1, dim)
+    assert band.flags.f_contiguous
+    for k in range(1, len(band)):
+        assert np.all(band[k, dim - k:] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)

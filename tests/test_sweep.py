@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jchm.analytic import Side, strong_coupling_boundary
-from jchm.classify import PhaseKind
+from jchm.classify import PhaseKind, SolverSettings
 from jchm.sweep import (
     BoundarySegment,
     GridSpec,
@@ -106,7 +106,7 @@ def test_run_grid_marks_invalid_rows():
 def test_run_grid_records_eigensolver_failure_as_indet():
     # no eigenpair meets a residual bound of 1e-17: every cell is recorded
     spec = GridSpec(l=1, x_lo=-2.0, x_hi=-1.0, nx=2, y_lo=-1.0, y_hi=-0.5, ny=2)
-    grid = run_grid(spec, tol=1e-17)
+    grid = run_grid(spec, SolverSettings(tol=1e-17))
     for pt in grid.iter_cells():
         assert pt.token == "INDET"
         assert pt.note.startswith("indeterminate: eigensolver: residual")
@@ -118,7 +118,7 @@ def test_run_grid_rejects_bad_inputs():
     with pytest.raises(ValueError, match="jobs"):
         run_grid(spec, jobs=0)
     with pytest.raises(ValueError, match="n_max"):
-        run_grid(spec, base_n_max=3)
+        run_grid(spec, SolverSettings(n_max=3))
 
 
 def test_high_order_grid_has_no_insulators():

@@ -1,8 +1,8 @@
 import pytest
 
+from jchm.classify import SolverSettings
 from jchm.validation import (
     CheckResult,
-    ValidationSettings,
     check_forbidden_frontier,
     check_invariants,
     check_sector_crossing,
@@ -31,7 +31,7 @@ def test_forbidden_check_is_sensitive_to_pin_fraction():
     # with the pin threshold pushed above 1 nothing can ever count as pinned,
     # so the runaway point comes back indeterminate and the check must fail
     # rather than silently pass
-    res = check_forbidden_frontier(ValidationSettings(pin_fraction=2.0))
+    res = check_forbidden_frontier(SolverSettings(pin_fraction=2.0))
     assert not res.passed
     assert "Indeterminate" in res.detail
 
@@ -39,7 +39,7 @@ def test_forbidden_check_is_sensitive_to_pin_fraction():
 def test_crashed_check_reports_failure_not_exception():
     # same knob through the public entry: a crash inside a check becomes a
     # failed CheckResult carrying the exception text
-    res = check_forbidden_frontier(ValidationSettings(pin_fraction=1.5))
+    res = check_forbidden_frontier(SolverSettings(pin_fraction=1.5))
     assert isinstance(res, CheckResult)
     assert not res.passed
     assert res.measured == "error"
