@@ -63,6 +63,27 @@ def test_point_invalid_omega(capsys):
     assert "omega" in err
 
 
+def test_scan_bracket_exhausted_names_psi_max(capsys):
+    # a search interval far inside the superfluid minimum
+    code, out, err = run_cli(capsys, "scan", "--l", "1", "--y", "-0.5",
+                             "--x-range=-0.5:-0.2:3", "--psi-max", "0.05")
+    assert code == 1
+    assert out == ""
+    assert err == ("invalid parameter: psi_max: energy minimum sits at "
+                   "psi_max=0.05; the search interval (and likely n_max) is "
+                   "too small\n")
+
+
+def test_point_psi_eps_above_psi_max(capsys):
+    code, out, err = run_cli(capsys, "point", "--l", "1", "--x", "-4", "--y", "-1",
+                             "--psi-eps", "5")
+    assert code == 1
+    assert out == ""
+    assert err == ("invalid parameter: psi_max/psi_eps: need 0 < refine_tol < "
+                   "psi_zero_eps < psi_max, got refine_tol=1e-06, "
+                   "psi_zero_eps=5.0, psi_max=3.1622776601683795\n")
+
+
 def test_point_indeterminate_exit_code(capsys):
     # shallow slope puts the occupation optimum between the probe levels
     code, out, _ = run_cli(capsys, "point", "--l", "1", "--x", "-6", "--y", "-0.0646")
