@@ -38,12 +38,10 @@ from .eigen import EigPair, EigensolverError, smallest_eigpair
 from .groundstate import (
     BracketExhausted,
     MeanFieldSolution,
-    PsiSearchSpec,
     energy_at_psi,
     expected_L,
     minimize_over_psi,
 )
-from .hilbert import HilbertSpace, build_space
 from .operators import (
     ModelParams,
     SymmetricMatrix,
@@ -67,11 +65,10 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HilbertSpace", "build_space",
     "ModelParams", "SymmetricMatrix", "build_mpjc", "build_mean_field",
     "build_l_diag", "coupling_elements",
     "EigPair", "EigensolverError", "smallest_eigpair",
-    "PsiSearchSpec", "MeanFieldSolution", "BracketExhausted",
+    "MeanFieldSolution", "BracketExhausted",
     "energy_at_psi", "minimize_over_psi", "expected_L",
     "PhaseKind", "PhaseLabel", "ConvergenceReport", "PhasePoint",
     "IndeterminatePhaseError", "SolverSettings", "classify_point",

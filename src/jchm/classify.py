@@ -1,9 +1,9 @@
 """Phase assignment for one parameter point, with truncation evidence.
 
 A point is superfluid when the minimised drive amplitude is resolvably
-nonzero.  Otherwise the psi = 0 problem is re-solved along an increasing
-truncation schedule: a ground state whose L expectation chases the
-truncation edge has no converged thermodynamic limit and the point is
+nonzero.  Otherwise the psi = 0 problem is re-solved at the base truncation
+and at twice it: a ground state whose L expectation chases the truncation
+edge has no converged thermodynamic limit and the point is
 forbidden; a stable integer L is a Mott insulator MI(L).  Anything else is
 reported as indeterminate rather than guessed.
 """
@@ -13,20 +13,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from .eigen import DEFAULT_TOL, smallest_eigpair
 from .groundstate import (
+    REFINE_TOL,
     BracketExhausted,
-    PsiSearchSpec,
     expected_L,
     minimize_over_psi,
 )
-from .hilbert import build_space
 from .operators import ModelParams, build_mean_field
 
 DEFAULT_TOL_CONV = 1e-8
 DEFAULT_PIN_FRACTION = 0.8
+DEFAULT_PSI_EPS = 1e-3
 # <L> drift between the last two truncation levels still counted as converged,
 # and the widest distance from an integer accepted for an MI label.
 _L_DRIFT_TOL = 0.01
@@ -48,8 +47,8 @@ class SolverSettings:
     the psi_star below which a point is not superfluid, tol the eigensolver
     residual bound, and tol_conv and pin_fraction the truncation probe's
     convergence and pin thresholds (see convergence_probe).  None means the
-    default for the photon order: default_n_max(l), sqrt(n_max)/2 and
-    PsiSearchSpec's psi_zero_eps.
+    default: default_n_max(l) for n_max (see for_l), and sqrt(n_max)/2 and
+    DEFAULT_PSI_EPS for psi_max and psi_eps (see psi_bounds).
     """
 
     n_max: int | None = None
@@ -69,18 +68,23 @@ class SolverSettings:
         if n_max < l + 2:
             raise ValueError(f"n_max: must be at least l + 2 = {l + 2}, got {n_max}")
         resolved = replace(self, n_max=n_max)
-        resolved.psi_spec()
+        psi_max, psi_eps = resolved.psi_bounds()
+        if not 0.0 < REFINE_TOL < psi_eps < psi_max:
+            raise ValueError(
+                "psi_max/psi_eps: need 0 < refine_tol < psi_zero_eps < psi_max, "
+                f"got refine_tol={REFINE_TOL}, psi_zero_eps={psi_eps}, "
+                f"psi_max={psi_max}"
+            )
         return resolved
 
-    def psi_spec(self) -> PsiSearchSpec:
-        """The psi search protocol; needs a resolved n_max (see for_l)."""
-        overrides = {} if self.psi_eps is None else {"psi_zero_eps": self.psi_eps}
-        try:
-            if self.psi_max is None:
-                return PsiSearchSpec.for_truncation(self.n_max, **overrides)
-            return PsiSearchSpec(psi_max=self.psi_max, **overrides)
-        except ValueError as err:
-            raise ValueError(f"psi_max/psi_eps: {err}") from err
+    def psi_bounds(self) -> tuple[float, float]:
+        """(psi_max, psi_eps) with their defaults filled in; the default
+        psi_max sqrt(n_max)/2 keeps the displaced-field photon number
+        psi_max**2 a factor 4 inside the truncation, so it needs a resolved
+        n_max (see for_l)."""
+        psi_max = math.sqrt(self.n_max) / 2.0 if self.psi_max is None else self.psi_max
+        psi_eps = DEFAULT_PSI_EPS if self.psi_eps is None else self.psi_eps
+        return psi_max, psi_eps
 
 
 class PhaseKind(enum.Enum):
@@ -112,7 +116,7 @@ class PhaseLabel:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """psi = 0 ground-state data along a truncation schedule."""
+    """psi = 0 ground-state data at successive truncations."""
 
     n_max_sequence: tuple[int, ...]
     energies: tuple[float, ...]
@@ -165,37 +169,30 @@ class PhasePoint:
         return "INVALID" if self.note.startswith("invalid") else "INDET"
 
 
-def convergence_probe(params: ModelParams, schedule: Sequence[int], *,
-                      tol_conv: float = DEFAULT_TOL_CONV,
-                      pin_fraction: float = DEFAULT_PIN_FRACTION,
-                      tol: float = DEFAULT_TOL) -> ConvergenceReport:
-    """Ground energy and <L> at psi = 0 along an increasing truncation schedule.
+def convergence_probe(params: ModelParams,
+                      settings: SolverSettings) -> ConvergenceReport:
+    """Ground energy and <L> at psi = 0 at truncations n_max and 2 n_max.
 
-    converged: the last refinement moved neither the energy (within tol_conv)
-    nor <L> (within 0.01).  pinned_at_truncation: the final <L> tracks the
-    truncation edge, the signature of a sector escaping to infinity.
+    settings must have n_max resolved (SolverSettings.for_l).  converged:
+    the doubling moved neither the energy (within tol_conv) nor <L> (within
+    0.01).  pinned_at_truncation: the final <L> tracks the truncation edge,
+    the signature of a sector escaping to infinity.
     """
-    levels = [int(n) for n in schedule]
-    if len(levels) < 2:
-        raise ValueError("schedule needs at least two truncation levels")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"schedule must be strictly increasing, got {levels}")
-    if not 0.0 < pin_fraction:
-        raise ValueError(f"pin_fraction must be positive, got {pin_fraction}")
-
+    if not 0.0 < settings.pin_fraction:
+        raise ValueError(f"pin_fraction must be positive, got {settings.pin_fraction}")
+    levels = (settings.n_max, 2 * settings.n_max)
     energies: list[float] = []
     l_expects: list[float] = []
     for n_max in levels:
-        space = build_space(params.l, n_max)
-        pair = smallest_eigpair(build_mean_field(params, 0.0, space), tol)
+        pair = smallest_eigpair(build_mean_field(params, 0.0, n_max), settings.tol)
         energies.append(pair.value)
-        l_expects.append(expected_L(pair.vector, space))
+        l_expects.append(expected_L(pair.vector, params.l))
 
-    converged = (abs(energies[-1] - energies[-2]) < tol_conv
+    converged = (abs(energies[-1] - energies[-2]) < settings.tol_conv
                  and abs(l_expects[-1] - l_expects[-2]) < _L_DRIFT_TOL)
-    pinned = l_expects[-1] >= pin_fraction * levels[-1]
+    pinned = l_expects[-1] >= settings.pin_fraction * levels[-1]
     return ConvergenceReport(
-        n_max_sequence=tuple(levels),
+        n_max_sequence=levels,
         energies=tuple(energies),
         l_expects=tuple(l_expects),
         converged=converged,
@@ -209,7 +206,7 @@ def classify_point(params: ModelParams,
 
     The psi minimisation runs at the base truncation n_max; if it returns
     psi_star above psi_eps the point is superfluid.  Otherwise the psi = 0
-    problem is probed at [n_max, 2 n_max] and the reported energy, <L> and
+    problem is probed at n_max and 2 n_max and the reported energy, <L> and
     n_max_used come from the finer level.  A minimisation whose minimum runs
     into psi_max is still called superfluid: the drive is resolvably nonzero
     even though its magnitude is truncation-limited.
@@ -218,26 +215,22 @@ def classify_point(params: ModelParams,
     ValueError for unusable settings.
     """
     settings = settings.for_l(params.l)
-    psi_spec = settings.psi_spec()
+    _, psi_eps = settings.psi_bounds()
     x = math.log10(params.kappa) if params.kappa > 0 else -math.inf
     y = params.l * params.mu - params.omega
 
-    space = build_space(params.l, settings.n_max)
     try:
-        sol = minimize_over_psi(params, space, psi_spec, settings.tol)
+        sol = minimize_over_psi(params, settings)
     except BracketExhausted as err:
         sol = err.solution
-    if sol.psi_star > psi_spec.psi_zero_eps:
+    if sol.psi_star > psi_eps:
         return PhasePoint(
             x=x, y=y, psi_star=sol.psi_star, energy=sol.energy,
             l_expect=sol.l_expect, label=PhaseLabel(PhaseKind.SUPERFLUID),
             n_max_used=sol.n_max_used, converged=True,
         )
 
-    report = convergence_probe(params, (settings.n_max, 2 * settings.n_max),
-                               tol_conv=settings.tol_conv,
-                               pin_fraction=settings.pin_fraction,
-                               tol=settings.tol)
+    report = convergence_probe(params, settings)
     energy = report.energies[-1]
     l_expect = report.l_expects[-1]
     n_used = report.n_max_sequence[-1]
@@ -261,6 +254,6 @@ def classify_point(params: ModelParams,
             n_max_used=n_used, converged=True, report=report,
         )
     raise IndeterminatePhaseError(
-        "truncation probe neither converged nor pinned; extend the schedule",
+        "truncation probe neither converged nor pinned; increase n_max",
         report=report,
     )

@@ -510,8 +510,16 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INVALID; argparse's own 2 is EXIT_INDETERMINATE here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jchm",
         description="Mean-field phase diagrams of l-photon lattice cavity arrays.",
     )

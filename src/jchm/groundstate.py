@@ -2,55 +2,31 @@
 
 The drive amplitude psi is treated variationally: the full mean-field matrix
 is rebuilt and rediagonalised at every psi, never linearised.  The spectrum
-is even in psi, so only psi >= 0 is searched.
+is even in psi, so only psi >= 0 is searched: a coarse scan of COARSE_STEPS
+points brackets every local minimum, golden section refines each to
+REFINE_TOL, and minimisers within ENERGY_TIE_EPS of the psi = 0 energy
+collapse to exactly zero so the insulating solution is reported cleanly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .eigen import DEFAULT_TOL, smallest_eigpair
-from .hilbert import HilbertSpace
 from .operators import ModelParams, build_l_diag, build_mean_field
 
+if TYPE_CHECKING:
+    from .classify import SolverSettings
+
+COARSE_STEPS = 64
+REFINE_TOL = 1e-6
+ENERGY_TIE_EPS = 1e-9
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class PsiSearchSpec:
-    """Protocol for minimising the ground energy over psi in [0, psi_max].
-
-    A coarse scan brackets every local minimum, golden-section refines them,
-    and minimisers within energy_tie_eps of the psi = 0 energy collapse to
-    exactly zero so the insulating solution is reported cleanly.
-    """
-
-    psi_max: float
-    coarse_steps: int = 64
-    refine_tol: float = 1e-6
-    psi_zero_eps: float = 1e-3
-    energy_tie_eps: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.coarse_steps < 8:
-            raise ValueError(f"coarse_steps must be at least 8, got {self.coarse_steps}")
-        if not 0.0 < self.refine_tol < self.psi_zero_eps < self.psi_max:
-            raise ValueError(
-                "need 0 < refine_tol < psi_zero_eps < psi_max, got "
-                f"refine_tol={self.refine_tol}, psi_zero_eps={self.psi_zero_eps}, "
-                f"psi_max={self.psi_max}"
-            )
-        if self.energy_tie_eps < 0:
-            raise ValueError(f"energy_tie_eps must be non-negative, got {self.energy_tie_eps}")
-
-    @classmethod
-    def for_truncation(cls, n_max: int, **overrides) -> "PsiSearchSpec":
-        """Default bracket sqrt(n_max)/2: the displaced-field photon number
-        psi_max**2 stays a factor 4 inside the truncation."""
-        return cls(psi_max=math.sqrt(n_max) / 2.0, **overrides)
 
 
 @dataclass(frozen=True)
@@ -75,15 +51,16 @@ class BracketExhausted(RuntimeError):
         self.solution = solution
 
 
-def energy_at_psi(params: ModelParams, psi: float, space: HilbertSpace,
+def energy_at_psi(params: ModelParams, psi: float, n_max: int,
                   tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of the mean-field Hamiltonian at fixed psi."""
-    return smallest_eigpair(build_mean_field(params, psi, space), tol).value
+    return smallest_eigpair(build_mean_field(params, psi, n_max), tol).value
 
 
-def expected_L(vector: np.ndarray, space: HilbertSpace) -> float:
-    """Expectation of the conserved quantity L in a unit-norm state."""
-    return float(np.dot(vector * vector, build_l_diag(space)))
+def expected_L(vector: np.ndarray, l: int) -> float:
+    """Expectation of the conserved quantity L in a unit-norm state of the
+    l-photon basis; the truncation follows from the vector's length."""
+    return float(np.dot(vector * vector, build_l_diag(l, len(vector) // 2 - 1)))
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -108,34 +85,37 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return best
 
 
-def _solution_at(params: ModelParams, psi: float, space: HilbertSpace,
+def _solution_at(params: ModelParams, psi: float, n_max: int,
                  tol: float) -> MeanFieldSolution:
-    pair = smallest_eigpair(build_mean_field(params, psi, space), tol)
+    pair = smallest_eigpair(build_mean_field(params, psi, n_max), tol)
     return MeanFieldSolution(
         psi_star=float(psi),
         energy=pair.value,
         ground_vector=pair.vector,
-        l_expect=expected_L(pair.vector, space),
-        n_max_used=space.n_max,
+        l_expect=expected_L(pair.vector, params.l),
+        n_max_used=n_max,
     )
 
 
-def minimize_over_psi(params: ModelParams, space: HilbertSpace,
-                      spec: PsiSearchSpec,
-                      tol: float = DEFAULT_TOL) -> MeanFieldSolution:
+def minimize_over_psi(params: ModelParams,
+                      settings: SolverSettings) -> MeanFieldSolution:
     """Global minimum of the ground energy over psi in [0, psi_max].
 
-    Every local minimum of the coarse scan is refined by golden section, so a
-    first-order (two-minimum) energy landscape is still resolved.  Ties with
-    the psi = 0 energy within energy_tie_eps report psi_star = 0.  If the
-    minimum sits against psi_max the bracket cannot be trusted and
-    BracketExhausted is raised with the edge solution attached.
+    settings must have n_max resolved (SolverSettings.for_l); its psi_max,
+    n_max and tol are read.  Every local minimum of the coarse scan is
+    refined by golden section, so a first-order (two-minimum) energy
+    landscape is still resolved.  Ties with the psi = 0 energy within
+    ENERGY_TIE_EPS report psi_star = 0.  If the minimum sits against psi_max
+    the bracket cannot be trusted and BracketExhausted is raised with the
+    edge solution attached.
     """
+    n_max, tol = settings.n_max, settings.tol
+    psi_max, _ = settings.psi_bounds()
 
     def energy(p: float) -> float:
-        return energy_at_psi(params, p, space, tol)
+        return energy_at_psi(params, p, n_max, tol)
 
-    psis = np.linspace(0.0, spec.psi_max, spec.coarse_steps)
+    psis = np.linspace(0.0, psi_max, COARSE_STEPS)
     coarse = np.array([energy(p) for p in psis])
 
     best_psi = 0.0
@@ -149,18 +129,18 @@ def minimize_over_psi(params: ModelParams, space: HilbertSpace,
                 best_psi, best_e = float(psis[i]), float(coarse[i])
             a = psis[max(i - 1, 0)]
             b = psis[min(i + 1, last)]
-            p, e = _golden_section(energy, a, b, spec.refine_tol)
+            p, e = _golden_section(energy, a, b, REFINE_TOL)
             if e < best_e:
                 best_psi, best_e = p, e
 
-    if float(coarse[0]) <= best_e + spec.energy_tie_eps:
+    if float(coarse[0]) <= best_e + ENERGY_TIE_EPS:
         # flat or insulating landscape: report the symmetric solution exactly
-        return _solution_at(params, 0.0, space, tol)
+        return _solution_at(params, 0.0, n_max, tol)
 
-    if best_psi >= spec.psi_max - 2.0 * spec.refine_tol:
+    if best_psi >= psi_max - 2.0 * REFINE_TOL:
         raise BracketExhausted(
-            f"energy minimum sits at psi_max={spec.psi_max:g}; "
+            f"energy minimum sits at psi_max={psi_max:g}; "
             "the search interval (and likely n_max) is too small",
-            _solution_at(params, best_psi, space, tol),
+            _solution_at(params, best_psi, n_max, tol),
         )
-    return _solution_at(params, best_psi, space, tol)
+    return _solution_at(params, best_psi, n_max, tol)

@@ -6,11 +6,15 @@ conserved combination L = l * excitation + photon number commutes with the
 one-site Hamiltonian; only the hopping drive proportional to psi mixes its
 sectors.
 
-In the atom-fastest basis the l-photon coupling sits on the (2l-1)-th
-off-diagonal and the hopping drive on the second, so the builders return a
-SymmetricMatrix (eigen.py): the lower band of width max(2, 2l-1), assembled
-in place with entries bitwise equal to the full matrix; .dense() gives the
-full matrix.
+The one-site space is a two-level atom tensored with Fock states truncated
+at photon number n_max, dimension 2 (n_max + 1).  Basis states are
+enumerated atom-fastest, |g,0>, |e,0>, |g,1>, |e,1>, ..., |g,n_max>,
+|e,n_max>, so a smaller truncation is a leading principal submatrix of a
+larger one and the l-photon coupling and the hopping drive sit on regular
+bands: the coupling on the (2l-1)-th off-diagonal and the drive on the
+second.  The builders therefore return a SymmetricMatrix (eigen.py): the
+lower band of width max(2, 2l-1), assembled in place with entries bitwise
+equal to the full matrix; .dense() gives the full matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .eigen import SymmetricMatrix
-from .hilbert import HilbertSpace
 
 
 @dataclass(frozen=True)
@@ -85,35 +88,38 @@ def bandwidth(l: int) -> int:
     return max(2, 2 * l - 1)
 
 
-def build_mpjc(params: ModelParams, space: HilbertSpace) -> SymmetricMatrix:
-    """One-site l-photon Hamiltonian Omega sigma+sigma- + omega a+a + (sigma+ a^l + h.c.)."""
-    if params.l != space.l:
-        raise ValueError(f"params have l={params.l}, space has l={space.l}")
-    n = np.arange(space.n_max + 1)
-    band = np.zeros((bandwidth(space.l) + 1, space.dim), order="F")
+def build_mpjc(params: ModelParams, n_max: int) -> SymmetricMatrix:
+    """One-site l-photon Hamiltonian Omega sigma+sigma- + omega a+a + (sigma+ a^l + h.c.)
+    at photon truncation n_max."""
+    l = params.l
+    if n_max < l:
+        # below this no |g,n+l> partner exists and the coupling vanishes
+        raise ValueError(f"n_max must be at least l={l}, got n_max={n_max}")
+    n = np.arange(n_max + 1)
+    band = np.zeros((bandwidth(l) + 1, 2 * (n_max + 1)), order="F")
     band[0, 0::2] = params.omega * n                  # |g,n>
     band[0, 1::2] = params.Omega + params.omega * n   # |e,n>
     # <e,n| sigma+ a^l |g,n+l> joins columns 2n+1 and 2(n+l)
-    last = 2 * (space.n_max - space.l) + 1
-    band[2 * space.l - 1, 1:last + 1:2] = coupling_elements(space.l, space.n_max)
+    last = 2 * (n_max - l) + 1
+    band[2 * l - 1, 1:last + 1:2] = coupling_elements(l, n_max)
     return SymmetricMatrix(band)
 
 
 @lru_cache(maxsize=64)
-def build_l_diag(space: HilbertSpace) -> np.ndarray:
+def build_l_diag(l: int, n_max: int) -> np.ndarray:
     """Diagonal of the conserved quantity L in the basis ordering, as floats.
 
     Cached, so the result is read-only.
     """
-    n = np.arange(space.n_max + 1, dtype=np.float64)
-    d = np.empty(space.dim)
+    n = np.arange(n_max + 1, dtype=np.float64)
+    d = np.empty(2 * (n_max + 1))
     d[0::2] = n
-    d[1::2] = n + space.l
+    d[1::2] = n + l
     return _frozen(d)
 
 
 def build_mean_field(params: ModelParams, psi: float,
-                     space: HilbertSpace) -> SymmetricMatrix:
+                     n_max: int) -> SymmetricMatrix:
     """Mean-field Hamiltonian in the grand-canonical frame.
 
     Adds to the one-site matrix the scalar z*kappa*psi**2, the chemical-
@@ -121,14 +127,14 @@ def build_mean_field(params: ModelParams, psi: float,
     -z*kappa*psi*(a + a+).  psi may be negative; the spectrum is even in it.
     At psi = 0 the result is bitwise independent of kappa.
     """
-    h = build_mpjc(params, space)
+    h = build_mpjc(params, n_max)
     diag = h.band[0]
     if params.mu != 0.0:
-        diag -= params.mu * build_l_diag(space)
+        diag -= params.mu * build_l_diag(params.l, n_max)
     drive = params.z * params.kappa * psi
     if drive != 0.0:
         diag += drive * psi
-        amp = -drive * np.sqrt(np.arange(space.n_max) + 1.0)
+        amp = -drive * np.sqrt(np.arange(n_max) + 1.0)
         # photon raising keeps the atomic state: |s,n> to |s,n+1>, columns
         # 2n+s on the second off-diagonal
         h.band[2, 0:-2:2] = amp

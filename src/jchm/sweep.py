@@ -22,7 +22,6 @@ from .classify import (
 )
 from .eigen import EigensolverError
 from .groundstate import minimize_over_psi
-from .hilbert import build_space
 from .operators import ModelParams
 
 BOUNDARY_TOL = 1e-3
@@ -219,12 +218,10 @@ def energy_scan(l: int, y: float, x_points: Sequence[float],
     the minimiser leaves psi = 0 at the insulator-superfluid boundary.
     """
     settings = settings.for_l(l)
-    psi_spec = settings.psi_spec()
-    space = build_space(l, settings.n_max)
     out: list[tuple[float, float, float]] = []
     for x in x_points:
         params = params_for(l, x, y, z=z, mu=mu, delta=delta)
-        sol = minimize_over_psi(params, space, psi_spec, settings.tol)
+        sol = minimize_over_psi(params, settings)
         out.append((float(x), sol.energy, sol.psi_star))
     return out
 

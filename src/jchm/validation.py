@@ -29,7 +29,6 @@ from .analytic import (
 from .classify import SolverSettings
 from .eigen import smallest_eigpair
 from .groundstate import energy_at_psi
-from .hilbert import build_space
 from .operators import ModelParams, bandwidth, build_l_diag, build_mean_field
 from .sweep import GridSpec, classify_at, refine_boundary, run_grid
 
@@ -226,10 +225,10 @@ def _invariant_suite() -> CheckResult:
     # the end of a subdiagonal
     for _ in range(25):
         params = random_params()
-        space = build_space(params.l, int(rng.integers(params.l + 2, 30)))
+        n_max = int(rng.integers(params.l + 2, 30))
         psi = float(rng.uniform(-2.0, 2.0))
-        band = build_mean_field(params, psi, space).band
-        dim = space.dim
+        band = build_mean_field(params, psi, n_max).band
+        dim = 2 * (n_max + 1)
         if (band.shape != (bandwidth(params.l) + 1, dim)
                 or not band.flags.f_contiguous
                 or any(np.any(band[k, dim - k:]) for k in range(1, len(band)))):
@@ -238,9 +237,9 @@ def _invariant_suite() -> CheckResult:
     # L is conserved at psi = 0
     for _ in range(25):
         params = random_params()
-        space = build_space(params.l, int(rng.integers(params.l + 2, 30)))
-        h = build_mean_field(params, 0.0, space).dense()
-        d = np.diag(build_l_diag(space))
+        n_max = int(rng.integers(params.l + 2, 30))
+        h = build_mean_field(params, 0.0, n_max).dense()
+        d = np.diag(build_l_diag(params.l, n_max))
         comm = np.abs(h @ d - d @ h).max()
         if comm > 1e-12:
             failures.append(f"[H, L] = {comm:g} at psi=0 for {params}")
@@ -248,10 +247,10 @@ def _invariant_suite() -> CheckResult:
     # the spectrum is even in psi
     for _ in range(100):
         params = random_params()
-        space = build_space(params.l, int(rng.integers(params.l + 2, 25)))
+        n_max = int(rng.integers(params.l + 2, 25))
         psi = float(rng.uniform(0.0, 2.0))
-        diff = abs(energy_at_psi(params, psi, space)
-                   - energy_at_psi(params, -psi, space))
+        diff = abs(energy_at_psi(params, psi, n_max)
+                   - energy_at_psi(params, -psi, n_max))
         if diff > 1e-9:
             failures.append(f"E(psi) - E(-psi) = {diff:g} for {params}")
 
@@ -260,8 +259,8 @@ def _invariant_suite() -> CheckResult:
         params = random_params()
         n_small = int(rng.integers(params.l + 2, 20))
         psi = float(rng.uniform(0.0, 1.5))
-        e_small = energy_at_psi(params, psi, build_space(params.l, n_small))
-        e_large = energy_at_psi(params, psi, build_space(params.l, n_small + 6))
+        e_small = energy_at_psi(params, psi, n_small)
+        e_large = energy_at_psi(params, psi, n_small + 6)
         if e_large > e_small + 1e-9:
             failures.append(f"energy rose with n_max for {params}: "
                             f"{e_small:.12g} -> {e_large:.12g}")
@@ -278,8 +277,7 @@ def _invariant_suite() -> CheckResult:
                         f"sector form mismatch {abs(e_minus - form):g} "
                         f"at l={l}, L={L}, omega={omega}")
                 params = ModelParams.resonant(l, omega)
-                space = build_space(l, L)
-                h = build_mean_field(params, 0.0, space).dense()
+                h = build_mean_field(params, 0.0, L).dense()
                 i = [2 * (L - l) + 1, 2 * L]  # |e, L-l> and |g, L>
                 block = h[np.ix_(i, i)]
                 e_block = smallest_eigpair(block).value

@@ -46,27 +46,19 @@ def test_convergence_report_validation():
 
 def test_probe_vacuum_converges():
     params = ModelParams.resonant(1, 3.0)
-    report = convergence_probe(params, [6, 12, 24])
-    assert report.n_max_sequence == (6, 12, 24)
+    report = convergence_probe(params, SolverSettings(n_max=6))
+    assert report.n_max_sequence == (6, 12)
     assert report.converged
     assert not report.pinned_at_truncation
     assert all(abs(e) < 1e-12 for e in report.energies)
     assert all(abs(v) < 1e-9 for v in report.l_expects)
 
 
-def test_probe_schedule_validation():
-    params = ModelParams.resonant(1, 3.0)
-    with pytest.raises(ValueError, match="increasing"):
-        convergence_probe(params, [20, 20])
-    with pytest.raises(ValueError, match="two"):
-        convergence_probe(params, [20])
-
-
 def test_probe_detects_unbounded_two_photon_sector():
     # omega < 2 at l=2: energy per excitation approaches omega - 2 < 0, the
     # ground state rides the truncation edge
     params = ModelParams.resonant(2, 1.5)
-    report = convergence_probe(params, [20, 40])
+    report = convergence_probe(params, SolverSettings(n_max=20))
     assert report.pinned_at_truncation
     assert not report.converged
     slope = (report.energies[1] - report.energies[0]) / (40 - 20)
@@ -75,7 +67,7 @@ def test_probe_detects_unbounded_two_photon_sector():
 
 def test_probe_detects_superlinear_three_photon_runaway():
     params = ModelParams.resonant(3, 3.0)
-    report = convergence_probe(params, [16, 32])
+    report = convergence_probe(params, SolverSettings(n_max=16))
     assert report.pinned_at_truncation
     assert report.l_expects[1] == pytest.approx(32.0, abs=0.5)
     # the coupling root overwhelms the linear terms: doubling the truncation
@@ -163,6 +155,12 @@ def test_classify_indeterminate_near_escape():
     assert exc.value.report is not None
     assert not exc.value.report.converged
     assert not exc.value.report.pinned_at_truncation
+
+
+def test_inconclusive_probe_message_names_n_max():
+    # the probe always runs (n_max, 2 n_max), so the remedy is a larger n_max
+    with pytest.raises(IndeterminatePhaseError, match="increase n_max"):
+        classify_point(ModelParams.resonant(1, 1.0646, kappa=1e-6))
 
 
 def test_classify_rejects_small_truncation():

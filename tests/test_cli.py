@@ -93,6 +93,19 @@ def test_point_indeterminate_exit_code(capsys):
     assert "note = " in out
 
 
+def test_usage_errors_exit_invalid(capsys):
+    # argparse's own exit code 2 would read as an indeterminate point
+    for argv in (["point", "--l", "x"], ["diagram", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: jchm" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "--help"])
+    assert exc.value.code == 0
+    assert "usage: jchm point" in capsys.readouterr().out
+
+
 def test_point_eigensolver_failure_exit_code(capsys):
     # a residual bound below rounding fails every eigensolve
     code, out, err = run_cli(capsys, "point", "--l", "1", "--x=-1", "--y=-1",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jchm.eigen import EigPair, EigensolverError, SymmetricMatrix, smallest_eigpair
-from jchm.hilbert import build_space
 from jchm.operators import ModelParams, build_mean_field
 
 from conftest import zero_drive_ground_oracle
@@ -50,8 +49,7 @@ def test_band_solve_above_former_dense_limit():
     # dimension 2202 (past the old 2048 switch to Lanczos) on a physical band:
     # at psi = 0 the ground energy is the lowest of the sector energies
     params = ModelParams.resonant(1, 1.3)
-    space = build_space(1, 1100)
-    h = build_mean_field(params, 0.0, space)
+    h = build_mean_field(params, 0.0, 1100)
     assert len(h) == 2202
     pair = smallest_eigpair(h)
     expected = zero_drive_ground_oracle(1, 1.3, 1.0, 1100)
@@ -115,7 +113,7 @@ def test_one_by_one():
 def test_residual_check_runs_on_every_solve():
     # rounding alone leaves a residual far above 1e-20 at dimension 42
     params = ModelParams(l=1, omega=1.1, Omega=0.9, kappa=0.2)
-    h = build_mean_field(params, 0.4, build_space(1, 20))
+    h = build_mean_field(params, 0.4, 20)
     with pytest.raises(EigensolverError, match="residual"):
         smallest_eigpair(h, tol=1e-20)
 
@@ -134,7 +132,7 @@ band_case_st = st.tuples(
 def test_band_path_matches_dense_reference(case):
     l, extra, omega, Omega, mu, kappa, z, psi = case
     params = ModelParams(l=l, omega=omega, Omega=Omega, mu=mu, kappa=kappa, z=z)
-    h = build_mean_field(params, psi, build_space(l, l + extra))
+    h = build_mean_field(params, psi, l + extra)
     a = h.dense()
     # nothing beyond the drive (offset 2) and the coupling (offset 2l - 1)
     width = max(2, 2 * l - 1)

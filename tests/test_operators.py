@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jchm.hilbert import build_space
 from jchm.operators import (
     ModelParams,
     bandwidth,
@@ -54,8 +53,7 @@ def test_coupling_elements_values():
 
 def test_mpjc_entries():
     params = ModelParams(l=2, omega=1.5, Omega=1.2)
-    space = build_space(2, 4)
-    h = build_mpjc(params, space).dense()
+    h = build_mpjc(params, 4).dense()
     # diagonal: omega * n on |g,n>, Omega + omega * n on |e,n>
     assert h[0, 0] == 0.0
     assert h[1, 1] == pytest.approx(1.2)
@@ -71,39 +69,30 @@ def test_mpjc_entries():
     assert np.count_nonzero(h[:, 2]) == 1
 
 
-def test_mpjc_l_mismatch():
-    params = ModelParams(l=1, omega=1.0, Omega=1.0)
-    with pytest.raises(ValueError, match="l"):
-        build_mpjc(params, build_space(2, 5))
-
-
 def test_l_diag_values():
-    assert build_l_diag(build_space(1, 1)).tolist() == [0.0, 1.0, 1.0, 2.0]
-    assert build_l_diag(build_space(2, 2)).tolist() == [0.0, 2.0, 1.0, 3.0, 2.0, 4.0]
+    assert build_l_diag(1, 1).tolist() == [0.0, 1.0, 1.0, 2.0]
+    assert build_l_diag(2, 2).tolist() == [0.0, 2.0, 1.0, 3.0, 2.0, 4.0]
 
 
 def test_mean_field_psi_zero_matches_mpjc_minus_mu_l():
     params = ModelParams(l=2, omega=1.3, Omega=1.1, mu=0.7, kappa=0.4)
-    space = build_space(2, 6)
-    h = build_mean_field(params, 0.0, space).dense()
-    expected = build_mpjc(params, space).dense()
-    idx = np.arange(space.dim)
-    expected[idx, idx] -= params.mu * build_l_diag(space)
+    h = build_mean_field(params, 0.0, 6).dense()
+    expected = build_mpjc(params, 6).dense()
+    idx = np.arange(len(h))
+    expected[idx, idx] -= params.mu * build_l_diag(2, 6)
     assert np.array_equal(h, expected)
 
 
 def test_mean_field_kappa_independent_at_psi_zero():
-    space = build_space(1, 8)
-    h1 = build_mean_field(ModelParams(l=1, omega=1.0, Omega=1.0, kappa=0.0), 0.0, space)
-    h2 = build_mean_field(ModelParams(l=1, omega=1.0, Omega=1.0, kappa=0.9), 0.0, space)
+    h1 = build_mean_field(ModelParams(l=1, omega=1.0, Omega=1.0, kappa=0.0), 0.0, 8)
+    h2 = build_mean_field(ModelParams(l=1, omega=1.0, Omega=1.0, kappa=0.9), 0.0, 8)
     assert np.array_equal(h1.band, h2.band)
 
 
 def test_mean_field_drive_entries():
     params = ModelParams(l=1, omega=1.0, Omega=1.0, mu=0.0, kappa=0.1, z=2)
-    space = build_space(1, 3)
     psi = 0.5
-    h = build_mean_field(params, psi, space).dense()
+    h = build_mean_field(params, psi, 3).dense()
     # -z kappa psi sqrt(n+1) between |s,n> and |s,n+1>
     assert h[0, 2] == pytest.approx(-0.1)
     assert h[1, 3] == pytest.approx(-0.1)
@@ -116,29 +105,29 @@ def test_sector_block_values():
     # the embedded 2x2 block matches the explicitly written sector matrix
     l, L, omega = 2, 3, 1.7
     params = ModelParams(l=l, omega=omega, Omega=omega, mu=1.0)
-    space = build_space(l, L)
-    h = build_mean_field(params, 0.0, space).dense()
+    h = build_mean_field(params, 0.0, L).dense()
     idx = [2 * (L - l) + 1, 2 * L]  # |e, L-l>, |g, L>
     block = h[np.ix_(idx, idx)]
     assert np.allclose(block, sector_matrix(l, L, omega), atol=1e-14)
 
 
-def dense_mean_field_reference(params, psi, space):
+def dense_mean_field_reference(params, psi, n_max):
     """The full matrix written entry by entry, in the same floating-point
     order as the band assembly, so the two must agree bitwise."""
-    n = np.arange(space.n_max + 1)
-    h = np.zeros((space.dim, space.dim))
+    l, dim = params.l, 2 * (n_max + 1)
+    n = np.arange(n_max + 1)
+    h = np.zeros((dim, dim))
     h[2 * n, 2 * n] = params.omega * n
     h[2 * n + 1, 2 * n + 1] = params.Omega + params.omega * n
-    for m, c in enumerate(coupling_elements(space.l, space.n_max)):
-        h[2 * m + 1, 2 * (m + space.l)] = h[2 * (m + space.l), 2 * m + 1] = c
-    idx = np.arange(space.dim)
+    for m, c in enumerate(coupling_elements(l, n_max)):
+        h[2 * m + 1, 2 * (m + l)] = h[2 * (m + l), 2 * m + 1] = c
+    idx = np.arange(dim)
     if params.mu != 0.0:
-        h[idx, idx] -= params.mu * build_l_diag(space)
+        h[idx, idx] -= params.mu * build_l_diag(l, n_max)
     drive = params.z * params.kappa * psi
     if drive != 0.0:
         h[idx, idx] += drive * psi
-        for m in range(space.n_max):
+        for m in range(n_max):
             for s in (0, 1):
                 h[2 * m + s, 2 * (m + 1) + s] = -drive * math.sqrt(m + 1.0)
                 h[2 * (m + 1) + s, 2 * m + s] = -drive * math.sqrt(m + 1.0)
@@ -148,10 +137,10 @@ def dense_mean_field_reference(params, psi, space):
 @settings(max_examples=60, deadline=None)
 @given(params=params_st, n_extra=st.integers(0, 30), psi=st.floats(-2.0, 2.0))
 def test_band_assembly_matches_dense_reference_bitwise(params, n_extra, psi):
-    space = build_space(params.l, params.l + n_extra)
-    h = build_mean_field(params, psi, space)
-    assert len(h) == space.dim
-    assert np.array_equal(h.dense(), dense_mean_field_reference(params, psi, space))
+    n_max = params.l + n_extra
+    h = build_mean_field(params, psi, n_max)
+    assert len(h) == 2 * (n_max + 1)
+    assert np.array_equal(h.dense(), dense_mean_field_reference(params, psi, n_max))
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,9 +148,9 @@ def test_band_assembly_matches_dense_reference_bitwise(params, n_extra, psi):
 def test_band_layout(params, n_extra, psi):
     # (bandwidth + 1, dim) in Fortran order, nothing stored past the end of a
     # subdiagonal
-    space = build_space(params.l, params.l + n_extra)
-    band = build_mean_field(params, psi, space).band
-    dim = space.dim
+    n_max = params.l + n_extra
+    band = build_mean_field(params, psi, n_max).band
+    dim = 2 * (n_max + 1)
     assert band.shape == (bandwidth(params.l) + 1, dim)
     assert band.flags.f_contiguous
     for k in range(1, len(band)):
@@ -171,9 +160,9 @@ def test_band_layout(params, n_extra, psi):
 @settings(max_examples=40, deadline=None)
 @given(params=params_st, n_extra=st.integers(2, 10))
 def test_commutes_with_l_at_psi_zero(params, n_extra):
-    space = build_space(params.l, params.l + n_extra)
-    h = build_mean_field(params, 0.0, space).dense()
-    d = np.diag(build_l_diag(space))
+    n_max = params.l + n_extra
+    h = build_mean_field(params, 0.0, n_max).dense()
+    d = np.diag(build_l_diag(params.l, n_max))
     assert np.abs(h @ d - d @ h).max() <= 1e-12
 
 
@@ -182,11 +171,11 @@ def test_commutes_with_l_at_psi_zero(params, n_extra):
 def test_spectrum_even_in_psi_by_gauge(params, n_extra, psi):
     # the diagonal sign flip s_n = (-1)^n, extended by (-1)^l on excited
     # states, conjugates H(psi) into H(-psi) exactly
-    space = build_space(params.l, params.l + n_extra)
-    h_plus = build_mean_field(params, psi, space).dense()
-    h_minus = build_mean_field(params, -psi, space).dense()
-    n = np.arange(space.n_max + 1)
-    s = np.empty(space.dim)
+    n_max = params.l + n_extra
+    h_plus = build_mean_field(params, psi, n_max).dense()
+    h_minus = build_mean_field(params, -psi, n_max).dense()
+    n = np.arange(n_max + 1)
+    s = np.empty(2 * (n_max + 1))
     s[0::2] = (-1.0) ** n
-    s[1::2] = (-1.0) ** (n + space.l)
+    s[1::2] = (-1.0) ** (n + params.l)
     assert np.array_equal(s[:, None] * h_plus * s[None, :], h_minus)
