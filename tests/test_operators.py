@@ -179,3 +179,42 @@ def test_spectrum_even_in_psi_by_gauge(params, n_extra, psi):
     s[0::2] = (-1.0) ** n
     s[1::2] = (-1.0) ** (n + params.l)
     assert np.array_equal(s[:, None] * h_plus * s[None, :], h_minus)
+
+
+def reference_mean_field_band(params, psi, n_max):
+    """build_mpjc, then -mu*L on the diagonal, then the drive: the mean-field
+    band assembled step by step with no shared or cached state."""
+    band = build_mpjc(params, n_max).band.copy(order="F")
+    if params.mu != 0.0:
+        band[0] -= params.mu * build_l_diag(params.l, n_max)
+    drive = params.z * params.kappa * psi
+    if drive != 0.0:
+        band[0] += drive * psi
+        for m in range(n_max):
+            band[2, 2 * m] = band[2, 2 * m + 1] = -drive * math.sqrt(m + 1.0)
+    return band
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("mu", [0.0, 0.85])
+@pytest.mark.parametrize("psi", [0.0, 0.6])
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+def test_mean_field_matches_stepwise_reference_bitwise(l, mu, psi, kappa):
+    params = ModelParams(l=l, omega=1.3, Omega=0.9, mu=mu, kappa=kappa, z=3)
+    n_max = l + 9
+    band = build_mean_field(params, psi, n_max).band
+    expected = reference_mean_field_band(params, psi, n_max)
+    assert band.flags.f_contiguous and band.flags.writeable
+    assert band.shape == expected.shape
+    assert np.array_equal(band, expected)
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.6])
+def test_mean_field_bands_do_not_alias(psi):
+    # scribbling over one returned band leaves the next call's band intact
+    params = ModelParams(l=2, omega=1.3, Omega=0.9, mu=0.85, kappa=0.3)
+    first = build_mean_field(params, psi, 10).band
+    first[:] = 7.0
+    for p in (psi, 0.0, 0.6):
+        assert np.array_equal(build_mean_field(params, p, 10).band,
+                              reference_mean_field_band(params, p, 10))
