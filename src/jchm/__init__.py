@@ -34,7 +34,12 @@ from .classify import (
     convergence_probe,
     default_n_max,
 )
-from .eigen import EigPair, EigensolverError, smallest_eigpair
+from .eigen import (
+    EigPair,
+    EigensolverError,
+    smallest_eigenvalue,
+    smallest_eigpair,
+)
 from .groundstate import (
     BracketExhausted,
     MeanFieldSolution,
@@ -67,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "SymmetricMatrix", "build_mpjc", "build_mean_field",
     "build_l_diag", "coupling_elements",
-    "EigPair", "EigensolverError", "smallest_eigpair",
+    "EigPair", "EigensolverError", "smallest_eigpair", "smallest_eigenvalue",
     "MeanFieldSolution", "BracketExhausted",
     "energy_at_psi", "minimize_over_psi", "expected_L",
     "PhaseKind", "PhaseLabel", "ConvergenceReport", "PhasePoint",

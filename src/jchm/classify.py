@@ -61,8 +61,9 @@ class SolverSettings:
     def for_l(self, l: int) -> "SolverSettings":
         """These settings with n_max resolved for photon order l.
 
-        Raises ValueError for a truncation too small to resolve the coupling
-        or an unusable psi search.
+        Raises ValueError for a truncation too small to resolve the coupling,
+        an unusable psi search, or a probe threshold (tol_conv,
+        pin_fraction) that is not positive.
         """
         n_max = default_n_max(l) if self.n_max is None else self.n_max
         if n_max < l + 2:
@@ -75,6 +76,10 @@ class SolverSettings:
                 f"got refine_tol={REFINE_TOL}, psi_zero_eps={psi_eps}, "
                 f"psi_max={psi_max}"
             )
+        for name in ("tol_conv", "pin_fraction"):
+            value = getattr(self, name)
+            if not 0.0 < value:
+                raise ValueError(f"{name}: must be positive, got {value}")
         return resolved
 
     def psi_bounds(self) -> tuple[float, float]:
@@ -178,8 +183,6 @@ def convergence_probe(params: ModelParams,
     0.01).  pinned_at_truncation: the final <L> tracks the truncation edge,
     the signature of a sector escaping to infinity.
     """
-    if not 0.0 < settings.pin_fraction:
-        raise ValueError(f"pin_fraction must be positive, got {settings.pin_fraction}")
     levels = (settings.n_max, 2 * settings.n_max)
     energies: list[float] = []
     l_expects: list[float] = []

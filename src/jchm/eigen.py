@@ -1,10 +1,19 @@
-"""Smallest eigenpair of a real symmetric band matrix with a fixed sign convention.
+"""Smallest eigenvalue of a real symmetric band matrix, with or without its eigenvector.
 
 Every matrix the package diagonalises is banded, so a SymmetricMatrix holds
-only its lower band in LAPACK's symmetric-band layout.  One solver serves
-every size: LAPACK dsbevx picks out the lowest eigenpair of the band, and the
-residual of that pair is checked with the band mat-vec dsbmv.  A dense array
-is accepted too; it is stored with full bandwidth and solved the same way.
+only its lower band in LAPACK's symmetric-band layout.  Both entry points
+make one LAPACK dsbevx call for the lowest eigenvalue of the band, and each
+checks its answer against the bound tol * max(1, |lambda|):
+
+- smallest_eigpair also returns the eigenvector, with a fixed sign, and
+  checks its residual ||A v - lambda v|| with the band mat-vec dsbmv;
+- smallest_eigenvalue returns the value alone and certifies it by inertia:
+  the band Cholesky dpbtrf of A - (lambda - d) I must succeed and that of
+  A - (lambda + d) I must fail, d = tol * max(1, |lambda|), which proves
+  that the smallest eigenvalue lies within d of lambda (certify_smallest).
+
+A dense array is accepted too; it is stored with full bandwidth and solved
+the same way.
 """
 
 from __future__ import annotations
@@ -13,14 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dsbevx
+from scipy.linalg.lapack import dpbtrf, dsbevx
 
 DEFAULT_TOL = 1e-10
 _RANGE_BY_INDEX = 2  # dsbevx RANGE = 'I'
 
 
 class EigensolverError(RuntimeError):
-    """The eigensolver failed to converge or the result failed its residual check."""
+    """The eigensolver failed to converge or the result failed its residual
+    check or its inertia certificate."""
 
 
 class SymmetricMatrix:
@@ -71,6 +81,31 @@ class EigPair:
     vector: np.ndarray
 
 
+def _as_band(a: SymmetricMatrix | np.ndarray, tol: float) -> SymmetricMatrix:
+    """Check tol and a dense input; a dense array becomes full-bandwidth storage."""
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if isinstance(a, SymmetricMatrix):
+        return a
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("matrix must be non-empty")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix must be exactly symmetric")
+    return SymmetricMatrix.from_dense(a)
+
+
+def _lowest(a: SymmetricMatrix, compute_v: int) -> tuple[float, np.ndarray]:
+    """One dsbevx call for the lowest eigenvalue, and its eigenvector if asked."""
+    w, z, m, _, info = dsbevx(a.band, 0.0, 0.0, 1, 1, compute_v=compute_v,
+                              range=_RANGE_BY_INDEX, lower=1, overwrite_ab=0)
+    if info != 0 or m != 1:
+        raise EigensolverError(f"LAPACK dsbevx failed: info={info}, found {m} eigenvalues")
+    return float(w[0]), z
+
+
 def smallest_eigpair(a: SymmetricMatrix | np.ndarray,
                      tol: float = DEFAULT_TOL) -> EigPair:
     """Algebraically smallest eigenvalue and eigenvector of a symmetric matrix.
@@ -80,33 +115,68 @@ def smallest_eigpair(a: SymmetricMatrix | np.ndarray,
     (ties resolved toward the lowest index), and the residual
     ||A v - lambda v|| must not exceed tol * max(1, |lambda|).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not isinstance(a, SymmetricMatrix):
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise ValueError("matrix must be non-empty")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix must be exactly symmetric")
-        a = SymmetricMatrix.from_dense(a)
-
-    band, kd = a.band, a.bandwidth
-    w, z, m, _, info = dsbevx(band, 0.0, 0.0, 1, 1, range=_RANGE_BY_INDEX,
-                              lower=1, overwrite_ab=0)
-    if info != 0 or m != 1:
-        raise EigensolverError(f"LAPACK dsbevx failed: info={info}, found {m} eigenvalues")
-    value = float(w[0])
+    a = _as_band(a, tol)
+    value, z = _lowest(a, compute_v=1)
     vector = z[:, 0]
     vector = vector / np.linalg.norm(vector)
     if vector[int(np.argmax(np.abs(vector)))] < 0:
         vector = -vector
 
     residual = float(np.linalg.norm(
-        dsbmv(kd, 1.0, band, vector, lower=1) - value * vector))
+        dsbmv(a.bandwidth, 1.0, a.band, vector, lower=1) - value * vector))
     if residual > tol * max(1.0, abs(value)):
         raise EigensolverError(
             f"residual {residual:.3e} exceeds {tol:g} * max(1, |{value:.6g}|)"
         )
     return EigPair(value=value, vector=vector)
+
+
+def smallest_eigenvalue(a: SymmetricMatrix | np.ndarray,
+                        tol: float = DEFAULT_TOL) -> float:
+    """Algebraically smallest eigenvalue of a symmetric matrix, without its
+    eigenvector.
+
+    The same dsbevx call as smallest_eigpair with no vector asked for, so on
+    the same input it returns the same float.  The value is certified by
+    certify_smallest in place of a residual check.
+    """
+    a = _as_band(a, tol)
+    value, _ = _lowest(a, compute_v=0)
+    certify_smallest(a, value, tol)
+    return value
+
+
+def _positive_definite(a: SymmetricMatrix, shift: float) -> bool:
+    """Whether the band Cholesky of A - shift I succeeds."""
+    shifted = a.band.copy(order="F")
+    shifted[0] -= shift
+    _, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
+    if info < 0:
+        raise EigensolverError(f"LAPACK dpbtrf failed: info={info}")
+    return info == 0
+
+
+def certify_smallest(a: SymmetricMatrix, value: float, tol: float) -> None:
+    """Certify that the smallest eigenvalue of a lies within
+    d = tol * max(1, |value|) of value, by inertia.
+
+    A - s I is positive definite, so its Cholesky factorisation succeeds,
+    exactly when s lies below every eigenvalue.  Success at s = value - d
+    puts the smallest eigenvalue above value - d; failure at s = value + d
+    puts one at or below value + d.  In floating point the factorisation
+    decides up to rounding of order eps * ||A||, far below d at the default
+    tol.  Raises EigensolverError otherwise, for instance when value is a
+    higher eigenvalue.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    d = tol * max(1.0, abs(value))
+    if not _positive_definite(a, value - d):
+        reason = f"an eigenvalue lies below {value - d:.17g}"
+    elif _positive_definite(a, value + d):
+        reason = f"no eigenvalue lies below {value + d:.17g}"
+    else:
+        return
+    raise EigensolverError(
+        f"residual bound {tol:g} * max(1, |{value:.6g}|) not certified: {reason}"
+    )

@@ -1,7 +1,10 @@
 """Ground energy as a function of the order parameter and its minimisation.
 
 The drive amplitude psi is treated variationally: the full mean-field matrix
-is rebuilt and rediagonalised at every psi, never linearised.  The spectrum
+is rebuilt at every psi, never linearised, and its smallest eigenvalue is
+taken without an eigenvector (eigen.smallest_eigenvalue, certified by
+inertia).  Only psi = 0 and the reported minimiser are solved with their
+eigenvector, whose residual is checked (eigen.smallest_eigpair).  The spectrum
 is even in psi, so only psi >= 0 is searched: a coarse scan of COARSE_STEPS
 points brackets every local minimum, golden section refines each to
 REFINE_TOL, and minimisers within ENERGY_TIE_EPS of the psi = 0 energy
@@ -16,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .eigen import DEFAULT_TOL, smallest_eigpair
+from .eigen import DEFAULT_TOL, smallest_eigenvalue, smallest_eigpair
 from .operators import ModelParams, build_l_diag, build_mean_field
 
 if TYPE_CHECKING:
@@ -53,8 +56,9 @@ class BracketExhausted(RuntimeError):
 
 def energy_at_psi(params: ModelParams, psi: float, n_max: int,
                   tol: float = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of the mean-field Hamiltonian at fixed psi."""
-    return smallest_eigpair(build_mean_field(params, psi, n_max), tol).value
+    """Smallest eigenvalue of the mean-field Hamiltonian at fixed psi, without
+    its eigenvector."""
+    return smallest_eigenvalue(build_mean_field(params, psi, n_max), tol)
 
 
 def expected_L(vector: np.ndarray, l: int) -> float:
@@ -115,8 +119,11 @@ def minimize_over_psi(params: ModelParams,
     def energy(p: float) -> float:
         return energy_at_psi(params, p, n_max, tol)
 
+    # psi = 0 is solved once, with its vector: it opens the coarse scan and
+    # is the answer whenever the minimum ties with it
+    zero = _solution_at(params, 0.0, n_max, tol)
     psis = np.linspace(0.0, psi_max, COARSE_STEPS)
-    coarse = np.array([energy(p) for p in psis])
+    coarse = np.array([zero.energy] + [energy(p) for p in psis[1:]])
 
     best_psi = 0.0
     best_e = float(coarse[0])
@@ -135,7 +142,7 @@ def minimize_over_psi(params: ModelParams,
 
     if float(coarse[0]) <= best_e + ENERGY_TIE_EPS:
         # flat or insulating landscape: report the symmetric solution exactly
-        return _solution_at(params, 0.0, n_max, tol)
+        return zero
 
     if best_psi >= psi_max - 2.0 * REFINE_TOL:
         raise BracketExhausted(

@@ -91,18 +91,21 @@ def bandwidth(l: int) -> int:
 def build_mpjc(params: ModelParams, n_max: int) -> SymmetricMatrix:
     """One-site l-photon Hamiltonian Omega sigma+sigma- + omega a+a + (sigma+ a^l + h.c.)
     at photon truncation n_max."""
-    l = params.l
+    return SymmetricMatrix(_mpjc_band(params.l, params.omega, params.Omega, n_max))
+
+
+def _mpjc_band(l: int, omega: float, Omega: float, n_max: int) -> np.ndarray:
     if n_max < l:
         # below this no |g,n+l> partner exists and the coupling vanishes
         raise ValueError(f"n_max must be at least l={l}, got n_max={n_max}")
     n = np.arange(n_max + 1)
     band = np.zeros((bandwidth(l) + 1, 2 * (n_max + 1)), order="F")
-    band[0, 0::2] = params.omega * n                  # |g,n>
-    band[0, 1::2] = params.Omega + params.omega * n   # |e,n>
+    band[0, 0::2] = omega * n                  # |g,n>
+    band[0, 1::2] = Omega + omega * n          # |e,n>
     # <e,n| sigma+ a^l |g,n+l> joins columns 2n+1 and 2(n+l)
     last = 2 * (n_max - l) + 1
     band[2 * l - 1, 1:last + 1:2] = coupling_elements(l, n_max)
-    return SymmetricMatrix(band)
+    return band
 
 
 @lru_cache(maxsize=64)
@@ -118,6 +121,18 @@ def build_l_diag(l: int, n_max: int) -> np.ndarray:
     return _frozen(d)
 
 
+@lru_cache(maxsize=128)
+def _psi_free_band(l: int, omega: float, Omega: float, mu: float,
+                   n_max: int) -> np.ndarray:
+    """The one-site band minus mu*L: every entry of the mean-field band that
+    psi leaves alone, shared by all psi of a point and all kappa of a grid
+    row.  Cached, so the result is read-only."""
+    band = _mpjc_band(l, omega, Omega, n_max)
+    if mu != 0.0:
+        band[0] -= mu * build_l_diag(l, n_max)
+    return _frozen(band)
+
+
 def build_mean_field(params: ModelParams, psi: float,
                      n_max: int) -> SymmetricMatrix:
     """Mean-field Hamiltonian in the grand-canonical frame.
@@ -125,18 +140,19 @@ def build_mean_field(params: ModelParams, psi: float,
     Adds to the one-site matrix the scalar z*kappa*psi**2, the chemical-
     potential term -mu*L on the diagonal, and the hopping drive
     -z*kappa*psi*(a + a+).  psi may be negative; the spectrum is even in it.
-    At psi = 0 the result is bitwise independent of kappa.
+    At psi = 0 the result is bitwise independent of kappa.  The psi-free
+    part is assembled once per (l, omega, Omega, mu, n_max) and copied, so
+    the returned band is the caller's to modify.
     """
-    h = build_mpjc(params, n_max)
-    diag = h.band[0]
-    if params.mu != 0.0:
-        diag -= params.mu * build_l_diag(params.l, n_max)
+    band = _psi_free_band(params.l, params.omega, params.Omega, params.mu,
+                          n_max).copy(order="F")
     drive = params.z * params.kappa * psi
     if drive != 0.0:
-        diag += drive * psi
-        amp = -drive * np.sqrt(np.arange(n_max) + 1.0)
+        band[0] += drive * psi
         # photon raising keeps the atomic state: |s,n> to |s,n+1>, columns
-        # 2n+s on the second off-diagonal
-        h.band[2, 0:-2:2] = amp
-        h.band[2, 1:-2:2] = amp
-    return h
+        # 2n+s on the second off-diagonal; <n+1| a+ |n> = sqrt(n+1) are the
+        # l = 1 coupling elements
+        amp = -drive * coupling_elements(1, n_max)
+        band[2, 0:-2:2] = amp
+        band[2, 1:-2:2] = amp
+    return SymmetricMatrix(band)

@@ -178,3 +178,14 @@ def test_classify_custom_schedule_and_coordinates():
     assert pt.n_max_used == 40
     assert pt.x == pytest.approx(-2.0, abs=1e-12)
     assert pt.y == pytest.approx(1.0 - 2.5, abs=1e-12)
+
+
+def test_probe_thresholds_checked_up_front():
+    # checked by for_l, so a run fails before any cell instead of only the
+    # cells that reach the probe
+    for kwargs, key in (({"pin_fraction": 0.0}, "pin_fraction"),
+                        ({"pin_fraction": float("nan")}, "pin_fraction"),
+                        ({"tol_conv": -1.0}, "tol_conv"),
+                        ({"tol_conv": 0.0}, "tol_conv")):
+        with pytest.raises(ValueError, match=f"^{key}: must be positive, got"):
+            SolverSettings(**kwargs).for_l(1)

@@ -128,6 +128,23 @@ def test_diagram_eigensolver_failure_writes_indet_cells(tmp_path, capsys):
     assert [ln.split(",")[5] for ln in lines[1:]] == ["INDET"] * 4
 
 
+def test_probe_thresholds_rejected_before_any_cell(tmp_path, capsys):
+    # a point that never reaches the probe fails too, and a grid writes nothing
+    for flags in (["--x", "-0.5", "--y", "-1.2", "--pin-fraction", "0"],
+                  ["--x", "-4", "--y", "-1.2", "--tol-conv", "-1"]):
+        code, out, err = run_cli(capsys, "point", "--l", "1", *flags)
+        assert code == 1 and out == ""
+        key = flags[-2].lstrip("-").replace("-", "_")
+        assert err == f"invalid parameter: {key}: must be positive, got {float(flags[-1])}\n"
+    out_file = tmp_path / "grid.csv"
+    code, _, err = run_cli(capsys, "diagram", "--l", "1", "--x-range=-4:-0.3:3",
+                           "--y-range=-1.5:-1:2", "--pin-fraction", "0",
+                           "--out", str(out_file))
+    assert code == 1
+    assert err == "invalid parameter: pin_fraction: must be positive, got 0.0\n"
+    assert not out_file.exists()
+
+
 def test_diagram_csv_file(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     args = ["diagram", "--l", "1", "--x-range=-4:-3:5",

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from jchm.eigen import EigPair, EigensolverError, SymmetricMatrix, smallest_eigpair
+from jchm.eigen import (
+    EigPair,
+    EigensolverError,
+    SymmetricMatrix,
+    certify_smallest,
+    smallest_eigenvalue,
+    smallest_eigpair,
+)
 from jchm.operators import ModelParams, build_mean_field
 
 from conftest import zero_drive_ground_oracle
@@ -146,3 +153,68 @@ def test_band_path_matches_dense_reference(case):
     residual = np.linalg.norm(a @ pair.vector - pair.value * pair.vector)
     assert residual <= 1e-10 * max(1.0, abs(pair.value)) + 1e-12
     assert pair.vector[int(np.argmax(np.abs(pair.vector)))] > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=band_case_st)
+def test_eigenvalue_only_matches_eigpair_bitwise(case):
+    # the same dsbevx call without the vector returns the same float, and
+    # passes its inertia certificate wherever the residual check passes
+    l, extra, omega, Omega, mu, kappa, z, psi = case
+    params = ModelParams(l=l, omega=omega, Omega=Omega, mu=mu, kappa=kappa, z=z)
+    h = build_mean_field(params, psi, l + extra)
+    assert smallest_eigenvalue(h) == smallest_eigpair(h).value
+
+
+def test_eigenvalue_only_dense_input():
+    a = np.array([[2.0, -1.0, 0.5], [-1.0, 0.0, 3.0], [0.5, 3.0, 1.0]])
+    assert smallest_eigenvalue(a) == smallest_eigpair(a).value
+    assert smallest_eigenvalue(np.array([[-4.5]])) == -4.5
+    with pytest.raises(ValueError, match="symmetric"):
+        smallest_eigenvalue(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def generic_band():
+    params = ModelParams(l=2, omega=1.1, Omega=0.9, mu=0.7, kappa=0.2)
+    return build_mean_field(params, 0.4, 12)
+
+
+def test_certificate_accepts_the_smallest_eigenvalue():
+    h = generic_band()
+    w = np.linalg.eigvalsh(h.dense())
+    certify_smallest(h, smallest_eigenvalue(h), 1e-10)
+    certify_smallest(h, float(w[0]), 1e-10)
+
+
+def test_certificate_rejects_a_higher_eigenvalue():
+    h = generic_band()
+    second = float(np.linalg.eigvalsh(h.dense())[1])
+    with pytest.raises(EigensolverError) as exc:
+        certify_smallest(h, second, 1e-10)
+    assert str(exc.value).startswith(
+        f"residual bound 1e-10 * max(1, |{second:.6g}|) not certified: "
+        "an eigenvalue lies below")
+
+
+def test_certificate_rejects_a_value_below_the_spectrum():
+    h = generic_band()
+    low = float(np.linalg.eigvalsh(h.dense())[0]) - 1e-6
+    with pytest.raises(EigensolverError, match="no eigenvalue lies below"):
+        certify_smallest(h, low, 1e-10)
+
+
+def test_certificate_rejects_non_positive_tol():
+    h = generic_band()
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            certify_smallest(h, smallest_eigpair(h).value, tol)
+        with pytest.raises(ValueError, match="tol"):
+            smallest_eigenvalue(h, tol)
+
+
+def test_certificate_bound_below_rounding_fails():
+    # as for the residual check, no value is certified to 1e-20
+    params = ModelParams(l=1, omega=1.1, Omega=0.9, kappa=0.2)
+    h = build_mean_field(params, 0.4, 20)
+    with pytest.raises(EigensolverError, match=r"^residual bound 1e-20 \* max"):
+        smallest_eigenvalue(h, tol=1e-20)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jchm import groundstate
 from jchm.classify import SolverSettings
 from jchm.groundstate import (
     COARSE_STEPS,
@@ -136,3 +137,28 @@ def test_minimize_ground_vector_is_normalised():
     sol = minimize_over_psi(params, spec_for(30))
     assert np.linalg.norm(sol.ground_vector) == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= sol.l_expect <= 30 + 2
+
+
+@pytest.mark.parametrize("kappa, vector_solves", [(1e-4, 1), (10 ** -0.5, 2)])
+def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
+                                                       vector_solves):
+    # psi = 0 is solved once with its vector (and returned for an
+    # insulator); the scan and refinement take eigenvalues only, and a
+    # superfluid adds one vector solve at psi_star
+    calls = {"pair": 0, "value": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(groundstate, "smallest_eigpair",
+                        counted("pair", groundstate.smallest_eigpair))
+    monkeypatch.setattr(groundstate, "smallest_eigenvalue",
+                        counted("value", groundstate.smallest_eigenvalue))
+    sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa),
+                            spec_for(40))
+    assert (sol.psi_star > 0) == (vector_solves == 2)
+    assert calls["pair"] == vector_solves
+    assert calls["value"] >= COARSE_STEPS - 1
