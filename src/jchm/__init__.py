@@ -9,7 +9,6 @@ numerics are checked against.
 """
 
 from .analytic import (
-    BoundaryCurve,
     Branch,
     SectorSpec,
     Side,
@@ -21,7 +20,6 @@ from .analytic import (
     solve_sector_crossing,
     solve_sector_zero,
     strong_coupling_boundary,
-    strong_coupling_curve,
 )
 from .classify import (
     ConvergenceReport,
@@ -56,12 +54,10 @@ from .operators import (
     coupling_elements,
 )
 from .sweep import (
-    BoundarySegment,
     GridSpec,
     PhaseGrid,
     classify_at,
     energy_scan,
-    extract_boundary,
     params_for,
     refine_boundary,
     run_grid,
@@ -78,11 +74,11 @@ __all__ = [
     "PhaseKind", "PhaseLabel", "ConvergenceReport", "PhasePoint",
     "IndeterminatePhaseError", "SolverSettings", "classify_point",
     "convergence_probe", "default_n_max",
-    "Branch", "Side", "SectorSpec", "BoundaryCurve", "sector_energy",
+    "Branch", "Side", "SectorSpec", "sector_energy",
     "resonant_sector_energy", "resonant_ground_energy", "solve_sector_zero",
     "solve_sector_crossing", "asymptotic_slope", "strong_coupling_boundary",
-    "strong_coupling_curve", "coupling_strength",
-    "GridSpec", "PhaseGrid", "BoundarySegment", "run_grid", "refine_boundary",
-    "energy_scan", "extract_boundary", "classify_at", "params_for",
+    "coupling_strength",
+    "GridSpec", "PhaseGrid", "run_grid", "refine_boundary",
+    "energy_scan", "classify_at", "params_for",
     "__version__",
 ]

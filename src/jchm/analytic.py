@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 ROOT_BRACKET = (1e-6, 10.0)
 ROOT_TOL = 1e-10
@@ -30,7 +30,7 @@ class Branch(enum.Enum):
 
 
 class Side(enum.Enum):
-    """Which edge of a Mott lobe a boundary curve describes."""
+    """Which edge of a Mott lobe a strong-coupling boundary describes."""
 
     UPPER = "upper"
     LOWER = "lower"
@@ -195,20 +195,3 @@ def strong_coupling_boundary(L: int, side: Side, kappa: float) -> float:
     first = math.sqrt(L - 1) - math.sqrt(L)
     weight = (math.sqrt(L) + math.sqrt(L - 1)) ** 2
     return first + kappa * weight / (2.0 - (1.0 if L == 1 else 0.0))
-
-
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """A sampled lobe-edge curve: points are (kappa, mu - omega) pairs."""
-
-    L: int
-    side: Side
-    points: tuple[tuple[float, float], ...]
-
-
-def strong_coupling_curve(L: int, side: Side,
-                          kappas: Sequence[float]) -> BoundaryCurve:
-    """Sample strong_coupling_boundary over a kappa grid."""
-    pts = tuple((float(k), strong_coupling_boundary(L, side, float(k)))
-                for k in kappas)
-    return BoundaryCurve(L=L, side=side, points=pts)

@@ -1,11 +1,12 @@
 """Phase assignment for one parameter point, with truncation evidence.
 
 A point is superfluid when the minimised drive amplitude is resolvably
-nonzero.  Otherwise the psi = 0 problem is re-solved at the base truncation
-and at twice it: a ground state whose L expectation chases the truncation
-edge has no converged thermodynamic limit and the point is
-forbidden; a stable integer L is a Mott insulator MI(L).  Anything else is
-reported as indeterminate rather than guessed.
+nonzero.  Otherwise the psi = 0 ground state is compared at the base
+truncation (the minimiser's own solution when its psi_star is zero) and at
+twice it: a ground state whose L expectation chases the truncation edge has
+no converged thermodynamic limit and the point is forbidden; a stable
+integer L is a Mott insulator MI(L).  Anything else is reported as
+indeterminate rather than guessed.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
-from .eigen import DEFAULT_TOL, smallest_eigpair
+from .eigen import DEFAULT_TOL
 from .groundstate import (
     REFINE_TOL,
     BracketExhausted,
-    expected_L,
+    MeanFieldSolution,
     minimize_over_psi,
+    solution_at,
 )
-from .operators import ModelParams, build_mean_field
+from .operators import ModelParams
 
 DEFAULT_TOL_CONV = 1e-8
 DEFAULT_PIN_FRACTION = 0.8
@@ -121,20 +123,13 @@ class PhaseLabel:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """psi = 0 ground-state data at successive truncations."""
+    """psi = 0 ground-state data at the truncations (n_max, 2 n_max)."""
 
-    n_max_sequence: tuple[int, ...]
-    energies: tuple[float, ...]
-    l_expects: tuple[float, ...]
+    n_max_sequence: tuple[int, int]
+    energies: tuple[float, float]
+    l_expects: tuple[float, float]
     converged: bool
     pinned_at_truncation: bool
-
-    def __post_init__(self) -> None:
-        k = len(self.n_max_sequence)
-        if k < 2:
-            raise ValueError("schedule must have at least two levels")
-        if len(self.energies) != k or len(self.l_expects) != k:
-            raise ValueError("energies and l_expects must match the schedule length")
 
 
 class IndeterminatePhaseError(Exception):
@@ -143,7 +138,7 @@ class IndeterminatePhaseError(Exception):
     Carries the probe's ConvergenceReport in .report.
     """
 
-    def __init__(self, message: str, report: ConvergenceReport | None = None):
+    def __init__(self, message: str, report: ConvergenceReport):
         super().__init__(message)
         self.report = report
 
@@ -174,32 +169,29 @@ class PhasePoint:
         return "INVALID" if self.note.startswith("invalid") else "INDET"
 
 
-def convergence_probe(params: ModelParams,
-                      settings: SolverSettings) -> ConvergenceReport:
+def convergence_probe(params: ModelParams, settings: SolverSettings,
+                      zero: MeanFieldSolution | None = None) -> ConvergenceReport:
     """Ground energy and <L> at psi = 0 at truncations n_max and 2 n_max.
 
-    settings must have n_max resolved (SolverSettings.for_l).  converged:
-    the doubling moved neither the energy (within tol_conv) nor <L> (within
-    0.01).  pinned_at_truncation: the final <L> tracks the truncation edge,
-    the signature of a sector escaping to infinity.
+    settings must have n_max resolved (SolverSettings.for_l).  zero is the
+    psi = 0 solution at n_max when the caller already has it, as
+    minimize_over_psi returns it for an insulating point; otherwise that
+    level is solved here.  converged: the doubling moved neither the energy
+    (within tol_conv) nor <L> (within 0.01).  pinned_at_truncation: the
+    final <L> tracks the truncation edge, the signature of a sector
+    escaping to infinity.
     """
-    levels = (settings.n_max, 2 * settings.n_max)
-    energies: list[float] = []
-    l_expects: list[float] = []
-    for n_max in levels:
-        pair = smallest_eigpair(build_mean_field(params, 0.0, n_max), settings.tol)
-        energies.append(pair.value)
-        l_expects.append(expected_L(pair.vector, params.l))
-
-    converged = (abs(energies[-1] - energies[-2]) < settings.tol_conv
-                 and abs(l_expects[-1] - l_expects[-2]) < _L_DRIFT_TOL)
-    pinned = l_expects[-1] >= settings.pin_fraction * levels[-1]
+    if zero is None:
+        zero = solution_at(params, 0.0, settings.n_max, settings.tol)
+    fine = solution_at(params, 0.0, 2 * settings.n_max, settings.tol)
     return ConvergenceReport(
-        n_max_sequence=levels,
-        energies=tuple(energies),
-        l_expects=tuple(l_expects),
-        converged=converged,
-        pinned_at_truncation=pinned,
+        n_max_sequence=(zero.n_max_used, fine.n_max_used),
+        energies=(zero.energy, fine.energy),
+        l_expects=(zero.l_expect, fine.l_expect),
+        converged=(abs(fine.energy - zero.energy) < settings.tol_conv
+                   and abs(fine.l_expect - zero.l_expect) < _L_DRIFT_TOL),
+        pinned_at_truncation=(fine.l_expect
+                              >= settings.pin_fraction * fine.n_max_used),
     )
 
 
@@ -209,10 +201,11 @@ def classify_point(params: ModelParams,
 
     The psi minimisation runs at the base truncation n_max; if it returns
     psi_star above psi_eps the point is superfluid.  Otherwise the psi = 0
-    problem is probed at n_max and 2 n_max and the reported energy, <L> and
-    n_max_used come from the finer level.  A minimisation whose minimum runs
-    into psi_max is still called superfluid: the drive is resolvably nonzero
-    even though its magnitude is truncation-limited.
+    problem is probed at n_max and 2 n_max, the base level reusing the
+    minimiser's psi = 0 solution when psi_star is zero, and the reported
+    energy, <L> and n_max_used come from the finer level.  A minimisation
+    whose minimum runs into psi_max is still called superfluid: the drive is
+    resolvably nonzero even though its magnitude is truncation-limited.
 
     Raises IndeterminatePhaseError when the probe is inconclusive and
     ValueError for unusable settings.
@@ -233,7 +226,8 @@ def classify_point(params: ModelParams,
             n_max_used=sol.n_max_used, converged=True,
         )
 
-    report = convergence_probe(params, settings)
+    report = convergence_probe(params, settings,
+                               sol if sol.psi_star == 0.0 else None)
     energy = report.energies[-1]
     l_expect = report.l_expects[-1]
     n_used = report.n_max_sequence[-1]

@@ -10,6 +10,7 @@ floats printed with 17 significant digits, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -249,30 +250,37 @@ def _json_value(v: float):
     return v
 
 
-def _points_csv(points: Sequence[PhasePoint]) -> str:
-    lines = [CSV_HEADER]
-    for pt in points:
-        lines.append(",".join([
-            _fmt(pt.x), _fmt(pt.y), _fmt(pt.psi_star), _fmt(pt.energy),
-            _fmt(pt.l_expect), pt.token, str(pt.n_max_used),
-            "true" if pt.converged else "false",
-        ]))
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _table(columns: dict[str, list], fmt: str, spec: dict) -> str:
+    """Equal-length columns as a data file, in their given order.
+
+    csv: a header row, then one line per row, bools as true/false, floats
+    at full precision and anything else as str.  json: {"spec", "columns"}
+    with NaN and infinities as null.
+    """
+    if fmt == "json":
+        data = {key: [_json_value(v) for v in values]
+                for key, values in columns.items()}
+        return json.dumps({"spec": spec, "columns": data},
+                          indent=1, sort_keys=True) + "\n"
+    lines = [",".join(columns)]
+    lines += [",".join(map(_csv_cell, row)) for row in zip(*columns.values())]
     return "\n".join(lines) + "\n"
 
 
-def _points_json(points: Sequence[PhasePoint], spec: dict) -> str:
-    columns = {
-        "x_log10_kappa": [_json_value(p.x) for p in points],
-        "y_lmu_minus_omega": [_json_value(p.y) for p in points],
-        "psi": [_json_value(p.psi_star) for p in points],
-        "energy": [_json_value(p.energy) for p in points],
-        "L_expect": [_json_value(p.l_expect) for p in points],
-        "phase": [p.token for p in points],
-        "n_max": [p.n_max_used for p in points],
-        "converged": [p.converged for p in points],
-    }
-    return json.dumps({"spec": spec, "columns": columns},
-                      indent=1, sort_keys=True) + "\n"
+# PhasePoint attributes behind the CSV_HEADER columns, in order.
+_POINT_FIELDS = ("x", "y", "psi_star", "energy", "l_expect", "token",
+                 "n_max_used", "converged")
+
+
+def _point_columns(points: Sequence[PhasePoint]) -> dict[str, list]:
+    return {key: [getattr(pt, name) for pt in points]
+            for key, name in zip(CSV_HEADER.split(","), _POINT_FIELDS)}
 
 
 def cmd_point(cfg: _Config) -> int:
@@ -322,10 +330,7 @@ def cmd_diagram(cfg: _Config) -> int:
 
     grid = run_grid(base, settings, jobs=cfg["jobs"])
     points = list(grid.iter_cells())
-    if cfg["format"] == "csv":
-        _write_text(cfg["out"], _points_csv(points))
-    else:
-        _write_text(cfg["out"], _points_json(points, spec_echo))
+    _write_text(cfg["out"], _table(_point_columns(points), cfg["format"], spec_echo))
 
     counts = grid.token_counts()
     bad = counts.get("INDET", 0) + counts.get("INVALID", 0)
@@ -356,6 +361,8 @@ def cmd_boundary(cfg: _Config) -> int:
                          boundary_tol=btol)
     model = cfg.model()
 
+    # cached, so refine_boundary does not classify the bracket ends again
+    @functools.cache
     def evaluate(t: float) -> PhasePoint:
         xx, yy = (t, fixed) if axis == "x" else (fixed, t)
         return classify_at(l, xx, yy, settings, **model)
@@ -371,16 +378,10 @@ def cmd_boundary(cfg: _Config) -> int:
     print(f"pair = {end_lo.token} {end_hi.token}")
     print(f"boundary = {_fmt(value)}")
     if out is not None and out != "-":
-        if spec_echo["format"] == "csv":
-            text = ("axis,fixed,lo,hi,token_lo,token_hi,boundary\n"
-                    f"{axis},{_fmt(fixed)},{_fmt(lo)},{_fmt(hi)},"
-                    f"{end_lo.token},{end_hi.token},{_fmt(value)}\n")
-        else:
-            text = json.dumps({"spec": spec_echo, "columns": {
-                "axis": [axis], "fixed": [fixed], "lo": [lo], "hi": [hi],
-                "token_lo": [end_lo.token], "token_hi": [end_hi.token],
-                "boundary": [value]}}, indent=1, sort_keys=True) + "\n"
-        _write_text(out, text)
+        columns = {"axis": [axis], "fixed": [fixed], "lo": [lo], "hi": [hi],
+                   "token_lo": [end_lo.token], "token_hi": [end_hi.token],
+                   "boundary": [value]}
+        _write_text(out, _table(columns, spec_echo["format"], spec_echo))
     return EXIT_OK
 
 
@@ -397,17 +398,10 @@ def cmd_scan(cfg: _Config) -> int:
     spec_echo = cfg.echo(settings, y=y, x_range=[lo, hi, n])
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     rows = energy_scan(l, y, xs, settings, **cfg.model())
-    if cfg["format"] == "csv":
-        lines = ["x_log10_kappa,y_lmu_minus_omega,energy,psi"]
-        for x, e, psi in rows:
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(e)},{_fmt(psi)}")
-        _write_text(cfg["out"], "\n".join(lines) + "\n")
-    else:
-        _write_text(cfg["out"], json.dumps({"spec": spec_echo, "columns": {
-            "x_log10_kappa": [r[0] for r in rows],
-            "y_lmu_minus_omega": [y] * len(rows),
-            "energy": [r[1] for r in rows],
-            "psi": [r[2] for r in rows]}}, indent=1, sort_keys=True) + "\n")
+    columns = {"x_log10_kappa": [r[0] for r in rows],
+               "y_lmu_minus_omega": [y] * len(rows),
+               "energy": [r[1] for r in rows], "psi": [r[2] for r in rows]}
+    _write_text(cfg["out"], _table(columns, cfg["format"], spec_echo))
     return EXIT_OK
 
 
@@ -419,14 +413,15 @@ def cmd_analytic(cfg: _Config) -> int:
     lo, hi, n = _parse_range(x_range, "x-range") if x_range is not None else (-4.0, -0.2, 20)
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
-    rows: list[dict] = []
+    columns: dict[str, list] = {key: [] for key in (
+        "quantity", "l", "L", "partner_or_side", "x_log10_kappa", "kappa",
+        "omega", "y_lmu_minus_omega", "value")}
 
     def add(quantity: str, **kw) -> None:
-        row = {"quantity": quantity, "l": l, "L": "", "partner_or_side": "",
-               "x_log10_kappa": "", "kappa": "", "omega": "",
-               "y_lmu_minus_omega": "", "value": ""}
-        row.update(kw)
-        rows.append(row)
+        row = dict.fromkeys(columns, "")
+        row.update(quantity=quantity, l=l, **kw)
+        for key, value in row.items():
+            columns[key].append(value)
 
     for L in range(l, l + 4):
         try:
@@ -460,19 +455,9 @@ def cmd_analytic(cfg: _Config) -> int:
                     x_log10_kappa=_fmt(x), kappa=_fmt(kap),
                     value=_fmt(strong_coupling_boundary(L, side, kap)))
 
-    header = ["quantity", "l", "L", "partner_or_side", "x_log10_kappa",
-              "kappa", "omega", "y_lmu_minus_omega", "value"]
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(row[k]) for k in header))
-        _write_text(out, "\n".join(lines) + "\n")
-    else:
-        columns = {k: [row[k] for row in rows] for k in header}
-        spec_echo = {"command": "analytic", "l": l, "x_range": [lo, hi, n],
-                     "format": fmt}
-        _write_text(out, json.dumps({"spec": spec_echo, "columns": columns},
-                                    indent=1, sort_keys=True) + "\n")
+    spec_echo = {"command": "analytic", "l": l, "x_range": [lo, hi, n],
+                 "format": fmt}
+    _write_text(out, _table(columns, fmt, spec_echo))
     return EXIT_OK
 
 

@@ -11,9 +11,6 @@ checks its answer against the bound tol * max(1, |lambda|):
   the band Cholesky dpbtrf of A - (lambda - d) I must succeed and that of
   A - (lambda + d) I must fail, d = tol * max(1, |lambda|), which proves
   that the smallest eigenvalue lies within d of lambda (certify_smallest).
-
-A dense array is accepted too; it is stored with full bandwidth and solved
-the same way.
 """
 
 from __future__ import annotations
@@ -63,15 +60,6 @@ class SymmetricMatrix:
             a[j, j + k] = self.band[k, : n - k]
         return a
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SymmetricMatrix":
-        """Full-bandwidth storage of a square array (its lower triangle)."""
-        n = a.shape[0]
-        band = np.zeros((n, n), order="F")
-        for k in range(n):
-            band[k, : n - k] = np.diagonal(a, -k)
-        return cls(band)
-
 
 @dataclass(frozen=True)
 class EigPair:
@@ -81,24 +69,11 @@ class EigPair:
     vector: np.ndarray
 
 
-def _as_band(a: SymmetricMatrix | np.ndarray, tol: float) -> SymmetricMatrix:
-    """Check tol and a dense input; a dense array becomes full-bandwidth storage."""
+def _lowest(a: SymmetricMatrix, tol: float,
+            compute_v: int) -> tuple[float, np.ndarray]:
+    """One dsbevx call for the lowest eigenvalue, and its eigenvector if asked."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if isinstance(a, SymmetricMatrix):
-        return a
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("matrix must be non-empty")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix must be exactly symmetric")
-    return SymmetricMatrix.from_dense(a)
-
-
-def _lowest(a: SymmetricMatrix, compute_v: int) -> tuple[float, np.ndarray]:
-    """One dsbevx call for the lowest eigenvalue, and its eigenvector if asked."""
     w, z, m, _, info = dsbevx(a.band, 0.0, 0.0, 1, 1, compute_v=compute_v,
                               range=_RANGE_BY_INDEX, lower=1, overwrite_ab=0)
     if info != 0 or m != 1:
@@ -106,17 +81,14 @@ def _lowest(a: SymmetricMatrix, compute_v: int) -> tuple[float, np.ndarray]:
     return float(w[0]), z
 
 
-def smallest_eigpair(a: SymmetricMatrix | np.ndarray,
-                     tol: float = DEFAULT_TOL) -> EigPair:
+def smallest_eigpair(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> EigPair:
     """Algebraically smallest eigenvalue and eigenvector of a symmetric matrix.
 
-    A dense array must be square, non-empty and exactly symmetric.  The
-    eigenvector sign is fixed so its largest-magnitude component is positive
-    (ties resolved toward the lowest index), and the residual
+    The eigenvector sign is fixed so its largest-magnitude component is
+    positive (ties resolved toward the lowest index), and the residual
     ||A v - lambda v|| must not exceed tol * max(1, |lambda|).
     """
-    a = _as_band(a, tol)
-    value, z = _lowest(a, compute_v=1)
+    value, z = _lowest(a, tol, compute_v=1)
     vector = z[:, 0]
     vector = vector / np.linalg.norm(vector)
     if vector[int(np.argmax(np.abs(vector)))] < 0:
@@ -131,8 +103,7 @@ def smallest_eigpair(a: SymmetricMatrix | np.ndarray,
     return EigPair(value=value, vector=vector)
 
 
-def smallest_eigenvalue(a: SymmetricMatrix | np.ndarray,
-                        tol: float = DEFAULT_TOL) -> float:
+def smallest_eigenvalue(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> float:
     """Algebraically smallest eigenvalue of a symmetric matrix, without its
     eigenvector.
 
@@ -140,8 +111,7 @@ def smallest_eigenvalue(a: SymmetricMatrix | np.ndarray,
     the same input it returns the same float.  The value is certified by
     certify_smallest in place of a residual check.
     """
-    a = _as_band(a, tol)
-    value, _ = _lowest(a, compute_v=0)
+    value, _ = _lowest(a, tol, compute_v=0)
     certify_smallest(a, value, tol)
     return value
 

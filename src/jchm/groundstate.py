@@ -89,8 +89,9 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return best
 
 
-def _solution_at(params: ModelParams, psi: float, n_max: int,
-                 tol: float) -> MeanFieldSolution:
+def solution_at(params: ModelParams, psi: float, n_max: int,
+                tol: float) -> MeanFieldSolution:
+    """The mean-field ground state at fixed psi, solved with its eigenvector."""
     pair = smallest_eigpair(build_mean_field(params, psi, n_max), tol)
     return MeanFieldSolution(
         psi_star=float(psi),
@@ -121,7 +122,7 @@ def minimize_over_psi(params: ModelParams,
 
     # psi = 0 is solved once, with its vector: it opens the coarse scan and
     # is the answer whenever the minimum ties with it
-    zero = _solution_at(params, 0.0, n_max, tol)
+    zero = solution_at(params, 0.0, n_max, tol)
     psis = np.linspace(0.0, psi_max, COARSE_STEPS)
     coarse = np.array([zero.energy] + [energy(p) for p in psis[1:]])
 
@@ -148,6 +149,6 @@ def minimize_over_psi(params: ModelParams,
         raise BracketExhausted(
             f"energy minimum sits at psi_max={psi_max:g}; "
             "the search interval (and likely n_max) is too small",
-            _solution_at(params, best_psi, n_max, tol),
+            solution_at(params, best_psi, n_max, tol),
         )
-    return _solution_at(params, best_psi, n_max, tol)
+    return solution_at(params, best_psi, n_max, tol)

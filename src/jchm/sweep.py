@@ -129,14 +129,13 @@ def _failed_cell(x: float, y: float, note: str) -> PhasePoint:
 def indeterminate_point(x: float, y: float,
                         err: IndeterminatePhaseError) -> PhasePoint:
     """The unlabelled (INDET) point for an inconclusive truncation probe,
-    carrying the probe's finest level when there is a report."""
+    carrying the probe's finest level."""
     report = err.report
     return PhasePoint(
-        x=float(x), y=float(y), psi_star=0.0,
-        energy=report.energies[-1] if report else float("nan"),
-        l_expect=report.l_expects[-1] if report else float("nan"),
-        label=None, n_max_used=report.n_max_sequence[-1] if report else 0,
-        converged=False, note=f"indeterminate: {err}", report=report,
+        x=float(x), y=float(y), psi_star=0.0, energy=report.energies[-1],
+        l_expect=report.l_expects[-1], label=None,
+        n_max_used=report.n_max_sequence[-1], converged=False,
+        note=f"indeterminate: {err}", report=report,
     )
 
 
@@ -224,85 +223,3 @@ def energy_scan(l: int, y: float, x_points: Sequence[float],
         sol = minimize_over_psi(params, settings)
         out.append((float(x), sol.energy, sol.psi_star))
     return out
-
-
-@dataclass(frozen=True)
-class BoundarySegment:
-    """Connected polyline separating two phases on a classified grid.
-
-    pair holds the two tokens in sorted order; points are midpoints of the
-    cell-centre edges the boundary crosses.
-    """
-
-    pair: tuple[str, str]
-    points: tuple[tuple[float, float], ...]
-
-
-def extract_boundary(grid: PhaseGrid) -> list[BoundarySegment]:
-    """Token changes between 4-neighbour cells, grouped into polylines.
-
-    Each crossing contributes the midpoint of the two cell centres; crossings
-    of the same token pair that share a cell are chained into one segment.
-    Segments are ordered by pair, then by their smallest point.
-    """
-    xs = grid.spec.x_values
-    ys = grid.spec.y_values
-    # edge records: (pair, midpoint, cells touched)
-    edges: list[tuple[tuple[str, str], tuple[float, float],
-                      tuple[tuple[int, int], tuple[int, int]]]] = []
-    for ix in range(grid.spec.nx):
-        for iy in range(grid.spec.ny):
-            here = grid.cell(ix, iy).token
-            if ix + 1 < grid.spec.nx:
-                other = grid.cell(ix + 1, iy).token
-                if other != here:
-                    pair = tuple(sorted((here, other)))
-                    mid = (0.5 * (xs[ix] + xs[ix + 1]), float(ys[iy]))
-                    edges.append((pair, mid, ((ix, iy), (ix + 1, iy))))
-            if iy + 1 < grid.spec.ny:
-                other = grid.cell(ix, iy + 1).token
-                if other != here:
-                    pair = tuple(sorted((here, other)))
-                    mid = (float(xs[ix]), 0.5 * (ys[iy] + ys[iy + 1]))
-                    edges.append((pair, mid, ((ix, iy), (ix, iy + 1))))
-
-    # union-find over edges of the same pair sharing a cell
-    parent = list(range(len(edges)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_cell: dict[tuple[tuple[str, str], tuple[int, int]], int] = {}
-    for i, (pair, _, cells) in enumerate(edges):
-        for cell in cells:
-            key = (pair, cell)
-            if key in by_cell:
-                ra, rb = find(by_cell[key]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                by_cell[key] = i
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(edges)):
-        groups.setdefault(find(i), []).append(i)
-
-    segments: list[BoundarySegment] = []
-    for members in groups.values():
-        pair = edges[members[0]][0]
-        pts = sorted(edges[i][1] for i in members)
-        # greedy nearest-neighbour walk from the smallest point gives a
-        # deterministic, mostly monotone polyline
-        path = [pts[0]]
-        rest = pts[1:]
-        while rest:
-            px, py = path[-1]
-            nxt = min(rest, key=lambda q: (q[0] - px) ** 2 + (q[1] - py) ** 2)
-            path.append(nxt)
-            rest.remove(nxt)
-        segments.append(BoundarySegment(pair=pair, points=tuple(path)))
-    segments.sort(key=lambda s: (s.pair, s.points[0]))
-    return segments

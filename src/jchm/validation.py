@@ -9,6 +9,7 @@ same way in either place.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from .analytic import (
     strong_coupling_boundary,
 )
 from .classify import SolverSettings
-from .eigen import smallest_eigpair
 from .groundstate import energy_at_psi
 from .operators import ModelParams, bandwidth, build_l_diag, build_mean_field
 from .sweep import GridSpec, classify_at, refine_boundary, run_grid
@@ -117,6 +117,8 @@ def check_lobe_threshold(settings: SolverSettings = SolverSettings()) -> CheckRe
 def check_forbidden_frontier(settings: SolverSettings = SolverSettings()) -> CheckResult:
     """Onset of the forbidden region above the l=2 Mott lobes at x=-4."""
     def body() -> CheckResult:
+        # cached, so refine_boundary does not classify the bracket ends again
+        @functools.cache
         def evaluate(t: float):
             return classify_at(2, -4.0, t, settings)
         lo = evaluate(-0.1)
@@ -280,7 +282,7 @@ def _invariant_suite() -> CheckResult:
                 h = build_mean_field(params, 0.0, L).dense()
                 i = [2 * (L - l) + 1, 2 * L]  # |e, L-l> and |g, L>
                 block = h[np.ix_(i, i)]
-                e_block = smallest_eigpair(block).value
+                e_block = float(np.linalg.eigvalsh(block)[0])
                 if abs(e_minus - e_block) > 1e-10:
                     failures.append(
                         f"sector vs matrix mismatch {abs(e_minus - e_block):g} "

@@ -18,7 +18,6 @@ from jchm.analytic import (
     solve_sector_crossing,
     solve_sector_zero,
     strong_coupling_boundary,
-    strong_coupling_curve,
 )
 
 from conftest import sector_eigs, sector_matrix
@@ -202,13 +201,3 @@ def test_strong_coupling_boundary_validation():
         strong_coupling_boundary(0, Side.LOWER, 0.0)
     with pytest.raises(ValueError, match="kappa"):
         strong_coupling_boundary(0, Side.UPPER, -0.1)
-
-
-def test_strong_coupling_curve():
-    curve = strong_coupling_curve(0, Side.UPPER, [0.0, 0.01, 0.1])
-    assert curve.L == 0
-    assert curve.side is Side.UPPER
-    assert len(curve.points) == 3
-    assert curve.points[0] == (0.0, -1.0)
-    kappas = [p[0] for p in curve.points]
-    assert kappas == sorted(kappas)

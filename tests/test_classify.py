@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
+from jchm import classify, eigen, groundstate
 from jchm.classify import (
-    ConvergenceReport,
     IndeterminatePhaseError,
     PhaseKind,
     PhaseLabel,
@@ -11,6 +10,7 @@ from jchm.classify import (
     convergence_probe,
     default_n_max,
 )
+from jchm.groundstate import minimize_over_psi
 from jchm.operators import ModelParams
 
 from conftest import sector_eigs
@@ -35,13 +35,6 @@ def test_phase_label_invariants():
         PhaseLabel(PhaseKind.MOTT_INSULATOR)
     with pytest.raises(ValueError):
         PhaseLabel(PhaseKind.MOTT_INSULATOR, -1)
-
-
-def test_convergence_report_validation():
-    with pytest.raises(ValueError, match="schedule"):
-        ConvergenceReport((10,), (0.0,), (0.0,), True, False)
-    with pytest.raises(ValueError, match="length"):
-        ConvergenceReport((10, 20), (0.0,), (0.0, 0.0), True, False)
 
 
 def test_probe_vacuum_converges():
@@ -189,3 +182,47 @@ def test_probe_thresholds_checked_up_front():
                         ({"tol_conv": 0.0}, "tol_conv")):
         with pytest.raises(ValueError, match=f"^{key}: must be positive, got"):
             SolverSettings(**kwargs).for_l(1)
+
+
+def count_vector_solves(monkeypatch) -> list[int]:
+    """Dimensions of the smallest_eigpair calls made from here on."""
+    dims: list[int] = []
+    original = eigen.smallest_eigpair
+
+    def counted(h, *args, **kwargs):
+        dims.append(len(h))
+        return original(h, *args, **kwargs)
+    for module in (eigen, groundstate, classify):
+        if hasattr(module, "smallest_eigpair"):
+            monkeypatch.setattr(module, "smallest_eigpair", counted)
+    return dims
+
+
+@pytest.mark.parametrize("params, token", [
+    (ModelParams.resonant(2, 3.0, kappa=1e-4), "MI:0"),
+    (ModelParams.resonant(2, 2.3, kappa=1e-4), "MI:2"),
+    (ModelParams.resonant(3, 3.0, kappa=1e-4), "FORBIDDEN"),
+])
+def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
+                                                      token):
+    # psi = 0 is solved with its vector once at n_max (by the minimiser) and
+    # once at 2 n_max (by the probe)
+    dims = count_vector_solves(monkeypatch)
+    pt = classify_point(params)
+    n = default_n_max(params.l)
+    assert pt.token == token
+    assert dims == [2 * (n + 1), 2 * (2 * n + 1)]
+
+
+def test_probe_solves_the_base_level_when_psi_star_is_small(monkeypatch):
+    # a psi_star in (0, psi_eps] is not the psi = 0 solution, so the probe
+    # solves n_max itself
+    params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
+    settings = SolverSettings(n_max=20).for_l(1)
+    psi_star = minimize_over_psi(params, settings).psi_star
+    assert psi_star > 0
+    dims = count_vector_solves(monkeypatch)
+    pt = classify_point(params, SolverSettings(n_max=20, psi_eps=2 * psi_star))
+    assert pt.token == "MI:0" and pt.psi_star == psi_star
+    assert dims == [42, 42, 42, 82]
+    assert pt.report.n_max_sequence == (20, 40)

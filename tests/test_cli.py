@@ -250,6 +250,59 @@ def test_boundary_pair_mismatch(capsys):
     assert "expected" in err
 
 
+def test_boundary_classifies_each_point_once(monkeypatch, capsys):
+    # the bracket ends are classified once, not again by refine_boundary:
+    # 2 ends and 10 bisection steps from width 0.7 down to 1e-3
+    calls = []
+    original = cli.classify_at
+
+    def counted(l, x, y, *args, **kwargs):
+        calls.append((x, y))
+        return original(l, x, y, *args, **kwargs)
+    monkeypatch.setattr(cli, "classify_at", counted)
+    code, _, _ = run_cli(capsys, "boundary", "--l", "2", "--axis", "y",
+                         "--fixed", "-4", "--bracket=-1:-0.3",
+                         "--between", "MI:0,MI:2")
+    assert code == 0
+    assert len(calls) == 12 and len(set(calls)) == 12
+
+
+def same_cell(text: str, value) -> bool:
+    """Whether a CSV cell and a JSON value carry the same datum."""
+    if value is None:
+        return text in ("nan", "inf", "-inf")
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, float):
+        return float(text) == value
+    return text == str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagram", "--l", "1", "--x-range=-4:-0.5:3", "--y-range=-1.2:1.2:4"],
+    ["scan", "--l", "1", "--y", "-1.2", "--x-range=-2:-0.3:4"],
+    ["boundary", "--l", "2", "--axis", "y", "--fixed", "-4",
+     "--bracket=-1:-0.3", "--boundary-tol", "0.05"],
+    ["analytic", "--l", "1", "--x-range=-3:-1:3"],
+])
+def test_csv_and_json_carry_the_same_cells(tmp_path, capsys, argv):
+    # column by column, so it holds wherever the floats themselves differ
+    files = {}
+    for fmt in ("csv", "json"):
+        files[fmt] = tmp_path / f"out.{fmt}"
+        code, _, _ = run_cli(capsys, *argv, "--format", fmt,
+                             "--out", str(files[fmt]))
+        assert code in (0, 3)
+    header, *lines = files["csv"].read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    columns = json.loads(files["json"].read_text())["columns"]
+    assert sorted(header.split(",")) == sorted(columns)
+    for i, key in enumerate(header.split(",")):
+        assert len(columns[key]) == len(rows)
+        for row, value in zip(rows, columns[key]):
+            assert same_cell(row[i], value), (key, row[i], value)
+
+
 def test_analytic_two_photon(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--l", "2")
     assert code == 0

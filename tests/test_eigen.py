@@ -23,8 +23,13 @@ from conftest import zero_drive_ground_oracle
 HALF_FIVE_MINUS_SQRT17 = 0.4384471871911697
 
 
+def band(*rows) -> SymmetricMatrix:
+    """A literal lower band: rows[k][j] is the entry (j + k, j)."""
+    return SymmetricMatrix(np.array(rows, dtype=np.float64, order="F"))
+
+
 def test_two_by_two_exchange():
-    pair = smallest_eigpair(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    pair = smallest_eigpair(band([0.0, 0.0], [1.0, 0.0]))
     assert pair.value == pytest.approx(-1.0, abs=1e-12)
     # sign fixed by the first of the two equal-magnitude components
     assert pair.vector == pytest.approx(
@@ -32,24 +37,15 @@ def test_two_by_two_exchange():
 
 
 def test_diagonal():
-    pair = smallest_eigpair(np.diag([3.0, -2.0, 7.0]))
+    pair = smallest_eigpair(band([3.0, -2.0, 7.0]))
     assert pair.value == pytest.approx(-2.0, abs=1e-14)
     assert pair.vector == pytest.approx(np.array([0.0, 1.0, 0.0]), abs=1e-14)
 
 
 def test_sector_block_value():
-    block = np.array([[1.0, math.sqrt(2)], [math.sqrt(2), 4.0]])
+    block = band([1.0, 4.0], [math.sqrt(2), 0.0])
     pair = smallest_eigpair(block)
     assert pair.value == pytest.approx(HALF_FIVE_MINUS_SQRT17, abs=1e-12)
-
-
-def test_rejects_nonsymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        smallest_eigpair(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        smallest_eigpair(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="tol"):
-        smallest_eigpair(np.eye(2), tol=0.0)
 
 
 def test_band_solve_above_former_dense_limit():
@@ -64,18 +60,43 @@ def test_band_solve_above_former_dense_limit():
     assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
 
 
-sym_st = hnp.arrays(
-    dtype=np.float64,
-    shape=st.integers(2, 24).map(lambda n: (n, n)),
-    elements=st.floats(-5.0, 5.0),
-)
+@st.composite
+def lower_bands(draw) -> SymmetricMatrix:
+    """A random symmetric matrix in lower band storage: dimension 1 to 24,
+    bandwidth 0 to dimension - 1, zeros past the end of each subdiagonal."""
+    n = draw(st.integers(1, 24))
+    width = draw(st.integers(0, n - 1))
+    rows = draw(hnp.arrays(np.float64, (width + 1, n),
+                           elements=st.floats(-10.0, 10.0)))
+    for k in range(1, width + 1):
+        rows[k, n - k:] = 0.0
+    return SymmetricMatrix(np.asfortranarray(rows))
+
+
+def full_matrix(h: SymmetricMatrix) -> np.ndarray:
+    """The full matrix of a band, assembled here with np.diag."""
+    n = len(h)
+    a = np.diag(h.band[0])
+    for k in range(1, h.bandwidth + 1):
+        sub = np.diag(h.band[k, : n - k], -k)
+        a = a + sub + sub.T
+    return a
+
+
+def leading_submatrix(h: SymmetricMatrix) -> SymmetricMatrix:
+    """The band of h without its last row and column."""
+    n = len(h) - 1
+    rows = h.band[: n, : n].copy(order="F")
+    for k in range(1, len(rows)):
+        rows[k, n - k:] = 0.0
+    return SymmetricMatrix(rows)
 
 
 @settings(max_examples=80, deadline=None)
-@given(raw=sym_st)
-def test_matches_numpy_and_residual(raw):
-    a = raw + raw.T
-    pair = smallest_eigpair(a)
+@given(h=lower_bands())
+def test_matches_numpy_and_residual(h):
+    a = full_matrix(h)
+    pair = smallest_eigpair(h)
     w = np.linalg.eigvalsh(a)
     assert pair.value == pytest.approx(float(w[0]), abs=1e-9 * max(1.0, abs(w[0])))
     assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
@@ -86,14 +107,14 @@ def test_matches_numpy_and_residual(raw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(raw=sym_st)
-def test_principal_submatrix_interlacing(raw):
+@given(h=lower_bands())
+def test_principal_submatrix_interlacing(h):
     # the smallest eigenvalue cannot rise when the matrix grows
-    a = raw + raw.T
-    if a.shape[0] < 3:
+    if len(h) < 2:
         return
-    sub = a[:-1, :-1]
-    assert smallest_eigpair(a).value <= smallest_eigpair(sub).value + 1e-9
+    sub = leading_submatrix(h)
+    assert np.array_equal(full_matrix(sub), full_matrix(h)[:-1, :-1])
+    assert smallest_eigpair(h).value <= smallest_eigpair(sub).value + 1e-9
 
 
 def test_eigpair_is_plain_data():
@@ -101,20 +122,11 @@ def test_eigpair_is_plain_data():
     assert pair.value == 1.0
 
 
-def test_dense_input_and_band_agree():
-    a = np.array([[2.0, -1.0, 0.5], [-1.0, 0.0, 3.0], [0.5, 3.0, 1.0]])
-    band = SymmetricMatrix.from_dense(a)
-    assert len(band) == 3 and band.bandwidth == 2
-    assert np.array_equal(band.dense(), a)
-    dense_pair, band_pair = smallest_eigpair(a), smallest_eigpair(band)
-    assert dense_pair.value == band_pair.value
-    assert np.array_equal(dense_pair.vector, band_pair.vector)
-
-
 def test_one_by_one():
-    pair = smallest_eigpair(np.array([[-4.5]]))
+    pair = smallest_eigpair(band([-4.5]))
     assert pair.value == -4.5
     assert pair.vector.tolist() == [1.0]
+    assert smallest_eigenvalue(band([-4.5])) == -4.5
 
 
 def test_residual_check_runs_on_every_solve():
@@ -166,14 +178,6 @@ def test_eigenvalue_only_matches_eigpair_bitwise(case):
     assert smallest_eigenvalue(h) == smallest_eigpair(h).value
 
 
-def test_eigenvalue_only_dense_input():
-    a = np.array([[2.0, -1.0, 0.5], [-1.0, 0.0, 3.0], [0.5, 3.0, 1.0]])
-    assert smallest_eigenvalue(a) == smallest_eigpair(a).value
-    assert smallest_eigenvalue(np.array([[-4.5]])) == -4.5
-    with pytest.raises(ValueError, match="symmetric"):
-        smallest_eigenvalue(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-
 def generic_band():
     params = ModelParams(l=2, omega=1.1, Omega=0.9, mu=0.7, kappa=0.2)
     return build_mean_field(params, 0.4, 12)
@@ -210,6 +214,8 @@ def test_certificate_rejects_non_positive_tol():
             certify_smallest(h, smallest_eigpair(h).value, tol)
         with pytest.raises(ValueError, match="tol"):
             smallest_eigenvalue(h, tol)
+        with pytest.raises(ValueError, match="tol"):
+            smallest_eigpair(h, tol)
 
 
 def test_certificate_bound_below_rounding_fails():

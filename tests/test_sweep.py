@@ -1,16 +1,13 @@
 import math
 
-import numpy as np
 import pytest
 
 from jchm.analytic import Side, strong_coupling_boundary
-from jchm.classify import PhaseKind, SolverSettings
+from jchm.classify import SolverSettings
 from jchm.sweep import (
-    BoundarySegment,
     GridSpec,
     classify_at,
     energy_scan,
-    extract_boundary,
     params_for,
     refine_boundary,
     run_grid,
@@ -164,29 +161,3 @@ def test_energy_scan_shows_transition():
     x, e, psi = rows[3]
     assert e < -1e-3
     assert psi > 1e-3
-
-
-def test_extract_boundary_uniform_grid_is_empty():
-    spec = GridSpec(l=1, x_lo=-4.0, x_hi=-3.5, nx=2, y_lo=-1.8, y_hi=-1.6, ny=2)
-    grid = run_grid(spec)
-    assert extract_boundary(grid) == []
-
-
-def test_extract_boundary_lobe_edge():
-    spec = GridSpec(l=2, x_lo=-4.0, x_hi=-3.0, nx=3, y_lo=-1.0, y_hi=-0.3, ny=8)
-    grid = run_grid(spec)
-    segments = extract_boundary(grid)
-    assert segments
-    pairs = {seg.pair for seg in segments}
-    assert ("MI:0", "MI:2") in pairs
-    seg = next(s for s in segments if s.pair == ("MI:0", "MI:2"))
-    # the boundary lies between the cell rows bracketing the threshold
-    for px, py in seg.points:
-        assert -1.0 < py < -0.3
-        assert -4.0 <= px <= -3.0
-    # midpoints sit between adjacent y rows around the closed-form threshold
-    ys = spec.y_values
-    below = max(v for v in ys if v < GOLDEN_Y)
-    above = min(v for v in ys if v > GOLDEN_Y)
-    for _, py in seg.points:
-        assert below - 1e-9 <= py <= above + 1e-9

@@ -1,5 +1,6 @@
 import pytest
 
+from jchm import validation
 from jchm.classify import SolverSettings
 from jchm.validation import (
     CheckResult,
@@ -43,3 +44,16 @@ def test_crashed_check_reports_failure_not_exception():
     assert isinstance(res, CheckResult)
     assert not res.passed
     assert res.measured == "error"
+
+
+def test_forbidden_check_classifies_each_point_once(monkeypatch):
+    calls = []
+    original = validation.classify_at
+
+    def counted(l, x, y, *args, **kwargs):
+        calls.append((x, y))
+        return original(l, x, y, *args, **kwargs)
+    monkeypatch.setattr(validation, "classify_at", counted)
+    res = check_forbidden_frontier()
+    assert res.passed, res.line()
+    assert len(calls) == len(set(calls)) == 12
