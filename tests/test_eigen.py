@@ -48,6 +48,15 @@ def test_sector_block_value():
     assert pair.value == pytest.approx(HALF_FIVE_MINUS_SQRT17, abs=1e-12)
 
 
+def test_rejects_nonsymmetric():
+    # a band holds the lower triangle only, so no nonsymmetric matrix can be
+    # passed: the matrix solved is the symmetric one the band stores
+    a = band([0.0, 0.0], [1.0, 0.0])
+    assert np.array_equal(a.dense(), a.dense().T)
+    with pytest.raises(ValueError, match="tol"):
+        smallest_eigpair(band([1.0, 1.0]), tol=0.0)
+
+
 def test_band_solve_above_former_dense_limit():
     # dimension 2202 (past the old 2048 switch to Lanczos) on a physical band:
     # at psi = 0 the ground energy is the lowest of the sector energies
@@ -126,7 +135,6 @@ def test_one_by_one():
     pair = smallest_eigpair(band([-4.5]))
     assert pair.value == -4.5
     assert pair.vector.tolist() == [1.0]
-    assert smallest_eigenvalue(band([-4.5])) == -4.5
 
 
 def test_residual_check_runs_on_every_solve():
@@ -178,6 +186,15 @@ def test_eigenvalue_only_matches_eigpair_bitwise(case):
     assert smallest_eigenvalue(h) == smallest_eigpair(h).value
 
 
+def test_eigenvalue_only_dense_input():
+    # a full-bandwidth band, the storage a dense array is solved in
+    a = band([2.0, 0.0, 1.0], [-1.0, 3.0, 0.0], [0.5, 0.0, 0.0])
+    assert np.array_equal(
+        a.dense(), np.array([[2.0, -1.0, 0.5], [-1.0, 0.0, 3.0], [0.5, 3.0, 1.0]]))
+    assert smallest_eigenvalue(a) == smallest_eigpair(a).value
+    assert smallest_eigenvalue(band([-4.5])) == -4.5
+
+
 def generic_band():
     params = ModelParams(l=2, omega=1.1, Omega=0.9, mu=0.7, kappa=0.2)
     return build_mean_field(params, 0.4, 12)
@@ -214,8 +231,6 @@ def test_certificate_rejects_non_positive_tol():
             certify_smallest(h, smallest_eigpair(h).value, tol)
         with pytest.raises(ValueError, match="tol"):
             smallest_eigenvalue(h, tol)
-        with pytest.raises(ValueError, match="tol"):
-            smallest_eigpair(h, tol)
 
 
 def test_certificate_bound_below_rounding_fails():
