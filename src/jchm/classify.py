@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 from .eigen import DEFAULT_TOL
 from .groundstate import (
-    REFINE_TOL,
     BracketExhausted,
     MeanFieldSolution,
     minimize_over_psi,
@@ -25,9 +24,13 @@ from .groundstate import (
 )
 from .operators import ModelParams
 
-DEFAULT_TOL_CONV = 1e-8
-DEFAULT_PIN_FRACTION = 0.8
-DEFAULT_PSI_EPS = 1e-3
+# The labelling rule, read at call time: psi_star above PSI_EPS is
+# superfluid; the truncation probe counts as converged when doubling n_max
+# moves the energy by less than TOL_CONV, and as pinned when the final <L>
+# reaches PIN_FRACTION of its truncation.
+PSI_EPS = 1e-3
+TOL_CONV = 1e-8
+PIN_FRACTION = 0.8
 # <L> drift between the last two truncation levels still counted as converged,
 # and the widest distance from an integer accepted for an MI label.
 _L_DRIFT_TOL = 0.01
@@ -43,55 +46,38 @@ def default_n_max(l: int) -> int:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Solver settings shared by every point of a run.
+    """How hard every point of a run computes.
 
-    n_max is the base truncation, psi_max the top of the psi search, psi_eps
-    the psi_star below which a point is not superfluid, tol the eigensolver
-    residual bound, and tol_conv and pin_fraction the truncation probe's
-    convergence and pin thresholds (see convergence_probe).  None means the
-    default: default_n_max(l) for n_max (see for_l), and sqrt(n_max)/2 and
-    DEFAULT_PSI_EPS for psi_max and psi_eps (see psi_bounds).
+    n_max is the base truncation, psi_max the top of the psi search and tol
+    the eigensolver residual bound.  None means the default:
+    default_n_max(l) for n_max (see for_l) and sqrt(n_max)/2 for psi_max
+    (see search_max).
     """
 
     n_max: int | None = None
     psi_max: float | None = None
-    psi_eps: float | None = None
     tol: float = DEFAULT_TOL
-    tol_conv: float = DEFAULT_TOL_CONV
-    pin_fraction: float = DEFAULT_PIN_FRACTION
 
     def for_l(self, l: int) -> "SolverSettings":
         """These settings with n_max resolved for photon order l.
 
-        Raises ValueError for a truncation too small to resolve the coupling,
-        an unusable psi search, or a probe threshold (tol_conv,
-        pin_fraction) that is not positive.
+        Raises ValueError for a truncation too small to resolve the coupling
+        or a psi search that cannot reach PSI_EPS.
         """
         n_max = default_n_max(l) if self.n_max is None else self.n_max
         if n_max < l + 2:
             raise ValueError(f"n_max: must be at least l + 2 = {l + 2}, got {n_max}")
         resolved = replace(self, n_max=n_max)
-        psi_max, psi_eps = resolved.psi_bounds()
-        if not 0.0 < REFINE_TOL < psi_eps < psi_max:
-            raise ValueError(
-                "psi_max/psi_eps: need 0 < refine_tol < psi_zero_eps < psi_max, "
-                f"got refine_tol={REFINE_TOL}, psi_zero_eps={psi_eps}, "
-                f"psi_max={psi_max}"
-            )
-        for name in ("tol_conv", "pin_fraction"):
-            value = getattr(self, name)
-            if not 0.0 < value:
-                raise ValueError(f"{name}: must be positive, got {value}")
+        psi_max = resolved.search_max()
+        if not PSI_EPS < psi_max:
+            raise ValueError(f"psi_max: must exceed psi_eps = {PSI_EPS}, got {psi_max}")
         return resolved
 
-    def psi_bounds(self) -> tuple[float, float]:
-        """(psi_max, psi_eps) with their defaults filled in; the default
-        psi_max sqrt(n_max)/2 keeps the displaced-field photon number
-        psi_max**2 a factor 4 inside the truncation, so it needs a resolved
-        n_max (see for_l)."""
-        psi_max = math.sqrt(self.n_max) / 2.0 if self.psi_max is None else self.psi_max
-        psi_eps = DEFAULT_PSI_EPS if self.psi_eps is None else self.psi_eps
-        return psi_max, psi_eps
+    def search_max(self) -> float:
+        """psi_max with its default filled in: sqrt(n_max)/2 keeps the
+        displaced-field photon number psi_max**2 a factor 4 inside the
+        truncation, so it needs a resolved n_max (see for_l)."""
+        return math.sqrt(self.n_max) / 2.0 if self.psi_max is None else self.psi_max
 
 
 class PhaseKind(enum.Enum):
@@ -173,14 +159,14 @@ def convergence_probe(params: ModelParams, settings: SolverSettings,
                       zero: MeanFieldSolution | None = None) -> ConvergenceReport:
     """Ground energy and <L> at psi = 0 at truncations n_max and 2 n_max.
 
-    settings must have n_max resolved (SolverSettings.for_l).  zero is the
-    psi = 0 solution at n_max when the caller already has it, as
+    zero is the psi = 0 solution at n_max when the caller already has it, as
     minimize_over_psi returns it for an insulating point; otherwise that
     level is solved here.  converged: the doubling moved neither the energy
-    (within tol_conv) nor <L> (within 0.01).  pinned_at_truncation: the
-    final <L> tracks the truncation edge, the signature of a sector
-    escaping to infinity.
+    (within TOL_CONV) nor <L> (within 0.01).  pinned_at_truncation: the
+    final <L> reaches PIN_FRACTION of the truncation edge, the signature of
+    a sector escaping to infinity.
     """
+    settings = settings.for_l(params.l)
     if zero is None:
         zero = solution_at(params, 0.0, settings.n_max, settings.tol)
     fine = solution_at(params, 0.0, 2 * settings.n_max, settings.tol)
@@ -188,10 +174,9 @@ def convergence_probe(params: ModelParams, settings: SolverSettings,
         n_max_sequence=(zero.n_max_used, fine.n_max_used),
         energies=(zero.energy, fine.energy),
         l_expects=(zero.l_expect, fine.l_expect),
-        converged=(abs(fine.energy - zero.energy) < settings.tol_conv
+        converged=(abs(fine.energy - zero.energy) < TOL_CONV
                    and abs(fine.l_expect - zero.l_expect) < _L_DRIFT_TOL),
-        pinned_at_truncation=(fine.l_expect
-                              >= settings.pin_fraction * fine.n_max_used),
+        pinned_at_truncation=fine.l_expect >= PIN_FRACTION * fine.n_max_used,
     )
 
 
@@ -200,7 +185,7 @@ def classify_point(params: ModelParams,
     """Classify one parameter point as SF, MI(L) or forbidden.
 
     The psi minimisation runs at the base truncation n_max; if it returns
-    psi_star above psi_eps the point is superfluid.  Otherwise the psi = 0
+    psi_star above PSI_EPS the point is superfluid.  Otherwise the psi = 0
     problem is probed at n_max and 2 n_max, the base level reusing the
     minimiser's psi = 0 solution when psi_star is zero, and the reported
     energy, <L> and n_max_used come from the finer level.  A minimisation
@@ -211,7 +196,6 @@ def classify_point(params: ModelParams,
     ValueError for unusable settings.
     """
     settings = settings.for_l(params.l)
-    _, psi_eps = settings.psi_bounds()
     x = math.log10(params.kappa) if params.kappa > 0 else -math.inf
     y = params.l * params.mu - params.omega
 
@@ -219,7 +203,7 @@ def classify_point(params: ModelParams,
         sol = minimize_over_psi(params, settings)
     except BracketExhausted as err:
         sol = err.solution
-    if sol.psi_star > psi_eps:
+    if sol.psi_star > PSI_EPS:
         return PhasePoint(
             x=x, y=y, psi_star=sol.psi_star, energy=sol.energy,
             l_expect=sol.l_expect, label=PhaseLabel(PhaseKind.SUPERFLUID),

@@ -64,15 +64,7 @@ SETTINGS = (
      "base photon truncation (default 40, or 24 for l >= 3)", _COMPUTE),
     ("psi_max", float, None,
      "upper end of the psi search (default sqrt(n_max)/2)", _COMPUTE),
-    ("psi_eps", float, None,
-     "threshold below which psi counts as zero (default 1e-3)", _COMPUTE),
     ("tol", float, None, "eigensolver tolerance (default 1e-10)", _COMPUTE),
-    ("tol_conv", float, None,
-     "energy tolerance of the truncation probe (default 1e-8)",
-     _COMPUTE + ("validate",)),
-    ("pin_fraction", float, None,
-     "fraction of n_max at which <L> counts as pinned (default 0.8)",
-     _COMPUTE + ("validate",)),
     ("jobs", int, 1, "worker processes (default JCHM_JOBS or 1)",
      ("diagram", "validate")),
     ("x", float, None, "log10 of the hopping amplitude", ("point",)),
@@ -107,10 +99,6 @@ _LIMITS = {
 }
 
 
-class CliError(Exception):
-    """Bad input; the message must name the offending parameter."""
-
-
 def _fmt(value: float) -> str:
     """Floats at full round-trip precision, stable across runs."""
     return "%.17g" % value
@@ -126,7 +114,7 @@ def _convert(key: str, kind, value, shown: str | None = None):
         return value
     if isinstance(kind, tuple):
         if str(value) not in kind:
-            raise CliError(f"{key}: must be {' or '.join(kind)}, got {str(value)!r}")
+            raise ValueError(f"{key}: must be {' or '.join(kind)}, got {str(value)!r}")
         return str(value)
     if kind is str:
         return str(value)
@@ -138,7 +126,7 @@ def _convert(key: str, kind, value, shown: str | None = None):
         except (TypeError, ValueError, OverflowError):
             pass
     noun = {bool: "true or false", int: "an integer", float: "a number"}[kind]
-    raise CliError(f"{key}: {repr(value) if shown is None else shown} is not {noun}")
+    raise ValueError(f"{key}: {repr(value) if shown is None else shown} is not {noun}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -148,14 +136,14 @@ def _load_config(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
-        raise CliError(f"config: cannot read {path}: {err}") from err
+        raise ValueError(f"config: cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise CliError(f"config: {path} is not valid JSON: {err}") from err
+        raise ValueError(f"config: {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
-        raise CliError(f"config: {path} must hold a JSON object")
+        raise ValueError(f"config: {path} must hold a JSON object")
     for key in data:
         if key not in _TABLE:
-            raise CliError(f"config: unknown key '{key}'")
+            raise ValueError(f"config: unknown key '{key}'")
     return data
 
 
@@ -179,20 +167,19 @@ class _Config:
             return default
         value = _convert(key, kind, value, shown)
         if key in _LIMITS and not _LIMITS[key][0](value):
-            raise CliError(f"{key}: {_LIMITS[key][1]}, got {value}")
+            raise ValueError(f"{key}: {_LIMITS[key][1]}, got {value}")
         return value
 
     def photon_order(self) -> int:
         l = self["l"]
         if l is None:
-            raise CliError("l: missing (give --l or set it in the config file)")
+            raise ValueError("l: missing (give --l or set it in the config file)")
         return l
 
     def solver(self) -> SolverSettings:
-        """SolverSettings from the solver keys this subcommand takes; unset
-        ones keep the library defaults."""
-        given = {key: self[key] for key in _SOLVER_KEYS
-                 if self.args.command in _TABLE[key][4]}
+        """SolverSettings from the solver keys; unset ones keep the library
+        defaults."""
+        given = {key: self[key] for key in _SOLVER_KEYS}
         return SolverSettings(**{k: v for k, v in given.items() if v is not None})
 
     def model(self) -> dict:
@@ -209,7 +196,7 @@ def _split(text, name: str, form: str) -> list:
     """The parts of a "lo:hi[:n]" string or a sequence, as many as form has."""
     parts = list(text) if isinstance(text, (list, tuple)) else str(text).split(":")
     if len(parts) != form.count(":") + 1:
-        raise CliError(f"{name}: expected {form}, got {text!r}")
+        raise ValueError(f"{name}: expected {form}, got {text!r}")
     return parts
 
 
@@ -220,11 +207,11 @@ def _parse_range(text, name: str) -> tuple[float, float, int]:
         lo, hi = float(parts[0]), float(parts[1])
         n = int(parts[2])
     except (TypeError, ValueError) as err:
-        raise CliError(f"{name}: expected lo:hi:n with numeric parts, got {text!r}") from err
+        raise ValueError(f"{name}: expected lo:hi:n with numeric parts, got {text!r}") from err
     if n < 2:
-        raise CliError(f"{name}: need at least 2 samples, got {n}")
+        raise ValueError(f"{name}: need at least 2 samples, got {n}")
     if not lo < hi:
-        raise CliError(f"{name}: need lo < hi, got {lo} >= {hi}")
+        raise ValueError(f"{name}: need lo < hi, got {lo} >= {hi}")
     return lo, hi, n
 
 
@@ -233,7 +220,7 @@ def _parse_bracket(text, name: str) -> tuple[float, float]:
     try:
         return float(parts[0]), float(parts[1])
     except (TypeError, ValueError) as err:
-        raise CliError(f"{name}: expected numeric lo:hi, got {text!r}") from err
+        raise ValueError(f"{name}: expected numeric lo:hi, got {text!r}") from err
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -244,8 +231,11 @@ def _write_text(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _json_value(v: float):
-    if isinstance(v, float) and (math.isnan(v) or math.isinf(v)):
+def _json_value(v):
+    """v for JSON, lists item by item, with NaN and infinities as null."""
+    if isinstance(v, list):
+        return [_json_value(item) for item in v]
+    if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
 
@@ -261,13 +251,12 @@ def _table(columns: dict[str, list], fmt: str, spec: dict) -> str:
 
     csv: a header row, then one line per row, bools as true/false, floats
     at full precision and anything else as str.  json: {"spec", "columns"}
-    with NaN and infinities as null.
+    with NaN and infinities in either as null.
     """
     if fmt == "json":
-        data = {key: [_json_value(v) for v in values]
-                for key, values in columns.items()}
-        return json.dumps({"spec": spec, "columns": data},
-                          indent=1, sort_keys=True) + "\n"
+        data = {part: {key: _json_value(v) for key, v in values.items()}
+                for part, values in (("spec", spec), ("columns", columns))}
+        return json.dumps(data, indent=1, sort_keys=True) + "\n"
     lines = [",".join(columns)]
     lines += [",".join(map(_csv_cell, row)) for row in zip(*columns.values())]
     return "\n".join(lines) + "\n"
@@ -288,7 +277,7 @@ def cmd_point(cfg: _Config) -> int:
     settings = cfg.solver().for_l(l)
     x, y = cfg["x"], cfg["y"]
     if x is None or y is None:
-        raise CliError("x/y: both coordinates are required for point")
+        raise ValueError("x/y: both coordinates are required for point")
     try:
         pt, note = classify_at(l, x, y, settings, **cfg.model()), None
     except IndeterminatePhaseError as err:
@@ -344,16 +333,16 @@ def cmd_boundary(cfg: _Config) -> int:
     settings = cfg.solver().for_l(l)
     axis, fixed, bracket = cfg["axis"], cfg["fixed"], cfg["bracket"]
     if axis is None:
-        raise CliError("axis: must be x or y, got None")
+        raise ValueError("axis: must be x or y, got None")
     if fixed is None or bracket is None:
-        raise CliError("fixed/bracket: both are required for boundary")
+        raise ValueError("fixed/bracket: both are required for boundary")
     lo, hi = _parse_bracket(bracket, "bracket")
     between = cfg["between"]
     pair = None
     if between is not None:
         parts = between.split(",") if isinstance(between, str) else list(between)
         if len(parts) != 2:
-            raise CliError(f"between: expected two phase tokens, got {between!r}")
+            raise ValueError(f"between: expected two phase tokens, got {between!r}")
         pair = (parts[0].strip(), parts[1].strip())
     btol = cfg["boundary_tol"]
     out = cfg["out"]
@@ -372,7 +361,7 @@ def cmd_boundary(cfg: _Config) -> int:
     try:
         value = refine_boundary(evaluate, lo, hi, pair=pair, tol=btol)
     except ValueError as err:
-        raise CliError(f"bracket: {err}") from err
+        raise ValueError(f"bracket: {err}") from err
     print(f"axis = {axis}")
     print(f"fixed = {_fmt(fixed)}")
     print(f"pair = {end_lo.token} {end_hi.token}")
@@ -390,10 +379,10 @@ def cmd_scan(cfg: _Config) -> int:
     settings = cfg.solver().for_l(l)
     y = cfg["y"]
     if y is None:
-        raise CliError("y: required for scan")
+        raise ValueError("y: required for scan")
     x_range = cfg["x_range"]
     if x_range is None:
-        raise CliError("x-range: required for scan")
+        raise ValueError("x-range: required for scan")
     lo, hi, n = _parse_range(x_range, "x-range")
     spec_echo = cfg.echo(settings, y=y, x_range=[lo, hi, n])
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
@@ -462,7 +451,7 @@ def cmd_analytic(cfg: _Config) -> int:
 
 
 def cmd_validate(cfg: _Config) -> int:
-    results = run_all(quick=cfg["quick"], settings=cfg.solver(), jobs=cfg["jobs"])
+    results = run_all(quick=cfg["quick"], jobs=cfg["jobs"])
     for res in results:
         print(res.line())
     out = cfg["out"]
@@ -530,7 +519,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(_Config(args))
-    except (CliError, ValueError) as err:
+    except ValueError as err:
         print(f"invalid parameter: {err}", file=sys.stderr)
         return EXIT_INVALID
     except BracketExhausted as err:

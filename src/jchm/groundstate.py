@@ -106,16 +106,15 @@ def minimize_over_psi(params: ModelParams,
                       settings: SolverSettings) -> MeanFieldSolution:
     """Global minimum of the ground energy over psi in [0, psi_max].
 
-    settings must have n_max resolved (SolverSettings.for_l); its psi_max,
-    n_max and tol are read.  Every local minimum of the coarse scan is
-    refined by golden section, so a first-order (two-minimum) energy
-    landscape is still resolved.  Ties with the psi = 0 energy within
-    ENERGY_TIE_EPS report psi_star = 0.  If the minimum sits against psi_max
-    the bracket cannot be trusted and BracketExhausted is raised with the
-    edge solution attached.
+    settings are resolved by for_l; their psi_max, n_max and tol are read.
+    Every local minimum of the coarse scan is refined by golden section, so
+    a first-order (two-minimum) energy landscape is still resolved.  Ties
+    with the psi = 0 energy within ENERGY_TIE_EPS report psi_star = 0.  If
+    the minimum sits against psi_max the bracket cannot be trusted and
+    BracketExhausted is raised with the edge solution attached.
     """
-    n_max, tol = settings.n_max, settings.tol
-    psi_max, _ = settings.psi_bounds()
+    settings = settings.for_l(params.l)
+    n_max, tol, psi_max = settings.n_max, settings.tol, settings.search_max()
 
     def energy(p: float) -> float:
         return energy_at_psi(params, p, n_max, tol)

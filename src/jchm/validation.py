@@ -27,7 +27,6 @@ from .analytic import (
     solve_sector_zero,
     strong_coupling_boundary,
 )
-from .classify import SolverSettings
 from .groundstate import energy_at_psi
 from .operators import ModelParams, bandwidth, build_l_diag, build_mean_field
 from .sweep import GridSpec, classify_at, refine_boundary, run_grid
@@ -99,11 +98,11 @@ def check_sector_crossing() -> CheckResult:
     return _run("sector-crossing-l2", body)
 
 
-def check_lobe_threshold(settings: SolverSettings = SolverSettings()) -> CheckResult:
+def check_lobe_threshold() -> CheckResult:
     """Classified MI(0)/MI(2) boundary at l=2, x=-4 against the closed form."""
     def body() -> CheckResult:
         y = refine_boundary(
-            lambda t: classify_at(2, -4.0, t, settings),
+            lambda t: classify_at(2, -4.0, t),
             -1.0, -0.3, pair=("MI:0", "MI:2"), tol=1e-4,
         )
         ok = abs(y - (-0.6180)) < 2e-3
@@ -114,13 +113,13 @@ def check_lobe_threshold(settings: SolverSettings = SolverSettings()) -> CheckRe
     return _run("lobe-threshold-l2", body)
 
 
-def check_forbidden_frontier(settings: SolverSettings = SolverSettings()) -> CheckResult:
+def check_forbidden_frontier() -> CheckResult:
     """Onset of the forbidden region above the l=2 Mott lobes at x=-4."""
     def body() -> CheckResult:
         # cached, so refine_boundary does not classify the bracket ends again
         @functools.cache
         def evaluate(t: float):
-            return classify_at(2, -4.0, t, settings)
+            return classify_at(2, -4.0, t)
         lo = evaluate(-0.1)
         hi = evaluate(0.1)
         if hi.token != "FORBIDDEN":
@@ -137,15 +136,15 @@ def check_forbidden_frontier(settings: SolverSettings = SolverSettings()) -> Che
     return _run("forbidden-frontier-l2", body)
 
 
-def check_sf_boundaries(settings: SolverSettings = SolverSettings()) -> CheckResult:
+def check_sf_boundaries() -> CheckResult:
     """Single-photon insulator-superfluid boundary at two reference cuts."""
     def body() -> CheckResult:
         x1 = refine_boundary(
-            lambda t: classify_at(1, t, -1.2, settings),
+            lambda t: classify_at(1, t, -1.2),
             -1.2, -0.4, pair=("MI:0", "SF"), tol=1e-3,
         )
         x2 = refine_boundary(
-            lambda t: classify_at(1, t, -0.7, settings),
+            lambda t: classify_at(1, t, -0.7),
             -1.6, -0.8, pair=("MI:1", "SF"), tol=1e-3,
         )
         ok = abs(x1 - (-0.737)) < 0.02 and abs(x2 - (-1.14)) < 0.02
@@ -157,13 +156,13 @@ def check_sf_boundaries(settings: SolverSettings = SolverSettings()) -> CheckRes
     return _run("sf-boundary-l1", body)
 
 
-def check_strong_coupling_match(settings: SolverSettings = SolverSettings()) -> CheckResult:
+def check_strong_coupling_match() -> CheckResult:
     """Mean-field MI(0) upper edge against the small-kappa closed form."""
     def body() -> CheckResult:
         diffs = []
         for x in (-2.0, -2.5, -3.0):
             y_mf = refine_boundary(
-                lambda t: classify_at(1, x, t, settings),
+                lambda t: classify_at(1, x, t),
                 -1.3, -0.9, tol=1e-3,
             )
             y_sc = strong_coupling_boundary(0, Side.UPPER, 10.0 ** x)
@@ -177,15 +176,13 @@ def check_strong_coupling_match(settings: SolverSettings = SolverSettings()) -> 
     return _run("strong-coupling-match-l1", body)
 
 
-def check_phase_census(settings: SolverSettings = SolverSettings(),
-                       jobs: int = 1) -> CheckResult:
+def check_phase_census(jobs: int = 1) -> CheckResult:
     """Default 41x51 diagrams: which Mott lobes exist per photon order."""
     def body() -> CheckResult:
         failures = []
         summary = []
         for l in (1, 2, 3, 4):
-            grid = run_grid(GridSpec.default(l, nx=41, ny=51), settings,
-                            jobs=jobs)
+            grid = run_grid(GridSpec.default(l, nx=41, ny=51), jobs=jobs)
             levels = grid.mi_levels()
             counts = grid.token_counts()
             bad = counts.get("INDET", 0) + counts.get("INVALID", 0)
@@ -325,23 +322,19 @@ def check_invariants() -> CheckResult:
     return _run("invariant-suite", _invariant_suite)
 
 
-def run_all(quick: bool = False, settings: SolverSettings = SolverSettings(),
-            jobs: int = 1) -> list[CheckResult]:
-    """All checks in a stable order; quick skips the long diagram census.
-
-    settings go to every classification-based check; moving them off their
-    defaults (e.g. pin_fraction > 1) should make those checks fail.  jobs is
-    the census's worker-process count.
-    """
+def run_all(quick: bool = False, jobs: int = 1) -> list[CheckResult]:
+    """All checks in a stable order, each with the default SolverSettings;
+    quick skips the long diagram census, and jobs is its worker-process
+    count."""
     results = [
         check_sector_zero(),
         check_sector_crossing(),
         check_invariants(),
-        check_lobe_threshold(settings),
-        check_forbidden_frontier(settings),
-        check_sf_boundaries(settings),
-        check_strong_coupling_match(settings),
+        check_lobe_threshold(),
+        check_forbidden_frontier(),
+        check_sf_boundaries(),
+        check_strong_coupling_match(),
     ]
     if not quick:
-        results.append(check_phase_census(settings, jobs))
+        results.append(check_phase_census(jobs))
     return results

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from jchm import classify, eigen, groundstate
@@ -110,11 +111,11 @@ def test_classify_forbidden_two_photon_above_lobes():
     assert pt.token == "FORBIDDEN"
 
 
-def test_forbidden_wins_over_loose_convergence():
-    # an enormous tol_conv makes the probe "converged", but a pinned <L>
+def test_forbidden_wins_over_loose_convergence(monkeypatch):
+    # an enormous TOL_CONV makes the probe "converged", but a pinned <L>
     # must still be called forbidden
-    pt = classify_point(ModelParams.resonant(2, 1.5, kappa=1e-4),
-                        SolverSettings(tol_conv=1e6))
+    monkeypatch.setattr(classify, "TOL_CONV", 1e6)
+    pt = classify_point(ModelParams.resonant(2, 1.5, kappa=1e-4))
     assert pt.token == "FORBIDDEN"
 
 
@@ -173,15 +174,18 @@ def test_classify_custom_schedule_and_coordinates():
     assert pt.y == pytest.approx(1.0 - 2.5, abs=1e-12)
 
 
-def test_probe_thresholds_checked_up_front():
-    # checked by for_l, so a run fails before any cell instead of only the
-    # cells that reach the probe
-    for kwargs, key in (({"pin_fraction": 0.0}, "pin_fraction"),
-                        ({"pin_fraction": float("nan")}, "pin_fraction"),
-                        ({"tol_conv": -1.0}, "tol_conv"),
-                        ({"tol_conv": 0.0}, "tol_conv")):
-        with pytest.raises(ValueError, match=f"^{key}: must be positive, got"):
-            SolverSettings(**kwargs).for_l(1)
+def test_probe_and_minimiser_resolve_their_own_settings():
+    # unresolved settings give what SolverSettings().for_l(l) gives
+    params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
+    resolved = SolverSettings().for_l(params.l)
+    sol = minimize_over_psi(params, SolverSettings())
+    ref = minimize_over_psi(params, resolved)
+    assert sol.psi_star > 0
+    assert ((sol.psi_star, sol.energy, sol.l_expect, sol.n_max_used)
+            == (ref.psi_star, ref.energy, ref.l_expect, ref.n_max_used))
+    assert np.array_equal(sol.ground_vector, ref.ground_vector)
+    assert (convergence_probe(params, SolverSettings())
+            == convergence_probe(params, resolved))
 
 
 def count_vector_solves(monkeypatch) -> list[int]:
@@ -215,14 +219,15 @@ def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
 
 
 def test_probe_solves_the_base_level_when_psi_star_is_small(monkeypatch):
-    # a psi_star in (0, psi_eps] is not the psi = 0 solution, so the probe
+    # a psi_star in (0, PSI_EPS] is not the psi = 0 solution, so the probe
     # solves n_max itself
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
     settings = SolverSettings(n_max=20).for_l(1)
     psi_star = minimize_over_psi(params, settings).psi_star
     assert psi_star > 0
     dims = count_vector_solves(monkeypatch)
-    pt = classify_point(params, SolverSettings(n_max=20, psi_eps=2 * psi_star))
+    monkeypatch.setattr(classify, "PSI_EPS", 2 * psi_star)
+    pt = classify_point(params, SolverSettings(n_max=20))
     assert pt.token == "MI:0" and pt.psi_star == psi_star
     assert dims == [42, 42, 42, 82]
     assert pt.report.n_max_sequence == (20, 40)

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from jchm import cli
+from jchm.classify import PSI_EPS
 from jchm.cli import CSV_HEADER, main
+from jchm.groundstate import REFINE_TOL
 from jchm.validation import CheckResult
 
 
@@ -76,12 +78,12 @@ def test_scan_bracket_exhausted_names_psi_max(capsys):
 
 def test_point_psi_eps_above_psi_max(capsys):
     code, out, err = run_cli(capsys, "point", "--l", "1", "--x", "-4", "--y", "-1",
-                             "--psi-eps", "5")
+                             "--psi-max", "5e-4")
     assert code == 1
     assert out == ""
-    assert err == ("invalid parameter: psi_max/psi_eps: need 0 < refine_tol < "
-                   "psi_zero_eps < psi_max, got refine_tol=1e-06, "
-                   "psi_zero_eps=5.0, psi_max=3.1622776601683795\n")
+    assert err == ("invalid parameter: psi_max: must exceed psi_eps = 0.001, "
+                   "got 0.0005\n")
+    assert REFINE_TOL < PSI_EPS
 
 
 def test_point_indeterminate_exit_code(capsys):
@@ -129,20 +131,39 @@ def test_diagram_eigensolver_failure_writes_indet_cells(tmp_path, capsys):
 
 
 def test_probe_thresholds_rejected_before_any_cell(tmp_path, capsys):
-    # a point that never reaches the probe fails too, and a grid writes nothing
-    for flags in (["--x", "-0.5", "--y", "-1.2", "--pin-fraction", "0"],
-                  ["--x", "-4", "--y", "-1.2", "--tol-conv", "-1"]):
-        code, out, err = run_cli(capsys, "point", "--l", "1", *flags)
-        assert code == 1 and out == ""
-        key = flags[-2].lstrip("-").replace("-", "_")
-        assert err == f"invalid parameter: {key}: must be positive, got {float(flags[-1])}\n"
+    # the labelling thresholds are constants: neither a flag nor a config key
+    # sets them, and a grid writes nothing
     out_file = tmp_path / "grid.csv"
-    code, _, err = run_cli(capsys, "diagram", "--l", "1", "--x-range=-4:-0.3:3",
-                           "--y-range=-1.5:-1:2", "--pin-fraction", "0",
-                           "--out", str(out_file))
-    assert code == 1
-    assert err == "invalid parameter: pin_fraction: must be positive, got 0.0\n"
+    grid = ["diagram", "--l", "1", "--x-range=-4:-0.3:3", "--y-range=-1.5:-1:2",
+            "--out", str(out_file)]
+    for key in ("psi_eps", "tol_conv", "pin_fraction"):
+        for command in (["point", "--l", "1", "--x", "-4", "--y", "-1.2"],
+                        grid, ["validate", "--quick"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--" + key.replace("_", "-"), "0.5"])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert "usage: jchm" in err and "unrecognized arguments" in err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 0.5}))
+        code, out, err = run_cli(capsys, *grid, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"invalid parameter: config: unknown key '{key}'\n"
     assert not out_file.exists()
+
+
+def test_json_spec_writes_non_finite_values_as_null(tmp_path, capsys):
+    out_file = tmp_path / "f.json"
+    code, _, _ = run_cli(capsys, "boundary", "--l", "1", "--axis", "y",
+                         "--fixed=-inf", "--bracket=-1.3:-0.9", "--format",
+                         "json", "--out", str(out_file))
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    data = json.loads(out_file.read_text(), parse_constant=reject)
+    assert data["spec"]["fixed"] is None
+    assert data["columns"]["fixed"] == [None]
 
 
 def test_diagram_csv_file(tmp_path, capsys):
@@ -395,7 +416,7 @@ def test_config_value_errors_name_the_key(tmp_path, capsys, monkeypatch,
                                           command, key, value):
     # each value is converted to its declared type; nothing is truncated
     monkeypatch.setattr(cli, "run_all",
-                        lambda quick, settings, jobs: pytest.fail("checks ran"))
+                        lambda quick, jobs: pytest.fail("checks ran"))
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"l": 1, "x": -2.0, "y": -1.2, key: value}))
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
@@ -409,7 +430,7 @@ def test_diagram_json_spec_echo(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("JCHM_JOBS", raising=False)
     out_file = tmp_path / "grid.json"
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"tol_conv": 1e-6, "jobs": 2}))
+    cfg.write_text(json.dumps({"tol": 1e-9, "jobs": 2}))
 
     def spec(*extra):
         code, _, _ = run_cli(capsys, "diagram", "--l", "2", "--format", "json",
@@ -420,17 +441,16 @@ def test_diagram_json_spec_echo(tmp_path, capsys, monkeypatch):
 
     assert spec() == {
         "command": "diagram", "delta": 0.0, "format": "json", "jobs": 1,
-        "l": 2, "mu": 1.0, "n_max": 40, "pin_fraction": 0.8, "psi_eps": None,
-        "psi_max": None, "tol": 1e-10, "tol_conv": 1e-08,
+        "l": 2, "mu": 1.0, "n_max": 40, "psi_max": None, "tol": 1e-10,
         "x_range": [-4.0, -3.5, 2], "y_range": [-1.8, -1.6, 2], "z": 2,
     }
-    # config beats the default (tol_conv) and JCHM_JOBS (jobs)
+    # config beats the default (tol) and JCHM_JOBS (jobs)
     monkeypatch.setenv("JCHM_JOBS", "3")
     echo = spec("--config", str(cfg))
-    assert (echo["tol_conv"], echo["jobs"]) == (1e-6, 2)
+    assert (echo["tol"], echo["jobs"]) == (1e-9, 2)
     # a flag beats the config
-    echo = spec("--config", str(cfg), "--tol-conv", "1e-7", "--jobs", "1")
-    assert (echo["tol_conv"], echo["jobs"]) == (1e-7, 1)
+    echo = spec("--config", str(cfg), "--tol", "1e-8", "--jobs", "1")
+    assert (echo["tol"], echo["jobs"]) == (1e-8, 1)
 
 
 def test_jobs_env_fallback(tmp_path, capsys, monkeypatch):
@@ -470,7 +490,7 @@ def _fake_results(all_pass):
 
 def test_validate_reports_pass(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "run_all",
-                        lambda quick, settings, jobs: _fake_results(True))
+                        lambda quick, jobs: _fake_results(True))
     report = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "validate", "--quick", "--out", str(report))
     assert code == 0
@@ -482,7 +502,7 @@ def test_validate_reports_pass(capsys, monkeypatch, tmp_path):
 
 def test_validate_reports_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_all",
-                        lambda quick, settings, jobs: _fake_results(False))
+                        lambda quick, jobs: _fake_results(False))
     code, out, err = run_cli(capsys, "validate")
     assert code == 1
     assert "[FAIL] beta" in out

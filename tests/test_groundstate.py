@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jchm import groundstate
-from jchm.classify import SolverSettings
+from jchm.classify import PSI_EPS, SolverSettings
 from jchm.groundstate import (
     COARSE_STEPS,
     ENERGY_TIE_EPS,
+    REFINE_TOL,
     BracketExhausted,
     energy_at_psi,
     expected_L,
@@ -27,12 +28,13 @@ def spec_for(n_max, **overrides):
 
 
 def test_psi_search_spec_validation():
-    with pytest.raises(ValueError, match="psi_zero_eps"):
-        SolverSettings(psi_max=1.0, psi_eps=2.0).for_l(1)
-    with pytest.raises(ValueError, match="refine_tol"):
-        SolverSettings(psi_max=1.0, psi_eps=1e-7).for_l(1)
+    # golden section must resolve psi well inside the SF threshold
+    assert REFINE_TOL < PSI_EPS
+    with pytest.raises(ValueError, match=r"^psi_max: must exceed psi_eps = "
+                                         r"0\.001, got 0\.0005$"):
+        SolverSettings(psi_max=5e-4).for_l(1)
     spec = SolverSettings().for_l(1)
-    assert spec.psi_bounds()[0] == pytest.approx(math.sqrt(40) / 2)
+    assert spec.search_max() == pytest.approx(math.sqrt(40) / 2)
     assert COARSE_STEPS == 64
 
 
@@ -104,9 +106,9 @@ def test_minimize_single_occupancy_insulator():
 def test_minimize_superfluid():
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
     spec = spec_for(40)
-    psi_max, psi_zero_eps = spec.psi_bounds()
+    psi_max = spec.search_max()
     sol = minimize_over_psi(params, spec)
-    assert sol.psi_star > psi_zero_eps
+    assert sol.psi_star > PSI_EPS
     assert sol.energy < -1e-4
     # the reported energy beats (or ties) every coarse-scan energy
     for psi in np.linspace(0.0, psi_max, COARSE_STEPS):
@@ -124,7 +126,7 @@ def test_minimize_reports_bracket_exhaustion():
     # a deliberately tiny interval in a superfluid region: the minimum sits
     # at the edge and must be reported, carrying the edge solution
     params = ModelParams.resonant(1, 2.2, kappa=1.0)
-    spec = spec_for(30, psi_max=0.05, psi_eps=1e-3)
+    spec = spec_for(30, psi_max=0.05)
     with pytest.raises(BracketExhausted) as exc:
         minimize_over_psi(params, spec)
     sol = exc.value.solution

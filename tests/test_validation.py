@@ -1,7 +1,7 @@
 import pytest
 
 from jchm import validation
-from jchm.classify import SolverSettings
+from jchm import classify
 from jchm.validation import (
     CheckResult,
     check_forbidden_frontier,
@@ -28,19 +28,21 @@ def test_closed_form_checks_pass_fast():
         assert res.seconds < 30.0
 
 
-def test_forbidden_check_is_sensitive_to_pin_fraction():
+def test_forbidden_check_is_sensitive_to_pin_fraction(monkeypatch):
     # with the pin threshold pushed above 1 nothing can ever count as pinned,
     # so the runaway point comes back indeterminate and the check must fail
     # rather than silently pass
-    res = check_forbidden_frontier(SolverSettings(pin_fraction=2.0))
+    monkeypatch.setattr(classify, "PIN_FRACTION", 2.0)
+    res = check_forbidden_frontier()
     assert not res.passed
     assert "Indeterminate" in res.detail
 
 
-def test_crashed_check_reports_failure_not_exception():
+def test_crashed_check_reports_failure_not_exception(monkeypatch):
     # same knob through the public entry: a crash inside a check becomes a
     # failed CheckResult carrying the exception text
-    res = check_forbidden_frontier(SolverSettings(pin_fraction=1.5))
+    monkeypatch.setattr(classify, "PIN_FRACTION", 1.5)
+    res = check_forbidden_frontier()
     assert isinstance(res, CheckResult)
     assert not res.passed
     assert res.measured == "error"
