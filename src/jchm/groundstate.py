@@ -5,14 +5,21 @@ is rebuilt at every psi, never linearised, and its smallest eigenvalue is
 taken without an eigenvector (eigen.smallest_eigenvalue, certified by
 inertia).  Only psi = 0 and the reported minimiser are solved with their
 eigenvector, whose residual is checked (eigen.smallest_eigpair).  The spectrum
-is even in psi, so only psi >= 0 is searched: a coarse scan of COARSE_STEPS
-points brackets every local minimum, golden section refines each to
-REFINE_TOL, and minimisers within ENERGY_TIE_EPS of the psi = 0 energy
-collapse to exactly zero so the insulating solution is reported cleanly.
+is even in psi, so only psi >= 0 is searched, by branch and bound: the
+energy is z kappa psi^2 plus a concave function of psi, so on any interval
+it lies above a convex quadratic fixed by the two end energies.  Intervals
+whose bound cannot beat the best energy by MARGIN, nor the psi = 0 energy
+by ENERGY_TIE_EPS, are pruned; the rest are split until narrower than
+REFINE_TOL, and each new best that beats psi = 0 is polished by golden
+section.  MARGIN covers the rounding of one eigensolve, not the eigensolve
+tolerance (see minimize_over_psi).  Minimisers within ENERGY_TIE_EPS of the
+psi = 0 energy collapse to exactly zero so the insulating solution is
+reported cleanly.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -25,9 +32,11 @@ from .operators import ModelParams, build_l_diag, build_mean_field
 if TYPE_CHECKING:
     from .classify import SolverSettings
 
-COARSE_STEPS = 64
+SEED_POINTS = 8
 REFINE_TOL = 1e-6
 ENERGY_TIE_EPS = 1e-9
+MARGIN = 1e-10
+SPLIT_EDGE = 0.05
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -102,45 +111,111 @@ def solution_at(params: ModelParams, psi: float, n_max: int,
     )
 
 
+def _chord_bound(c: float, a: float, b: float, ea: float,
+                 eb: float) -> tuple[float, float]:
+    """Minimum over [a, b] of the lower bound of E = c psi^2 + g with g
+    concave, and where it is attained.
+
+    g lies above its chord, so E >= lin(psi) - c (psi - a)(b - psi), with
+    lin the straight line through (a, ea) and (b, eb): a convex quadratic.
+    Returns (bound, psi).
+    """
+    slope = (eb - ea) / (b - a)
+    if c > 0.0:
+        p = min(max(0.5 * (a + b) - slope / (2.0 * c), a), b)
+    else:
+        p = a if ea <= eb else b
+    return ea + slope * (p - a) - c * (p - a) * (b - p), p
+
+
 def minimize_over_psi(params: ModelParams,
                       settings: SolverSettings) -> MeanFieldSolution:
     """Global minimum of the ground energy over psi in [0, psi_max].
 
     settings are resolved by for_l; their psi_max, n_max and tol are read.
-    Every local minimum of the coarse scan is refined by golden section, so
-    a first-order (two-minimum) energy landscape is still resolved.  Ties
-    with the psi = 0 energy within ENERGY_TIE_EPS report psi_star = 0.  If
-    the minimum sits against psi_max the bracket cannot be trusted and
+
+    Branch and bound on E(psi) = z kappa psi^2 + g(psi), where
+    g(psi) = lambda_min(H_free - z kappa psi (a + a+)) is concave, a
+    minimum of functions affine in psi.  On an interval g lies above its
+    chord, which bounds E from below by a convex quadratic (_chord_bound).
+    SEED_POINTS evenly spaced samples open the search.  An interval is
+    pruned when its bound is at or above min(best - MARGIN, E(0) -
+    ENERGY_TIE_EPS): nothing in it can beat the incumbent, nor break the
+    tie with psi = 0.  Otherwise it is split at the bound's minimiser (the
+    midpoint when that lies within SPLIT_EDGE of an end) and closed once
+    narrower than REFINE_TOL.  A sample that becomes the incumbent and
+    beats E(0) by more than ENERGY_TIE_EPS is polished once, by golden
+    section to REFINE_TOL between its two evaluated neighbours, and that
+    bracket is closed; so a first-order (two-minimum) landscape is still
+    resolved, each basin on its own.
+
+    The proof is only as tight as MARGIN, an absolute 1e-10 that covers
+    the rounding of one dsbevx call (about eps * ||A||).  It does not cover
+    the inertia certificate's d = tol * max(1, |E|) of each sampled value,
+    which is larger than MARGIN whenever |E| > 1: every sampled energy is
+    certified to within d, but the bound that prunes is not widened by it.
+
+    Ties with the psi = 0 energy within ENERGY_TIE_EPS report psi_star = 0.
+    If the minimum sits against psi_max the bracket cannot be trusted and
     BracketExhausted is raised with the edge solution attached.
     """
     settings = settings.for_l(params.l)
     n_max, tol, psi_max = settings.n_max, settings.tol, settings.search_max()
+    c = params.z * params.kappa
 
     def energy(p: float) -> float:
         return energy_at_psi(params, p, n_max, tol)
 
-    # psi = 0 is solved once, with its vector: it opens the coarse scan and
-    # is the answer whenever the minimum ties with it
+    # psi = 0 is solved once, with its vector: it opens the search and is
+    # the answer whenever the minimum ties with it
     zero = solution_at(params, 0.0, n_max, tol)
-    psis = np.linspace(0.0, psi_max, COARSE_STEPS)
-    coarse = np.array([zero.energy] + [energy(p) for p in psis[1:]])
+    tie = zero.energy - ENERGY_TIE_EPS
+    psis = np.linspace(0.0, psi_max, SEED_POINTS).tolist()
+    energies = [zero.energy] + [energy(p) for p in psis[1:]]
+    best_psi, best_e = 0.0, zero.energy
 
-    best_psi = 0.0
-    best_e = float(coarse[0])
+    def polish(a: float, b: float) -> None:
+        nonlocal best_psi, best_e
+        p, e = _golden_section(energy, a, b, REFINE_TOL)
+        if e < best_e:
+            best_psi, best_e = p, e
+
+    heap: list[tuple[float, float, float, float, float, float]] = []
+
+    def push(a: float, b: float, ea: float, eb: float) -> None:
+        bound, p = _chord_bound(c, a, b, ea, eb)
+        if bound < min(best_e - MARGIN, tie):
+            heapq.heappush(heap, (bound, a, b, ea, eb, p))
+
     last = len(psis) - 1
-    for i in range(len(psis)):
-        left = coarse[i - 1] if i > 0 else np.inf
-        right = coarse[i + 1] if i < last else np.inf
-        if coarse[i] <= left and coarse[i] <= right:
-            if coarse[i] < best_e:
-                best_psi, best_e = float(psis[i]), float(coarse[i])
-            a = psis[max(i - 1, 0)]
-            b = psis[min(i + 1, last)]
-            p, e = _golden_section(energy, a, b, REFINE_TOL)
-            if e < best_e:
-                best_psi, best_e = p, e
+    i = int(np.argmin(energies))
+    closed = ()
+    if energies[i] < tie:
+        best_psi, best_e = psis[i], energies[i]
+        polish(psis[max(i - 1, 0)], psis[min(i + 1, last)])
+        closed = (i - 1, i)
+    for j in range(last):
+        if j not in closed:
+            push(psis[j], psis[j + 1], energies[j], energies[j + 1])
 
-    if float(coarse[0]) <= best_e + ENERGY_TIE_EPS:
+    while heap:
+        bound, a, b, ea, eb, p = heapq.heappop(heap)
+        if bound >= min(best_e - MARGIN, tie):
+            break
+        if b - a < REFINE_TOL:
+            continue
+        if min(p - a, b - p) < SPLIT_EDGE * (b - a):
+            p = 0.5 * (a + b)
+        e = energy(p)
+        if e < best_e:
+            best_psi, best_e = p, e
+            if e < tie:
+                polish(a, b)
+                continue
+        push(a, p, ea, e)
+        push(p, b, e, eb)
+
+    if zero.energy <= best_e + ENERGY_TIE_EPS:
         # flat or insulating landscape: report the symmetric solution exactly
         return zero
 

@@ -187,7 +187,8 @@ def refine_boundary(evaluate: Callable[[float], PhasePoint], lo: float,
     evaluate maps a scalar coordinate to a PhasePoint.  The bracket is
     [lo, hi]; the returned coordinate separates points sharing evaluate(lo)'s
     token from everything else.  With `pair` given, the bracket ends must
-    carry exactly those two tokens (in order), else ValueError.
+    carry exactly those two tokens (in order), else ValueError.  Bisection
+    stops at tol, or earlier once the bracket is down to adjacent floats.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -201,6 +202,8 @@ def refine_boundary(evaluate: Callable[[float], PhasePoint], lo: float,
         )
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if evaluate(mid).token == token_lo:
             lo = mid
         else:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from jchm import groundstate
 from jchm.classify import PSI_EPS, SolverSettings
 from jchm.groundstate import (
-    COARSE_STEPS,
     ENERGY_TIE_EPS,
     REFINE_TOL,
     BracketExhausted,
+    MeanFieldSolution,
     energy_at_psi,
     expected_L,
     minimize_over_psi,
@@ -35,7 +35,6 @@ def test_psi_search_spec_validation():
         SolverSettings(psi_max=5e-4).for_l(1)
     spec = SolverSettings().for_l(1)
     assert spec.search_max() == pytest.approx(math.sqrt(40) / 2)
-    assert COARSE_STEPS == 64
 
 
 def test_vacuum_energy_is_zero():
@@ -110,8 +109,8 @@ def test_minimize_superfluid():
     sol = minimize_over_psi(params, spec)
     assert sol.psi_star > PSI_EPS
     assert sol.energy < -1e-4
-    # the reported energy beats (or ties) every coarse-scan energy
-    for psi in np.linspace(0.0, psi_max, COARSE_STEPS):
+    # the reported energy beats (or ties) every energy of a 64-point scan
+    for psi in np.linspace(0.0, psi_max, 64):
         assert sol.energy <= energy_at_psi(params, psi, 40) + ENERGY_TIE_EPS + 1e-9
 
 
@@ -145,8 +144,10 @@ def test_minimize_ground_vector_is_normalised():
 def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                                                        vector_solves):
     # psi = 0 is solved once with its vector (and returned for an
-    # insulator); the scan and refinement take eigenvalues only, and a
-    # superfluid adds one vector solve at psi_star
+    # insulator); the branch and bound and its polish take eigenvalues
+    # only, and a superfluid adds one vector solve at psi_star.  The deep
+    # insulator is pruned after its seeds; the superfluid takes fewer value
+    # solves than the 63 a 64-point scan spends before any refinement
     calls = {"pair": 0, "value": 0}
 
     def counted(name, fn):
@@ -163,4 +164,44 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                             spec_for(40))
     assert (sol.psi_star > 0) == (vector_solves == 2)
     assert calls["pair"] == vector_solves
-    assert calls["value"] >= COARSE_STEPS - 1
+    if vector_solves == 1:
+        assert calls["value"] <= 16
+    else:
+        assert calls["value"] < 63
+
+
+def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
+    # a synthetic level crossing: E = c psi^2 + min(line1, line2), concave in
+    # its second term as the true energy is.  Each line gives a parabola of
+    # curvature c; the global minimum is the vertex of the second, just past
+    # the crossing, in a well whose part below the first basin's minimum is
+    # 0.5 scan steps wide and falls between two points of a 64-point scan
+    params = ModelParams.resonant(1, 2.2, kappa=0.5)
+    c = params.z * params.kappa
+    psi_max = spec_for(40).search_max()
+    step = psi_max / 63
+    psi1, e1 = 20 * step, -0.5           # broad basin, on a scan point
+    psi2 = 40.37 * step                  # narrow global minimum
+    e2 = e1 - c * (0.25 * step) ** 2
+
+    def energy(psi):
+        line1 = -2 * c * psi1 * psi + c * psi1 ** 2 + e1
+        line2 = -2 * c * psi2 * psi + c * psi2 ** 2 + e2
+        return c * psi * psi + min(line1, line2)
+
+    def solution(params, psi, n_max, tol):
+        return MeanFieldSolution(psi_star=float(psi), energy=energy(psi),
+                                 ground_vector=np.ones(1), l_expect=0.0,
+                                 n_max_used=n_max)
+
+    monkeypatch.setattr(groundstate, "energy_at_psi",
+                        lambda params, psi, n_max, tol: energy(psi))
+    monkeypatch.setattr(groundstate, "solution_at", solution)
+    sol = minimize_over_psi(params, spec_for(40))
+    assert sol.psi_star == pytest.approx(psi2, abs=REFINE_TOL)
+    assert sol.energy == pytest.approx(e2, abs=1e-12)
+
+    scan = np.linspace(0.0, psi_max, 64)
+    best = min(scan, key=energy)
+    assert best == pytest.approx(psi1)
+    assert energy(best) - e2 > 0.5 * (e1 - e2)

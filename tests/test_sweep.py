@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -140,6 +141,21 @@ def test_refine_boundary_validation():
                         pair=("MI:0", "SF"))
     with pytest.raises(ValueError, match="tol"):
         refine_boundary(lambda t: classify_at(2, -4.0, t), -1.0, -0.3, tol=0.0)
+
+
+def test_refine_boundary_stops_at_float_spacing():
+    # a tol below the float spacing of the bracket must not bisect forever:
+    # [0.5, 1] reaches adjacent floats in about 53 halvings
+    calls = []
+
+    def evaluate(t):
+        calls.append(t)
+        if len(calls) > 100:
+            raise AssertionError("bisection did not stop at float spacing")
+        return SimpleNamespace(token="A" if t < 0.7 else "B")
+
+    edge = refine_boundary(evaluate, 0.5, 1.0, tol=1e-300)
+    assert edge == pytest.approx(0.7, abs=1e-15)
 
 
 def test_strong_coupling_agreement_at_small_hopping():
