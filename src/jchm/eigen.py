@@ -6,7 +6,8 @@ make one LAPACK dsbevx call for the lowest eigenvalue of the band, and each
 checks its answer against the bound tol * max(1, |lambda|):
 
 - smallest_eigpair also returns the eigenvector, with a fixed sign, and
-  checks its residual ||A v - lambda v|| with the band mat-vec dsbmv;
+  checks its residual ||A v - lambda v|| with the band mat-vec dsbmv
+  (checked_eigpair, which also takes a pair found by other means);
 - smallest_eigenvalue returns the value alone and certifies it by inertia:
   the band Cholesky dpbtrf of A - (lambda - d) I must succeed and that of
   A - (lambda + d) I must fail, d = tol * max(1, |lambda|), which proves
@@ -69,11 +70,13 @@ class EigPair:
     vector: np.ndarray
 
 
-def _lowest(a: SymmetricMatrix, tol: float,
-            compute_v: int) -> tuple[float, np.ndarray]:
-    """One dsbevx call for the lowest eigenvalue, and its eigenvector if asked."""
+def _check_tol(tol: float) -> None:
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+
+
+def _lowest(a: SymmetricMatrix, compute_v: int) -> tuple[float, np.ndarray]:
+    """One dsbevx call for the lowest eigenvalue, and its eigenvector if asked."""
     w, z, m, _, info = dsbevx(a.band, 0.0, 0.0, 1, 1, compute_v=compute_v,
                               range=_RANGE_BY_INDEX, lower=1, overwrite_ab=0)
     if info != 0 or m != 1:
@@ -88,8 +91,22 @@ def smallest_eigpair(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> EigPair:
     positive (ties resolved toward the lowest index), and the residual
     ||A v - lambda v|| must not exceed tol * max(1, |lambda|).
     """
-    value, z = _lowest(a, tol, compute_v=1)
-    vector = z[:, 0]
+    value, z = _lowest(a, compute_v=1)
+    return checked_eigpair(a, value, z[:, 0], tol)
+
+
+def checked_eigpair(a: SymmetricMatrix, value: float, vector: np.ndarray,
+                    tol: float = DEFAULT_TOL) -> EigPair:
+    """value and vector as an EigPair held to smallest_eigpair's contract:
+    vector normalised and signed by its rule, and the residual
+    ||A v - value v|| within tol * max(1, |value|).  smallest_eigpair checks
+    its dsbevx pair here; a pair found by other means is checked the same
+    way.
+
+    The residual does not prove that value is the smallest eigenvalue;
+    certify_smallest does.
+    """
+    _check_tol(tol)
     vector = vector / np.linalg.norm(vector)
     if vector[int(np.argmax(np.abs(vector)))] < 0:
         vector = -vector
@@ -111,7 +128,7 @@ def smallest_eigenvalue(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> float:
     the same input it returns the same float.  The value is certified by
     certify_smallest in place of a residual check.
     """
-    value, _ = _lowest(a, tol, compute_v=0)
+    value, _ = _lowest(a, compute_v=0)
     certify_smallest(a, value, tol)
     return value
 
@@ -138,8 +155,7 @@ def certify_smallest(a: SymmetricMatrix, value: float, tol: float) -> None:
     tol.  Raises EigensolverError otherwise, for instance when value is a
     higher eigenvalue.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     d = tol * max(1.0, abs(value))
     if not _positive_definite(a, value - d):
         reason = f"an eigenvalue lies below {value - d:.17g}"

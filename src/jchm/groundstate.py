@@ -4,17 +4,19 @@ The drive amplitude psi is treated variationally: the full mean-field matrix
 is rebuilt at every psi, never linearised, and its smallest eigenvalue is
 taken without an eigenvector (eigen.smallest_eigenvalue, certified by
 inertia).  Only psi = 0 and the reported minimiser are solved with their
-eigenvector, whose residual is checked (eigen.smallest_eigpair).  The spectrum
-is even in psi, so only psi >= 0 is searched, by branch and bound: the
-energy is z kappa psi^2 plus a concave function of psi, so on any interval
-it lies above a convex quadratic fixed by the two end energies.  Intervals
-whose bound cannot beat the best energy by MARGIN, nor the psi = 0 energy
-by ENERGY_TIE_EPS, are pruned; the rest are split until narrower than
-REFINE_TOL, and each new best that beats psi = 0 is polished by golden
-section.  MARGIN covers the rounding of one eigensolve, not the eigensolve
-tolerance (see minimize_over_psi).  Minimisers within ENERGY_TIE_EPS of the
-psi = 0 energy collapse to exactly zero so the insulating solution is
-reported cleanly.
+eigenvector, whose residual is checked: psi = 0 from its L-sector blocks,
+under the same inertia certificate, and the minimiser by
+eigen.smallest_eigpair.  The spectrum is even in psi, so only psi >= 0 is
+searched, by branch and bound: the energy is z kappa psi^2 plus a concave
+function of psi, so on any interval it lies above a convex quadratic fixed
+by the two end energies.  Intervals whose bound cannot beat the best energy
+by MARGIN, nor the psi = 0 energy by ENERGY_TIE_EPS, are pruned; the rest
+are split until narrower than REFINE_TOL.  Each new best that beats psi = 0
+is polished by golden section and its bracket closed unbounded, which
+assumes one minimum in that bracket.  MARGIN covers the rounding of one
+eigensolve, not the eigensolve tolerance (see minimize_over_psi).
+Minimisers within ENERGY_TIE_EPS of the psi = 0 energy collapse to exactly
+zero so the insulating solution is reported cleanly.
 """
 
 from __future__ import annotations
@@ -26,13 +28,25 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .eigen import DEFAULT_TOL, smallest_eigenvalue, smallest_eigpair
-from .operators import ModelParams, build_l_diag, build_mean_field
+from .eigen import (
+    DEFAULT_TOL,
+    SymmetricMatrix,
+    certify_smallest,
+    checked_eigpair,
+    smallest_eigenvalue,
+    smallest_eigpair,
+)
+from .operators import (
+    ModelParams,
+    _psi_free_band,
+    build_l_diag,
+    build_mean_field,
+)
 
 if TYPE_CHECKING:
     from .classify import SolverSettings
 
-SEED_POINTS = 8
+SEED_POINTS = 3
 REFINE_TOL = 1e-6
 ENERGY_TIE_EPS = 1e-9
 MARGIN = 1e-10
@@ -100,7 +114,18 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
 
 def solution_at(params: ModelParams, psi: float, n_max: int,
                 tol: float) -> MeanFieldSolution:
-    """The mean-field ground state at fixed psi, solved with its eigenvector."""
+    """The mean-field ground state at fixed psi, with its eigenvector.
+
+    psi = 0 is solved from its L-sector blocks (_sector_solution), any
+    other psi by smallest_eigpair on the band.
+    """
+    if psi == 0.0:
+        return _sector_solution(params, n_max, tol)
+    return _band_solution(params, psi, n_max, tol)
+
+
+def _band_solution(params: ModelParams, psi: float, n_max: int,
+                   tol: float) -> MeanFieldSolution:
     pair = smallest_eigpair(build_mean_field(params, psi, n_max), tol)
     return MeanFieldSolution(
         psi_star=float(psi),
@@ -109,6 +134,54 @@ def solution_at(params: ModelParams, psi: float, n_max: int,
         l_expect=expected_L(pair.vector, params.l),
         n_max_used=n_max,
     )
+
+
+def _sector_solution(params: ModelParams, n_max: int,
+                     tol: float) -> MeanFieldSolution:
+    """The psi = 0 ground state, taken from the L-sector blocks.
+
+    At psi = 0 the Hamiltonian commutes with L, so each L = 0..n_max + l
+    has one candidate energy E_L: the lower root of the 2x2 block
+    {|e,L-l>, |g,L>} for l <= L <= n_max, and the single state |g,L> for
+    L < l or |e,L-l> for L > n_max, whose partner the truncation drops.
+    The lowest E_L and its unit vector, signed as smallest_eigpair signs
+    it, pass the same residual check on the full band and the same inertia
+    certificate (certify_smallest) as a value solve, and <L> is L exactly.
+    When the two lowest E_L lie within tol * max(1, |E|), the sectors
+    cannot say which state the band solve picks, and the band is solved.
+    """
+    l = params.l
+    band = _psi_free_band(l, params.omega, params.Omega, params.mu, n_max)
+    exc, gnd = band[0, 1::2], band[0, 0::2]     # |e,n>, |g,n>, n = 0..n_max
+    k = n_max - l + 1                           # number of 2x2 blocks
+    # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..n_max
+    c = band[2 * l - 1, 1:2 * k:2]
+    half = 0.5 * (exc[:k] - gnd[l:])
+    root = np.hypot(half, c)
+    energies = np.concatenate(
+        (gnd[:l], 0.5 * (exc[:k] + gnd[l:]) - root, exc[k:]))
+    L = int(np.argmin(energies))
+    value = float(energies[L])
+    if np.partition(energies, 1)[1] - value <= tol * max(1.0, abs(value)):
+        return _band_solution(params, 0.0, n_max, tol)
+
+    vector = np.zeros(band.shape[1])
+    if L < l:
+        vector[2 * L] = 1.0
+    elif L > n_max:
+        vector[2 * (L - l) + 1] = 1.0
+    else:
+        # (A - E) v = 0 from whichever row keeps h + r or r - h free of
+        # cancellation
+        j = L - l
+        h, r = half[j], root[j]
+        vector[[2 * j + 1, 2 * L]] = (-c[j], h + r) if h >= 0 else (r - h, -c[j])
+    matrix = SymmetricMatrix(band)
+    pair = checked_eigpair(matrix, value, vector, tol)
+    certify_smallest(matrix, value, tol)
+    return MeanFieldSolution(psi_star=0.0, energy=value,
+                             ground_vector=pair.vector, l_expect=float(L),
+                             n_max_used=n_max)
 
 
 def _chord_bound(c: float, a: float, b: float, ea: float,
@@ -138,20 +211,25 @@ def minimize_over_psi(params: ModelParams,
     g(psi) = lambda_min(H_free - z kappa psi (a + a+)) is concave, a
     minimum of functions affine in psi.  On an interval g lies above its
     chord, which bounds E from below by a convex quadratic (_chord_bound).
-    SEED_POINTS evenly spaced samples open the search.  An interval is
-    pruned when its bound is at or above min(best - MARGIN, E(0) -
-    ENERGY_TIE_EPS): nothing in it can beat the incumbent, nor break the
-    tie with psi = 0.  Otherwise it is split at the bound's minimiser (the
-    midpoint when that lies within SPLIT_EDGE of an end) and closed once
-    narrower than REFINE_TOL.  A sample that becomes the incumbent and
-    beats E(0) by more than ENERGY_TIE_EPS is polished once, by golden
-    section to REFINE_TOL between its two evaluated neighbours, and that
-    bracket is closed; so a first-order (two-minimum) landscape is still
-    resolved, each basin on its own.
+    SEED_POINTS evenly spaced samples, psi = 0 and psi_max among them, open
+    the search.  An interval is pruned when its bound is at or above
+    min(best - MARGIN, E(0) - ENERGY_TIE_EPS): nothing in it can beat the
+    incumbent, nor break the tie with psi = 0.  Otherwise it is split at
+    the bound's minimiser (the midpoint when that lies within SPLIT_EDGE of
+    an end) and closed once narrower than REFINE_TOL.  A sample that
+    becomes the incumbent and beats E(0) by more than ENERGY_TIE_EPS is
+    polished once, by golden section to REFINE_TOL between its two
+    evaluated neighbours, and that bracket is then closed without a bound:
+    the closure assumes E is unimodal there, and a second, lower minimum
+    inside the bracket is not excluded.  With three seeds a middle seed's
+    bracket is all of [0, psi_max].  Minima in other intervals are still
+    bounded, so a first-order (two-minimum) landscape is resolved when its
+    basins fall in different brackets.
 
     The proof is only as tight as MARGIN, an absolute 1e-10 that covers
-    the rounding of one dsbevx call (about eps * ||A||).  It does not cover
-    the inertia certificate's d = tol * max(1, |E|) of each sampled value,
+    the rounding of one dsbevx call (about eps * ||A||), and as the
+    unimodality of each polished bracket.  MARGIN does not cover the
+    inertia certificate's d = tol * max(1, |E|) of each sampled value,
     which is larger than MARGIN whenever |E| > 1: every sampled energy is
     certified to within d, but the bound that prunes is not widened by it.
 
@@ -166,8 +244,8 @@ def minimize_over_psi(params: ModelParams,
     def energy(p: float) -> float:
         return energy_at_psi(params, p, n_max, tol)
 
-    # psi = 0 is solved once, with its vector: it opens the search and is
-    # the answer whenever the minimum ties with it
+    # psi = 0 is solved once, with its vector, from the sector blocks: it
+    # opens the search and is the answer whenever the minimum ties with it
     zero = solution_at(params, 0.0, n_max, tol)
     tie = zero.energy - ENERGY_TIE_EPS
     psis = np.linspace(0.0, psi_max, SEED_POINTS).tolist()

@@ -31,13 +31,14 @@ def sector_eigs(l: int, L: int, omega: float, Omega: float | None = None,
     return np.linalg.eigvalsh(sector_matrix(l, L, omega, Omega, mu))
 
 
-def zero_drive_ground_oracle(l: int, omega: float, mu: float, n_max: int,
-                             Omega: float | None = None) -> float:
-    """Ground energy of the psi = 0 problem on the truncated space.
+def zero_drive_sector_energies(l: int, omega: float, mu: float, n_max: int,
+                               Omega: float | None = None) -> list[float]:
+    """Lowest energy of every conserved-quantity sector of the truncated
+    psi = 0 problem, in order of L.
 
-    Enumerates sectors directly: the 1x1 states |g, L> for L < l, the 2x2
-    blocks for l <= L <= n_max, and the 1x1 excited states |e, n> whose
-    partner |g, n+l> falls outside the truncation.
+    The 1x1 states |g, L> for L < l, the 2x2 blocks for l <= L <= n_max, and
+    the 1x1 excited states |e, n> whose partner |g, n+l> falls outside the
+    truncation.
     """
     if Omega is None:
         Omega = omega
@@ -46,4 +47,11 @@ def zero_drive_ground_oracle(l: int, omega: float, mu: float, n_max: int,
         candidates.append(float(sector_eigs(l, L, omega, Omega, mu)[0]))
     for n in range(n_max - l + 1, n_max + 1):
         candidates.append(Omega + n * omega - mu * (n + l))
-    return float(min(candidates))
+    return candidates
+
+
+def zero_drive_ground_oracle(l: int, omega: float, mu: float, n_max: int,
+                             Omega: float | None = None) -> float:
+    """Ground energy of the psi = 0 problem on the truncated space, the
+    lowest of zero_drive_sector_energies."""
+    return float(min(zero_drive_sector_energies(l, omega, mu, n_max, Omega)))

@@ -188,18 +188,26 @@ def test_probe_and_minimiser_resolve_their_own_settings():
             == convergence_probe(params, resolved))
 
 
-def count_vector_solves(monkeypatch) -> list[int]:
-    """Dimensions of the smallest_eigpair calls made from here on."""
+def count_vector_solves(monkeypatch) -> tuple[list[int], list[int]]:
+    """Dimensions of the band vector solves (smallest_eigpair) and
+    truncations of the psi = 0 sector solves made from here on."""
     dims: list[int] = []
+    sectors: list[int] = []
     original = eigen.smallest_eigpair
+    sector_solution = groundstate._sector_solution
 
     def counted(h, *args, **kwargs):
         dims.append(len(h))
         return original(h, *args, **kwargs)
+
+    def counted_sector(params, n_max, tol):
+        sectors.append(n_max)
+        return sector_solution(params, n_max, tol)
     for module in (eigen, groundstate, classify):
         if hasattr(module, "smallest_eigpair"):
             monkeypatch.setattr(module, "smallest_eigpair", counted)
-    return dims
+    monkeypatch.setattr(groundstate, "_sector_solution", counted_sector)
+    return dims, sectors
 
 
 @pytest.mark.parametrize("params, token", [
@@ -209,25 +217,28 @@ def count_vector_solves(monkeypatch) -> list[int]:
 ])
 def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
                                                       token):
-    # psi = 0 is solved with its vector once at n_max (by the minimiser) and
-    # once at 2 n_max (by the probe)
-    dims = count_vector_solves(monkeypatch)
+    # psi = 0 is solved from its sector blocks once at n_max (by the
+    # minimiser) and once at 2 n_max (by the probe), with no band vector
+    # solve
+    dims, sectors = count_vector_solves(monkeypatch)
     pt = classify_point(params)
     n = default_n_max(params.l)
     assert pt.token == token
-    assert dims == [2 * (n + 1), 2 * (2 * n + 1)]
+    assert dims == []
+    assert sectors == [n, 2 * n]
 
 
 def test_probe_solves_the_base_level_when_psi_star_is_small(monkeypatch):
     # a psi_star in (0, PSI_EPS] is not the psi = 0 solution, so the probe
-    # solves n_max itself
+    # solves n_max itself; only psi_star takes a band vector solve
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
     settings = SolverSettings(n_max=20).for_l(1)
     psi_star = minimize_over_psi(params, settings).psi_star
     assert psi_star > 0
-    dims = count_vector_solves(monkeypatch)
+    dims, sectors = count_vector_solves(monkeypatch)
     monkeypatch.setattr(classify, "PSI_EPS", 2 * psi_star)
     pt = classify_point(params, SolverSettings(n_max=20))
     assert pt.token == "MI:0" and pt.psi_star == psi_star
-    assert dims == [42, 42, 42, 82]
+    assert dims == [42]
+    assert sectors == [20, 20, 40]
     assert pt.report.n_max_sequence == (20, 40)

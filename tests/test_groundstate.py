@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jchm import groundstate
 from jchm.classify import PSI_EPS, SolverSettings
+from jchm.eigen import DEFAULT_TOL, smallest_eigpair
 from jchm.groundstate import (
     ENERGY_TIE_EPS,
     REFINE_TOL,
@@ -15,10 +16,11 @@ from jchm.groundstate import (
     energy_at_psi,
     expected_L,
     minimize_over_psi,
+    solution_at,
 )
-from jchm.operators import ModelParams
+from jchm.operators import ModelParams, build_mean_field
 
-from conftest import zero_drive_ground_oracle
+from conftest import zero_drive_ground_oracle, zero_drive_sector_energies
 
 ONE_MINUS_SQRT3 = -0.7320508075688772
 
@@ -68,6 +70,69 @@ def test_energy_even_in_psi(l, omega, psi, kappa):
     plus = energy_at_psi(params, psi, l + 12)
     minus = energy_at_psi(params, -psi, l + 12)
     assert abs(plus - minus) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 4), omega=st.floats(0.2, 4.0),
+       delta=st.floats(-1.0, 1.0), mu=st.floats(0.0, 3.0), z=st.integers(1, 6),
+       kappa=st.floats(0.0, 1.0), n_extra=st.integers(2, 76))
+# a soft cavity at large mu: the ground state is the edge state |e,3>,
+# whose partner |g,4> lies past the truncation
+@example(l=1, omega=0.2, delta=-1.0, mu=2.75, z=2, kappa=0.0, n_extra=2)
+def test_sector_solution_matches_the_band_solve(l, omega, delta, mu, z, kappa,
+                                                n_extra):
+    # psi = 0 from the sector blocks against dsbevx on the full band
+    assume(omega - delta > 0.0)
+    n_max = min(l + n_extra, 80)
+    params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu,
+                         kappa=kappa, z=z)
+    sol = solution_at(params, 0.0, n_max, DEFAULT_TOL)
+    pair = smallest_eigpair(build_mean_field(params, 0.0, n_max))
+    low = sorted(zero_drive_sector_energies(l, omega, mu, n_max, omega - delta))
+    if low[1] - low[0] <= DEFAULT_TOL * max(1.0, abs(low[0])):
+        # a tie: the sectors leave the state open, the band solve is returned
+        assert sol.energy == pair.value
+        assert np.array_equal(sol.ground_vector, pair.vector)
+        return
+    assert abs(sol.energy - pair.value) <= DEFAULT_TOL * max(1.0, abs(pair.value))
+    # same state
+    overlap = np.dot(sol.ground_vector, pair.vector)
+    assert abs(overlap) >= 1.0 - 1e-10
+    # the same sign rule: the largest-magnitude component is positive, the
+    # lowest index winning a tie.  At resonance a block's two components
+    # tie exactly (h = 0), and dsbevx's rounding breaks the tie either way
+    v = sol.ground_vector
+    top = np.flatnonzero(np.abs(v) == np.abs(v).max())
+    assert v[top[0]] > 0
+    mags = np.sort(np.abs(pair.vector))
+    if mags[-1] - mags[-2] > 1e-12:
+        assert overlap > 0
+    assert sol.l_expect == round(sol.l_expect)
+    assert sol.l_expect == pytest.approx(expected_L(pair.vector, l), abs=1e-8)
+    assert sol.psi_star == 0.0 and sol.n_max_used == n_max
+
+
+def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
+    # at l = 2, omega = (3 + sqrt 5)/2 the L = 2 sector ties with the
+    # vacuum to rounding: the sectors cannot say which state dsbevx picks,
+    # so the band is solved and its answer returned unchanged
+    params = ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0)
+    n_max = 40
+    pair = smallest_eigpair(build_mean_field(params, 0.0, n_max))
+    assert abs(pair.value) < 1e-14
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return smallest_eigpair(*args, **kwargs)
+
+    monkeypatch.setattr(groundstate, "smallest_eigpair", counted)
+    sol = solution_at(params, 0.0, n_max, DEFAULT_TOL)
+    assert calls == [2 * (n_max + 1)]
+    assert sol.energy == pair.value
+    assert np.array_equal(sol.ground_vector, pair.vector)
+    assert sol.l_expect == expected_L(pair.vector, 2)
+    assert sol.psi_star == 0.0 and sol.n_max_used == n_max
 
 
 def test_expected_l_examples():
@@ -143,12 +208,13 @@ def test_minimize_ground_vector_is_normalised():
 @pytest.mark.parametrize("kappa, vector_solves", [(1e-4, 1), (10 ** -0.5, 2)])
 def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                                                        vector_solves):
-    # psi = 0 is solved once with its vector (and returned for an
-    # insulator); the branch and bound and its polish take eigenvalues
-    # only, and a superfluid adds one vector solve at psi_star.  The deep
-    # insulator is pruned after its seeds; the superfluid takes fewer value
-    # solves than the 63 a 64-point scan spends before any refinement
-    calls = {"pair": 0, "value": 0}
+    # psi = 0 is solved once with its vector, from the sector blocks with
+    # no band eigensolve, and returned for an insulator; the branch and
+    # bound and its polish take eigenvalues only, and a superfluid adds one
+    # band vector solve at psi_star.  The deep insulator is pruned after its
+    # seeds; the superfluid takes fewer value solves than the 63 a 64-point
+    # scan spends before any refinement
+    calls = {"sector": 0, "pair": 0, "value": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -156,6 +222,8 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(groundstate, "_sector_solution",
+                        counted("sector", groundstate._sector_solution))
     monkeypatch.setattr(groundstate, "smallest_eigpair",
                         counted("pair", groundstate.smallest_eigpair))
     monkeypatch.setattr(groundstate, "smallest_eigenvalue",
@@ -163,7 +231,8 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa),
                             spec_for(40))
     assert (sol.psi_star > 0) == (vector_solves == 2)
-    assert calls["pair"] == vector_solves
+    assert calls["sector"] == 1
+    assert calls["pair"] == vector_solves - 1
     if vector_solves == 1:
         assert calls["value"] <= 16
     else:
