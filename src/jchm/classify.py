@@ -62,7 +62,7 @@ class SolverSettings:
         """These settings with n_max resolved for photon order l.
 
         Raises ValueError for a truncation too small to resolve the coupling
-        or a psi search that cannot reach PSI_EPS.
+        or a psi search that cannot reach PSI_EPS or has no finite end.
         """
         n_max = default_n_max(l) if self.n_max is None else self.n_max
         if n_max < l + 2:
@@ -71,6 +71,8 @@ class SolverSettings:
         psi_max = resolved.search_max()
         if not PSI_EPS < psi_max:
             raise ValueError(f"psi_max: must exceed psi_eps = {PSI_EPS}, got {psi_max}")
+        if math.isinf(psi_max):
+            raise ValueError(f"psi_max: must be finite, got {psi_max}")
         return resolved
 
     def search_max(self) -> float:

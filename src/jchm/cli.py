@@ -201,13 +201,13 @@ def _split(text, name: str, form: str) -> list:
 
 
 def _parse_range(text, name: str) -> tuple[float, float, int]:
-    """Accept "lo:hi:n" or a [lo, hi, n] sequence."""
+    """Accept "lo:hi:n" or a [lo, hi, n] sequence; n must be integral."""
     parts = _split(text, name, "lo:hi:n")
     try:
         lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2])
     except (TypeError, ValueError) as err:
         raise ValueError(f"{name}: expected lo:hi:n with numeric parts, got {text!r}") from err
+    n = _convert(name, int, parts[2])
     if n < 2:
         raise ValueError(f"{name}: need at least 2 samples, got {n}")
     if not lo < hi:
@@ -282,16 +282,11 @@ def cmd_point(cfg: _Config) -> int:
         pt, note = classify_at(l, x, y, settings, **cfg.model()), None
     except IndeterminatePhaseError as err:
         pt, note = indeterminate_point(x, y, err), str(err)
-    lines = [
-        f"x_log10_kappa = {_fmt(x)}",
-        f"y_lmu_minus_omega = {_fmt(y)}",
-        f"phase = {pt.token}",
-        f"psi = {_fmt(pt.psi_star)}",
-        f"energy = {_fmt(pt.energy)}",
-        f"L_expect = {_fmt(pt.l_expect)}",
-        f"n_max = {pt.n_max_used}",
-        f"converged = {'true' if pt.converged else 'false'}",
-    ]
+    # the CSV columns as key = value lines, with the phase third
+    keys = CSV_HEADER.split(",")
+    keys.insert(2, keys.pop(keys.index("phase")))
+    columns = _point_columns([pt])
+    lines = [f"{key} = {_csv_cell(columns[key][0])}" for key in keys]
     rep = pt.report
     if rep is not None:
         lines.append("probe_n_max = " + " ".join(str(n) for n in rep.n_max_sequence))
@@ -340,8 +335,9 @@ def cmd_boundary(cfg: _Config) -> int:
     between = cfg["between"]
     pair = None
     if between is not None:
-        parts = between.split(",") if isinstance(between, str) else list(between)
-        if len(parts) != 2:
+        parts = between.split(",") if isinstance(between, str) else between
+        if not (isinstance(parts, list) and len(parts) == 2
+                and all(isinstance(p, str) for p in parts)):
             raise ValueError(f"between: expected two phase tokens, got {between!r}")
         pair = (parts[0].strip(), parts[1].strip())
     btol = cfg["boundary_tol"]

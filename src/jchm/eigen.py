@@ -6,8 +6,7 @@ make one LAPACK dsbevx call for the lowest eigenvalue of the band, and each
 checks its answer against the bound tol * max(1, |lambda|):
 
 - smallest_eigpair also returns the eigenvector, with a fixed sign, and
-  checks its residual ||A v - lambda v|| with the band mat-vec dsbmv
-  (checked_eigpair, which also takes a pair found by other means);
+  checks its residual ||A v - lambda v|| with the band mat-vec dsbmv;
 - smallest_eigenvalue returns the value alone and certifies it by inertia:
   the band Cholesky dpbtrf of A - (lambda - d) I must succeed and that of
   A - (lambda + d) I must fail, d = tol * max(1, |lambda|), which proves
@@ -89,25 +88,13 @@ def smallest_eigpair(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> EigPair:
 
     The eigenvector sign is fixed so its largest-magnitude component is
     positive (ties resolved toward the lowest index), and the residual
-    ||A v - lambda v|| must not exceed tol * max(1, |lambda|).
+    ||A v - lambda v|| must not exceed tol * max(1, |lambda|).  The residual
+    does not prove that lambda is the smallest eigenvalue; certify_smallest
+    does.
     """
     value, z = _lowest(a, compute_v=1)
-    return checked_eigpair(a, value, z[:, 0], tol)
-
-
-def checked_eigpair(a: SymmetricMatrix, value: float, vector: np.ndarray,
-                    tol: float = DEFAULT_TOL) -> EigPair:
-    """value and vector as an EigPair held to smallest_eigpair's contract:
-    vector normalised and signed by its rule, and the residual
-    ||A v - value v|| within tol * max(1, |value|).  smallest_eigpair checks
-    its dsbevx pair here; a pair found by other means is checked the same
-    way.
-
-    The residual does not prove that value is the smallest eigenvalue;
-    certify_smallest does.
-    """
     _check_tol(tol)
-    vector = vector / np.linalg.norm(vector)
+    vector = z[:, 0] / np.linalg.norm(z[:, 0])
     if vector[int(np.argmax(np.abs(vector)))] < 0:
         vector = -vector
 

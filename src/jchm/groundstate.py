@@ -3,13 +3,13 @@
 The drive amplitude psi is treated variationally: the full mean-field matrix
 is rebuilt at every psi, never linearised, and its smallest eigenvalue is
 taken without an eigenvector (eigen.smallest_eigenvalue, certified by
-inertia).  Only psi = 0 and the reported minimiser are solved with their
-eigenvector, whose residual is checked: psi = 0 from its L-sector blocks,
-under the same inertia certificate, and the minimiser by
-eigen.smallest_eigpair.  The spectrum is even in psi, so only psi >= 0 is
-searched, by branch and bound: the energy is z kappa psi^2 plus a concave
-function of psi, so on any interval it lies above a convex quadratic fixed
-by the two end energies.  Intervals whose bound cannot beat the best energy
+inertia).  psi = 0 takes its lowest L-sector energy in closed form, under
+the same certificate, and its <L> is that sector's L; only a nonzero
+reported minimiser is solved with its eigenvector (eigen.smallest_eigpair),
+for <L>.  The spectrum is even in psi, so only psi >= 0 is searched, by
+branch and bound: the energy is z kappa psi^2 plus a concave function of
+psi, so on any interval it lies above a convex quadratic fixed by the two
+end energies.  Intervals whose bound cannot beat the best energy
 by MARGIN, nor the psi = 0 energy by ENERGY_TIE_EPS, are pruned; the rest
 are split until narrower than REFINE_TOL.  Each new best that beats psi = 0
 is polished by golden section and its bracket closed unbounded, which
@@ -32,7 +32,6 @@ from .eigen import (
     DEFAULT_TOL,
     SymmetricMatrix,
     certify_smallest,
-    checked_eigpair,
     smallest_eigenvalue,
     smallest_eigpair,
 )
@@ -61,7 +60,6 @@ class MeanFieldSolution:
 
     psi_star: float
     energy: float
-    ground_vector: np.ndarray
     l_expect: float
     n_max_used: int
 
@@ -114,7 +112,7 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
 
 def solution_at(params: ModelParams, psi: float, n_max: int,
                 tol: float) -> MeanFieldSolution:
-    """The mean-field ground state at fixed psi, with its eigenvector.
+    """The mean-field ground state at fixed psi.
 
     psi = 0 is solved from its L-sector blocks (_sector_solution), any
     other psi by smallest_eigpair on the band.
@@ -130,7 +128,6 @@ def _band_solution(params: ModelParams, psi: float, n_max: int,
     return MeanFieldSolution(
         psi_star=float(psi),
         energy=pair.value,
-        ground_vector=pair.vector,
         l_expect=expected_L(pair.vector, params.l),
         n_max_used=n_max,
     )
@@ -144,11 +141,10 @@ def _sector_solution(params: ModelParams, n_max: int,
     has one candidate energy E_L: the lower root of the 2x2 block
     {|e,L-l>, |g,L>} for l <= L <= n_max, and the single state |g,L> for
     L < l or |e,L-l> for L > n_max, whose partner the truncation drops.
-    The lowest E_L and its unit vector, signed as smallest_eigpair signs
-    it, pass the same residual check on the full band and the same inertia
-    certificate (certify_smallest) as a value solve, and <L> is L exactly.
-    When the two lowest E_L lie within tol * max(1, |E|), the sectors
-    cannot say which state the band solve picks, and the band is solved.
+    The lowest E_L passes the same inertia certificate (certify_smallest)
+    on the full band as a value solve, and <L> is its L exactly.  When the
+    two lowest E_L lie within tol * max(1, |E|), the sectors cannot say
+    which state the band solve picks, and the band is solved.
     """
     l = params.l
     band = _psi_free_band(l, params.omega, params.Omega, params.mu, n_max)
@@ -165,22 +161,8 @@ def _sector_solution(params: ModelParams, n_max: int,
     if np.partition(energies, 1)[1] - value <= tol * max(1.0, abs(value)):
         return _band_solution(params, 0.0, n_max, tol)
 
-    vector = np.zeros(band.shape[1])
-    if L < l:
-        vector[2 * L] = 1.0
-    elif L > n_max:
-        vector[2 * (L - l) + 1] = 1.0
-    else:
-        # (A - E) v = 0 from whichever row keeps h + r or r - h free of
-        # cancellation
-        j = L - l
-        h, r = half[j], root[j]
-        vector[[2 * j + 1, 2 * L]] = (-c[j], h + r) if h >= 0 else (r - h, -c[j])
-    matrix = SymmetricMatrix(band)
-    pair = checked_eigpair(matrix, value, vector, tol)
-    certify_smallest(matrix, value, tol)
-    return MeanFieldSolution(psi_star=0.0, energy=value,
-                             ground_vector=pair.vector, l_expect=float(L),
+    certify_smallest(SymmetricMatrix(band), value, tol)
+    return MeanFieldSolution(psi_star=0.0, energy=value, l_expect=float(L),
                              n_max_used=n_max)
 
 
@@ -244,8 +226,8 @@ def minimize_over_psi(params: ModelParams,
     def energy(p: float) -> float:
         return energy_at_psi(params, p, n_max, tol)
 
-    # psi = 0 is solved once, with its vector, from the sector blocks: it
-    # opens the search and is the answer whenever the minimum ties with it
+    # psi = 0 is solved once, from the sector blocks: it opens the search
+    # and is the answer whenever the minimum ties with it
     zero = solution_at(params, 0.0, n_max, tol)
     tie = zero.energy - ENERGY_TIE_EPS
     psis = np.linspace(0.0, psi_max, SEED_POINTS).tolist()

@@ -19,6 +19,7 @@ equal to the full matrix; .dense() gives the full matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 1 <= self.l <= 4:
             raise ValueError(f"l must be between 1 and 4, got {self.l}")
+        for name in ("omega", "Omega", "mu", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be non-negative, got {self.kappa}")
         if self.z < 1:

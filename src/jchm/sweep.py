@@ -8,6 +8,7 @@ to parallelise over processes.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -32,16 +33,26 @@ def params_for(l: int, x: float, y: float, *, z: int = 2, mu: float = 1.0,
     """Model parameters at diagram coordinates (x, y).
 
     kappa = 10**x and omega = l mu - y; the atomic splitting follows from the
-    detuning delta = omega - Omega.  Raises ValueError when omega or Omega
-    would not be positive.
+    detuning delta = omega - Omega.  x = -inf is zero hopping.  Raises
+    ValueError for a y that is not finite, an x whose 10**x is not finite
+    (NaN, +inf or past the float range), and an omega or Omega that would
+    not be positive.
     """
+    if not math.isfinite(y):
+        raise ValueError(f"y: must be finite, got {y}")
+    try:
+        kappa = 10.0 ** x
+    except OverflowError:
+        kappa = math.inf
+    if not math.isfinite(kappa):
+        raise ValueError(f"x: kappa = 10**x must be finite, got x = {x}")
     omega = l * mu - y
     if omega <= 0:
         raise ValueError(f"omega = l mu - y = {omega:g} must be positive")
     Omega = omega - delta
     if Omega <= 0:
         raise ValueError(f"Omega = omega - delta = {Omega:g} must be positive")
-    return ModelParams(l=l, omega=omega, Omega=Omega, mu=mu, kappa=10.0 ** x, z=z)
+    return ModelParams(l=l, omega=omega, Omega=Omega, mu=mu, kappa=kappa, z=z)
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,10 @@ class GridSpec:
             raise ValueError(f"l must be between 1 and 4, got {self.l}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"need nx, ny >= 2, got nx={self.nx}, ny={self.ny}")
+        bounds = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"grid ranges must be finite, got x [{self.x_lo}, "
+                             f"{self.x_hi}], y [{self.y_lo}, {self.y_hi}]")
         if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
             raise ValueError("grid ranges must be increasing")
 

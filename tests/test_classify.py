@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from jchm import classify, eigen, groundstate
@@ -181,9 +180,7 @@ def test_probe_and_minimiser_resolve_their_own_settings():
     sol = minimize_over_psi(params, SolverSettings())
     ref = minimize_over_psi(params, resolved)
     assert sol.psi_star > 0
-    assert ((sol.psi_star, sol.energy, sol.l_expect, sol.n_max_used)
-            == (ref.psi_star, ref.energy, ref.l_expect, ref.n_max_used))
-    assert np.array_equal(sol.ground_vector, ref.ground_vector)
+    assert sol == ref
     assert (convergence_probe(params, SolverSettings())
             == convergence_probe(params, resolved))
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from jchm import cli
+from jchm import cli, sweep
 from jchm.classify import PSI_EPS
 from jchm.cli import CSV_HEADER, main
 from jchm.groundstate import REFINE_TOL
@@ -424,6 +424,55 @@ def test_config_value_errors_name_the_key(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert err.startswith(f"invalid parameter: {key}: ")
     assert repr(value) in err
+
+
+def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
+    # NaN and infinities are rejected, naming the setting, before any cell is
+    # classified; x = -inf is zero hopping and stays valid
+    monkeypatch.setattr(sweep, "classify_point",
+                        lambda *a, **k: pytest.fail("a cell was classified"))
+    for argv, message in [
+        (["point", "--l", "1", "--x", "nan", "--y", "-1"], "x: "),
+        (["point", "--l", "1", "--x=inf", "--y", "-1"], "x: "),
+        (["point", "--l", "1", "--x=1", "--y=-inf"], "y: "),
+        (["point", "--l", "1", "--x", "-1", "--y", "-1", "--mu", "nan"],
+         "omega must be finite"),
+        (["point", "--l", "1", "--x", "-1", "--y", "-1", "--psi-max=inf"],
+         "psi_max: "),
+        (["diagram", "--l", "1", "--x-range=-inf:-1:3", "--y-range=-1:-0.5:2"],
+         "grid ranges must be finite"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"invalid parameter: {message}")
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "point", "--l", "1", "--x=-inf", "--y", "-1")
+    assert code == 0
+    assert "phase = MI:1\n" in out
+
+
+def test_config_between_must_hold_two_strings(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for between in ([1, 2], ["MI:0"], 5):
+        cfg.write_text(json.dumps({"between": between}))
+        code, _, err = run_cli(capsys, "boundary", "--l", "1", "--axis", "x",
+                               "--fixed=-1.2", "--bracket=-1.5:-0.3",
+                               "--config", str(cfg))
+        assert code == 1
+        assert err == (f"invalid parameter: between: expected two phase "
+                       f"tokens, got {between!r}\n")
+
+
+def test_range_sample_count_is_never_truncated(tmp_path, capsys):
+    # the same count is rejected from a config list and from the flag
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"x_range": [-2, -0.3, 2.7]}))
+    for source in (["--config", str(cfg)], ["--x-range=-2:-0.3:2.7"]):
+        code, out, err = run_cli(capsys, "scan", "--l", "1", "--y", "-1.2",
+                                 *source)
+        assert code == 1 and out == ""
+        assert err.startswith("invalid parameter: x-range: ")
+        assert "2.7" in err
 
 
 def test_diagram_json_spec_echo(tmp_path, capsys, monkeypatch):

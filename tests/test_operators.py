@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -218,3 +219,37 @@ def test_mean_field_bands_do_not_alias(psi):
     for p in (psi, 0.0, 0.6):
         assert np.array_equal(build_mean_field(params, p, 10).band,
                               reference_mean_field_band(params, p, 10))
+
+
+# The truncated atom (x) Fock basis as build_l_diag and build_mpjc lay it out.
+
+def test_dimension():
+    assert len(build_mpjc(ModelParams.resonant(2, 1.0), 2)) == 6
+    assert len(build_mpjc(ModelParams.resonant(1, 1.0), 40)) == 82
+
+
+def test_interleaved_ordering():
+    # atom-fastest: |g,0>, |e,0>, |g,1>, |e,1>, ... with L = n + l * excitation
+    for l in (1, 2, 3, 4):
+        diag = build_l_diag(l, l + 3)
+        assert list(diag[:4]) == [0, l, 1, 1 + l]
+
+
+def test_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="n_max"):
+        build_mpjc(ModelParams.resonant(2, 1.0), 1)
+    with pytest.raises(ValueError, match="l"):
+        build_mpjc(ModelParams.resonant(0, 1.0), 10)
+    with pytest.raises(ValueError, match="l"):
+        build_mpjc(ModelParams.resonant(5, 1.0), 10)
+
+
+@given(l=st.integers(1, 4), n_max=st.integers(4, 40))
+def test_l_multiplicities(l, n_max):
+    # every L between l and n_max appears exactly twice, the rest once
+    diag = build_l_diag(l, n_max)
+    counts = Counter(int(v) for v in diag)
+    for L in range(0, n_max + l + 1):
+        expected = 2 if l <= L <= n_max else 1
+        assert counts.get(L, 0) == expected
+    assert sum(counts.values()) == len(diag)
