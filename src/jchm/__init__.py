@@ -27,10 +27,8 @@ from .classify import (
     PhaseKind,
     PhaseLabel,
     PhasePoint,
-    SolverSettings,
     classify_point,
     convergence_probe,
-    default_n_max,
 )
 from .eigen import (
     EigPair,
@@ -41,6 +39,7 @@ from .eigen import (
 from .groundstate import (
     BracketExhausted,
     MeanFieldSolution,
+    default_n_max,
     energy_at_psi,
     expected_L,
     minimize_over_psi,
@@ -72,7 +71,7 @@ __all__ = [
     "MeanFieldSolution", "BracketExhausted",
     "energy_at_psi", "minimize_over_psi", "expected_L",
     "PhaseKind", "PhaseLabel", "ConvergenceReport", "PhasePoint",
-    "IndeterminatePhaseError", "SolverSettings", "classify_point",
+    "IndeterminatePhaseError", "classify_point",
     "convergence_probe", "default_n_max",
     "Branch", "Side", "SectorSpec", "sector_energy",
     "resonant_sector_energy", "resonant_ground_energy", "solve_sector_zero",

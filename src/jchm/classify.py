@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .eigen import DEFAULT_TOL
 from .groundstate import (
     BracketExhausted,
     MeanFieldSolution,
     minimize_over_psi,
+    resolve_n_max,
     solution_at,
 )
 from .operators import ModelParams
@@ -34,52 +34,6 @@ PIN_FRACTION = 0.8
 # <L> drift between the last two truncation levels still counted as converged,
 # and the widest distance from an integer accepted for an MI label.
 _L_DRIFT_TOL = 0.01
-
-
-def default_n_max(l: int) -> int:
-    """Default base truncation: the coupling grows as n^(l/2), so the
-    high-order models get a shorter ladder for the same matrix budget."""
-    if not 1 <= l <= 4:
-        raise ValueError(f"l must be between 1 and 4, got {l}")
-    return 40 if l <= 2 else 24
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """How hard every point of a run computes.
-
-    n_max is the base truncation, psi_max the top of the psi search and tol
-    the eigensolver residual bound.  None means the default:
-    default_n_max(l) for n_max (see for_l) and sqrt(n_max)/2 for psi_max
-    (see search_max).
-    """
-
-    n_max: int | None = None
-    psi_max: float | None = None
-    tol: float = DEFAULT_TOL
-
-    def for_l(self, l: int) -> "SolverSettings":
-        """These settings with n_max resolved for photon order l.
-
-        Raises ValueError for a truncation too small to resolve the coupling
-        or a psi search that cannot reach PSI_EPS or has no finite end.
-        """
-        n_max = default_n_max(l) if self.n_max is None else self.n_max
-        if n_max < l + 2:
-            raise ValueError(f"n_max: must be at least l + 2 = {l + 2}, got {n_max}")
-        resolved = replace(self, n_max=n_max)
-        psi_max = resolved.search_max()
-        if not PSI_EPS < psi_max:
-            raise ValueError(f"psi_max: must exceed psi_eps = {PSI_EPS}, got {psi_max}")
-        if math.isinf(psi_max):
-            raise ValueError(f"psi_max: must be finite, got {psi_max}")
-        return resolved
-
-    def search_max(self) -> float:
-        """psi_max with its default filled in: sqrt(n_max)/2 keeps the
-        displaced-field photon number psi_max**2 a factor 4 inside the
-        truncation, so it needs a resolved n_max (see for_l)."""
-        return math.sqrt(self.n_max) / 2.0 if self.psi_max is None else self.psi_max
 
 
 class PhaseKind(enum.Enum):
@@ -157,9 +111,10 @@ class PhasePoint:
         return "INVALID" if self.note.startswith("invalid") else "INDET"
 
 
-def convergence_probe(params: ModelParams, settings: SolverSettings,
+def convergence_probe(params: ModelParams, n_max: int | None = None,
                       zero: MeanFieldSolution | None = None) -> ConvergenceReport:
-    """Ground energy and <L> at psi = 0 at truncations n_max and 2 n_max.
+    """Ground energy and <L> at psi = 0 at truncations n_max and 2 n_max,
+    n_max resolved by resolve_n_max.
 
     zero is the psi = 0 solution at n_max when the caller already has it, as
     minimize_over_psi returns it for an insulating point; otherwise that
@@ -168,10 +123,10 @@ def convergence_probe(params: ModelParams, settings: SolverSettings,
     final <L> reaches PIN_FRACTION of the truncation edge, the signature of
     a sector escaping to infinity.
     """
-    settings = settings.for_l(params.l)
+    n_max = resolve_n_max(params.l, n_max)
     if zero is None:
-        zero = solution_at(params, 0.0, settings.n_max, settings.tol)
-    fine = solution_at(params, 0.0, 2 * settings.n_max, settings.tol)
+        zero = solution_at(params, 0.0, n_max)
+    fine = solution_at(params, 0.0, 2 * n_max)
     return ConvergenceReport(
         n_max_sequence=(zero.n_max_used, fine.n_max_used),
         energies=(zero.energy, fine.energy),
@@ -182,8 +137,7 @@ def convergence_probe(params: ModelParams, settings: SolverSettings,
     )
 
 
-def classify_point(params: ModelParams,
-                   settings: SolverSettings = SolverSettings()) -> PhasePoint:
+def classify_point(params: ModelParams, n_max: int | None = None) -> PhasePoint:
     """Classify one parameter point as SF, MI(L) or forbidden.
 
     The psi minimisation runs at the base truncation n_max; if it returns
@@ -195,14 +149,13 @@ def classify_point(params: ModelParams,
     resolvably nonzero even though its magnitude is truncation-limited.
 
     Raises IndeterminatePhaseError when the probe is inconclusive and
-    ValueError for unusable settings.
+    ValueError for an unusable n_max or drive.
     """
-    settings = settings.for_l(params.l)
     x = math.log10(params.kappa) if params.kappa > 0 else -math.inf
     y = params.l * params.mu - params.omega
 
     try:
-        sol = minimize_over_psi(params, settings)
+        sol = minimize_over_psi(params, n_max)
     except BracketExhausted as err:
         sol = err.solution
     if sol.psi_star > PSI_EPS:
@@ -212,7 +165,7 @@ def classify_point(params: ModelParams,
             n_max_used=sol.n_max_used, converged=True,
         )
 
-    report = convergence_probe(params, settings,
+    report = convergence_probe(params, n_max,
                                sol if sol.psi_star == 0.0 else None)
     energy = report.energies[-1]
     l_expect = report.l_expects[-1]

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .analytic import (
@@ -25,9 +25,9 @@ from .analytic import (
     solve_sector_zero,
     strong_coupling_boundary,
 )
-from .classify import IndeterminatePhaseError, PhasePoint, SolverSettings
+from .classify import IndeterminatePhaseError, PhasePoint
 from .eigen import EigensolverError
-from .groundstate import BracketExhausted
+from .groundstate import BracketExhausted, resolve_n_max
 from .sweep import (
     GridSpec,
     classify_at,
@@ -62,9 +62,6 @@ SETTINGS = (
     ("delta", float, 0.0, "detuning omega - Omega (default 0)", _COMPUTE),
     ("n_max", int, None,
      "base photon truncation (default 40, or 24 for l >= 3)", _COMPUTE),
-    ("psi_max", float, None,
-     "upper end of the psi search (default sqrt(n_max)/2)", _COMPUTE),
-    ("tol", float, None, "eigensolver tolerance (default 1e-10)", _COMPUTE),
     ("jobs", int, 1, "worker processes (default JCHM_JOBS or 1)",
      ("diagram", "validate")),
     ("x", float, None, "log10 of the hopping amplitude", ("point",)),
@@ -88,14 +85,12 @@ SETTINGS = (
     ("format", ("csv", "json"), "csv", "output format (default csv)", _WRITERS),
 )
 _TABLE = {row[0]: row for row in SETTINGS}
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverSettings))
 
 # Bounds on resolved values: key -> (test, message when the test fails).
 _LIMITS = {
     "l": (lambda v: 1 <= v <= 4, "must be between 1 and 4"),
     "z": (lambda v: v >= 1, "must be a positive integer"),
     "jobs": (lambda v: v >= 1, "must be a positive integer"),
-    "tol": (lambda v: v > 0, "must be positive"),
 }
 
 
@@ -176,19 +171,13 @@ class _Config:
             raise ValueError("l: missing (give --l or set it in the config file)")
         return l
 
-    def solver(self) -> SolverSettings:
-        """SolverSettings from the solver keys; unset ones keep the library
-        defaults."""
-        given = {key: self[key] for key in _SOLVER_KEYS}
-        return SolverSettings(**{k: v for k, v in given.items() if v is not None})
-
     def model(self) -> dict:
         return {"z": self["z"], "mu": self["mu"], "delta": self["delta"]}
 
-    def echo(self, settings: SolverSettings, **extra) -> dict:
+    def echo(self, **extra) -> dict:
         """The `spec` object of JSON output: the resolved configuration."""
         echo = {key: self[key] for key in ("l", "z", "mu", "delta", "jobs", "format")}
-        echo.update(asdict(settings), command=self.args.command, **extra)
+        echo.update(command=self.args.command, **extra)
         return echo
 
 
@@ -274,12 +263,12 @@ def _point_columns(points: Sequence[PhasePoint]) -> dict[str, list]:
 
 def cmd_point(cfg: _Config) -> int:
     l = cfg.photon_order()
-    settings = cfg.solver().for_l(l)
+    n_max = resolve_n_max(l, cfg["n_max"])
     x, y = cfg["x"], cfg["y"]
     if x is None or y is None:
         raise ValueError("x/y: both coordinates are required for point")
     try:
-        pt, note = classify_at(l, x, y, settings, **cfg.model()), None
+        pt, note = classify_at(l, x, y, n_max, **cfg.model()), None
     except IndeterminatePhaseError as err:
         pt, note = indeterminate_point(x, y, err), str(err)
     # the CSV columns as key = value lines, with the phase third
@@ -301,7 +290,7 @@ def cmd_point(cfg: _Config) -> int:
 
 def cmd_diagram(cfg: _Config) -> int:
     l = cfg.photon_order()
-    settings = cfg.solver().for_l(l)
+    n_max = resolve_n_max(l, cfg["n_max"])
     base = GridSpec.default(l, **cfg.model())
     if cfg["x_range"] is not None:
         lo, hi, n = _parse_range(cfg["x_range"], "x-range")
@@ -309,10 +298,10 @@ def cmd_diagram(cfg: _Config) -> int:
     if cfg["y_range"] is not None:
         lo, hi, n = _parse_range(cfg["y_range"], "y-range")
         base = replace(base, y_lo=lo, y_hi=hi, ny=n)
-    spec_echo = cfg.echo(settings, x_range=[base.x_lo, base.x_hi, base.nx],
+    spec_echo = cfg.echo(n_max=n_max, x_range=[base.x_lo, base.x_hi, base.nx],
                          y_range=[base.y_lo, base.y_hi, base.ny])
 
-    grid = run_grid(base, settings, jobs=cfg["jobs"])
+    grid = run_grid(base, n_max, jobs=cfg["jobs"])
     points = list(grid.iter_cells())
     _write_text(cfg["out"], _table(_point_columns(points), cfg["format"], spec_echo))
 
@@ -325,7 +314,7 @@ def cmd_diagram(cfg: _Config) -> int:
 
 def cmd_boundary(cfg: _Config) -> int:
     l = cfg.photon_order()
-    settings = cfg.solver().for_l(l)
+    n_max = resolve_n_max(l, cfg["n_max"])
     axis, fixed, bracket = cfg["axis"], cfg["fixed"], cfg["bracket"]
     if axis is None:
         raise ValueError("axis: must be x or y, got None")
@@ -342,7 +331,7 @@ def cmd_boundary(cfg: _Config) -> int:
         pair = (parts[0].strip(), parts[1].strip())
     btol = cfg["boundary_tol"]
     out = cfg["out"]
-    spec_echo = cfg.echo(settings, axis=axis, fixed=fixed, bracket=[lo, hi],
+    spec_echo = cfg.echo(n_max=n_max, axis=axis, fixed=fixed, bracket=[lo, hi],
                          boundary_tol=btol)
     model = cfg.model()
 
@@ -350,7 +339,7 @@ def cmd_boundary(cfg: _Config) -> int:
     @functools.cache
     def evaluate(t: float) -> PhasePoint:
         xx, yy = (t, fixed) if axis == "x" else (fixed, t)
-        return classify_at(l, xx, yy, settings, **model)
+        return classify_at(l, xx, yy, n_max, **model)
 
     end_lo = evaluate(lo)
     end_hi = evaluate(hi)
@@ -372,7 +361,7 @@ def cmd_boundary(cfg: _Config) -> int:
 
 def cmd_scan(cfg: _Config) -> int:
     l = cfg.photon_order()
-    settings = cfg.solver().for_l(l)
+    n_max = resolve_n_max(l, cfg["n_max"])
     y = cfg["y"]
     if y is None:
         raise ValueError("y: required for scan")
@@ -380,9 +369,9 @@ def cmd_scan(cfg: _Config) -> int:
     if x_range is None:
         raise ValueError("x-range: required for scan")
     lo, hi, n = _parse_range(x_range, "x-range")
-    spec_echo = cfg.echo(settings, y=y, x_range=[lo, hi, n])
+    spec_echo = cfg.echo(n_max=n_max, y=y, x_range=[lo, hi, n])
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    rows = energy_scan(l, y, xs, settings, **cfg.model())
+    rows = energy_scan(l, y, xs, n_max, **cfg.model())
     columns = {"x_log10_kappa": [r[0] for r in rows],
                "y_lmu_minus_omega": [y] * len(rows),
                "energy": [r[1] for r in rows], "psi": [r[2] for r in rows]}
@@ -519,7 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"invalid parameter: {err}", file=sys.stderr)
         return EXIT_INVALID
     except BracketExhausted as err:
-        print(f"invalid parameter: psi_max: {err}", file=sys.stderr)
+        print(f"invalid parameter: n_max: {err}", file=sys.stderr)
         return EXIT_INVALID
     except IndeterminatePhaseError as err:
         print(f"indeterminate: {err}", file=sys.stderr)

@@ -3,14 +3,18 @@
 Every matrix the package diagonalises is banded, so a SymmetricMatrix holds
 only its lower band in LAPACK's symmetric-band layout.  Both entry points
 make one LAPACK dsbevx call for the lowest eigenvalue of the band, and each
-checks its answer against the bound tol * max(1, |lambda|):
+checks its answer against tolerance(lambda) = TOL * max(1, |lambda|):
 
 - smallest_eigpair also returns the eigenvector, with a fixed sign, and
   checks its residual ||A v - lambda v|| with the band mat-vec dsbmv;
 - smallest_eigenvalue returns the value alone and certifies it by inertia:
   the band Cholesky dpbtrf of A - (lambda - d) I must succeed and that of
-  A - (lambda + d) I must fail, d = tol * max(1, |lambda|), which proves
-  that the smallest eigenvalue lies within d of lambda (certify_smallest).
+  A - (lambda + d) I must fail, d = tolerance(lambda), which proves that the
+  smallest eigenvalue lies within d of lambda (certify_smallest).
+
+TOL, read at call time, never reaches dsbevx (it keeps its own abstol): it
+sets how loose these checks are and how close two psi = 0 sector energies
+must be to tie (groundstate).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dsbevx
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10
 _RANGE_BY_INDEX = 2  # dsbevx RANGE = 'I'
 
 
@@ -69,9 +73,9 @@ class EigPair:
     vector: np.ndarray
 
 
-def _check_tol(tol: float) -> None:
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+def tolerance(value: float) -> float:
+    """The distance TOL * max(1, |value|) every check holds an eigenvalue to."""
+    return TOL * max(1.0, abs(value))
 
 
 def _lowest(a: SymmetricMatrix, compute_v: int) -> tuple[float, np.ndarray]:
@@ -83,31 +87,30 @@ def _lowest(a: SymmetricMatrix, compute_v: int) -> tuple[float, np.ndarray]:
     return float(w[0]), z
 
 
-def smallest_eigpair(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> EigPair:
+def smallest_eigpair(a: SymmetricMatrix) -> EigPair:
     """Algebraically smallest eigenvalue and eigenvector of a symmetric matrix.
 
     The eigenvector sign is fixed so its largest-magnitude component is
     positive (ties resolved toward the lowest index), and the residual
-    ||A v - lambda v|| must not exceed tol * max(1, |lambda|).  The residual
+    ||A v - lambda v|| must not exceed tolerance(lambda).  The residual
     does not prove that lambda is the smallest eigenvalue; certify_smallest
     does.
     """
     value, z = _lowest(a, compute_v=1)
-    _check_tol(tol)
     vector = z[:, 0] / np.linalg.norm(z[:, 0])
     if vector[int(np.argmax(np.abs(vector)))] < 0:
         vector = -vector
 
     residual = float(np.linalg.norm(
         dsbmv(a.bandwidth, 1.0, a.band, vector, lower=1) - value * vector))
-    if residual > tol * max(1.0, abs(value)):
+    if residual > tolerance(value):
         raise EigensolverError(
-            f"residual {residual:.3e} exceeds {tol:g} * max(1, |{value:.6g}|)"
+            f"residual {residual:.3e} exceeds {TOL:g} * max(1, |{value:.6g}|)"
         )
     return EigPair(value=value, vector=vector)
 
 
-def smallest_eigenvalue(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> float:
+def smallest_eigenvalue(a: SymmetricMatrix) -> float:
     """Algebraically smallest eigenvalue of a symmetric matrix, without its
     eigenvector.
 
@@ -116,7 +119,7 @@ def smallest_eigenvalue(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> float:
     certify_smallest in place of a residual check.
     """
     value, _ = _lowest(a, compute_v=0)
-    certify_smallest(a, value, tol)
+    certify_smallest(a, value)
     return value
 
 
@@ -130,20 +133,19 @@ def _positive_definite(a: SymmetricMatrix, shift: float) -> bool:
     return info == 0
 
 
-def certify_smallest(a: SymmetricMatrix, value: float, tol: float) -> None:
-    """Certify that the smallest eigenvalue of a lies within
-    d = tol * max(1, |value|) of value, by inertia.
+def certify_smallest(a: SymmetricMatrix, value: float) -> None:
+    """Certify that the smallest eigenvalue of a lies within d = tolerance(value)
+    of value, by inertia.
 
     A - s I is positive definite, so its Cholesky factorisation succeeds,
     exactly when s lies below every eigenvalue.  Success at s = value - d
     puts the smallest eigenvalue above value - d; failure at s = value + d
     puts one at or below value + d.  In floating point the factorisation
-    decides up to rounding of order eps * ||A||, far below d at the default
-    tol.  Raises EigensolverError otherwise, for instance when value is a
-    higher eigenvalue.
+    decides up to rounding of order eps * ||A||, far below d.  Raises
+    EigensolverError otherwise, for instance when value is a higher
+    eigenvalue.
     """
-    _check_tol(tol)
-    d = tol * max(1.0, abs(value))
+    d = tolerance(value)
     if not _positive_definite(a, value - d):
         reason = f"an eigenvalue lies below {value - d:.17g}"
     elif _positive_definite(a, value + d):
@@ -151,5 +153,5 @@ def certify_smallest(a: SymmetricMatrix, value: float, tol: float) -> None:
     else:
         return
     raise EigensolverError(
-        f"residual bound {tol:g} * max(1, |{value:.6g}|) not certified: {reason}"
+        f"residual bound {TOL:g} * max(1, |{value:.6g}|) not certified: {reason}"
     )

@@ -23,17 +23,17 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .eigen import (
-    DEFAULT_TOL,
     SymmetricMatrix,
     certify_smallest,
     smallest_eigenvalue,
     smallest_eigpair,
+    tolerance,
 )
 from .operators import (
     ModelParams,
@@ -42,14 +42,16 @@ from .operators import (
     build_mean_field,
 )
 
-if TYPE_CHECKING:
-    from .classify import SolverSettings
-
 SEED_POINTS = 3
 REFINE_TOL = 1e-6
 ENERGY_TIE_EPS = 1e-9
 MARGIN = 1e-10
 SPLIT_EDGE = 0.05
+# Largest accepted drive z kappa psi_max^2: the square root of the largest
+# float.  The drive part of the matrix has norm at most 5 z kappa psi_max^2,
+# so a rounding error on that scale (about 1e139 at the limit) still squares
+# to a finite number in the residual norm of smallest_eigpair.
+DRIVE_LIMIT = math.sqrt(sys.float_info.max)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -64,8 +66,25 @@ class MeanFieldSolution:
     n_max_used: int
 
 
+def default_n_max(l: int) -> int:
+    """Default base truncation: the coupling grows as n^(l/2), so the
+    high-order models get a shorter ladder for the same matrix budget."""
+    if not 1 <= l <= 4:
+        raise ValueError(f"l must be between 1 and 4, got {l}")
+    return 40 if l <= 2 else 24
+
+
+def resolve_n_max(l: int, n_max: int | None) -> int:
+    """n_max, or default_n_max(l) when None; ValueError below l + 2."""
+    if n_max is None:
+        return default_n_max(l)
+    if n_max < l + 2:
+        raise ValueError(f"n_max: must be at least l + 2 = {l + 2}, got {n_max}")
+    return n_max
+
+
 class BracketExhausted(RuntimeError):
-    """The energy minimum sits at psi_max; the search interval is too small.
+    """The energy minimum sits at psi_max = sqrt(n_max)/2; n_max is too small.
 
     Carries the best solution found at the interval edge in .solution.
     """
@@ -75,11 +94,10 @@ class BracketExhausted(RuntimeError):
         self.solution = solution
 
 
-def energy_at_psi(params: ModelParams, psi: float, n_max: int,
-                  tol: float = DEFAULT_TOL) -> float:
+def energy_at_psi(params: ModelParams, psi: float, n_max: int) -> float:
     """Smallest eigenvalue of the mean-field Hamiltonian at fixed psi, without
     its eigenvector."""
-    return smallest_eigenvalue(build_mean_field(params, psi, n_max), tol)
+    return smallest_eigenvalue(build_mean_field(params, psi, n_max))
 
 
 def expected_L(vector: np.ndarray, l: int) -> float:
@@ -110,21 +128,19 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return best
 
 
-def solution_at(params: ModelParams, psi: float, n_max: int,
-                tol: float) -> MeanFieldSolution:
+def solution_at(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolution:
     """The mean-field ground state at fixed psi.
 
     psi = 0 is solved from its L-sector blocks (_sector_solution), any
     other psi by smallest_eigpair on the band.
     """
     if psi == 0.0:
-        return _sector_solution(params, n_max, tol)
-    return _band_solution(params, psi, n_max, tol)
+        return _sector_solution(params, n_max)
+    return _band_solution(params, psi, n_max)
 
 
-def _band_solution(params: ModelParams, psi: float, n_max: int,
-                   tol: float) -> MeanFieldSolution:
-    pair = smallest_eigpair(build_mean_field(params, psi, n_max), tol)
+def _band_solution(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolution:
+    pair = smallest_eigpair(build_mean_field(params, psi, n_max))
     return MeanFieldSolution(
         psi_star=float(psi),
         energy=pair.value,
@@ -133,8 +149,7 @@ def _band_solution(params: ModelParams, psi: float, n_max: int,
     )
 
 
-def _sector_solution(params: ModelParams, n_max: int,
-                     tol: float) -> MeanFieldSolution:
+def _sector_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
     """The psi = 0 ground state, taken from the L-sector blocks.
 
     At psi = 0 the Hamiltonian commutes with L, so each L = 0..n_max + l
@@ -143,7 +158,7 @@ def _sector_solution(params: ModelParams, n_max: int,
     L < l or |e,L-l> for L > n_max, whose partner the truncation drops.
     The lowest E_L passes the same inertia certificate (certify_smallest)
     on the full band as a value solve, and <L> is its L exactly.  When the
-    two lowest E_L lie within tol * max(1, |E|), the sectors cannot say
+    two lowest E_L lie within eigen.tolerance(E), the sectors cannot say
     which state the band solve picks, and the band is solved.
     """
     l = params.l
@@ -158,10 +173,10 @@ def _sector_solution(params: ModelParams, n_max: int,
         (gnd[:l], 0.5 * (exc[:k] + gnd[l:]) - root, exc[k:]))
     L = int(np.argmin(energies))
     value = float(energies[L])
-    if np.partition(energies, 1)[1] - value <= tol * max(1.0, abs(value)):
-        return _band_solution(params, 0.0, n_max, tol)
+    if np.partition(energies, 1)[1] - value <= tolerance(value):
+        return _band_solution(params, 0.0, n_max)
 
-    certify_smallest(SymmetricMatrix(band), value, tol)
+    certify_smallest(SymmetricMatrix(band), value)
     return MeanFieldSolution(psi_star=0.0, energy=value, l_expect=float(L),
                              n_max_used=n_max)
 
@@ -184,10 +199,13 @@ def _chord_bound(c: float, a: float, b: float, ea: float,
 
 
 def minimize_over_psi(params: ModelParams,
-                      settings: SolverSettings) -> MeanFieldSolution:
-    """Global minimum of the ground energy over psi in [0, psi_max].
+                      n_max: int | None = None) -> MeanFieldSolution:
+    """Global minimum of the ground energy over psi in [0, psi_max] at
+    truncation n_max (resolve_n_max).
 
-    settings are resolved by for_l; their psi_max, n_max and tol are read.
+    psi_max = sqrt(n_max)/2 keeps the displaced-field photon number
+    psi_max^2 a factor 4 inside the truncation.  A drive z kappa psi_max^2
+    above DRIVE_LIMIT is rejected with ValueError before any solve.
 
     Branch and bound on E(psi) = z kappa psi^2 + g(psi), where
     g(psi) = lambda_min(H_free - z kappa psi (a + a+)) is concave, a
@@ -211,24 +229,28 @@ def minimize_over_psi(params: ModelParams,
     The proof is only as tight as MARGIN, an absolute 1e-10 that covers
     the rounding of one dsbevx call (about eps * ||A||), and as the
     unimodality of each polished bracket.  MARGIN does not cover the
-    inertia certificate's d = tol * max(1, |E|) of each sampled value,
+    inertia certificate's d = eigen.tolerance(E) of each sampled value,
     which is larger than MARGIN whenever |E| > 1: every sampled energy is
     certified to within d, but the bound that prunes is not widened by it.
 
     Ties with the psi = 0 energy within ENERGY_TIE_EPS report psi_star = 0.
-    If the minimum sits against psi_max the bracket cannot be trusted and
+    If the minimum sits against psi_max, n_max is too small to hold it and
     BracketExhausted is raised with the edge solution attached.
     """
-    settings = settings.for_l(params.l)
-    n_max, tol, psi_max = settings.n_max, settings.tol, settings.search_max()
+    n_max = resolve_n_max(params.l, n_max)
+    psi_max = math.sqrt(n_max) / 2.0
     c = params.z * params.kappa
+    if not c * psi_max ** 2 <= DRIVE_LIMIT:
+        raise ValueError(
+            f"x: kappa = {params.kappa:g} makes the drive z kappa psi_max^2 = "
+            f"{c * psi_max ** 2:g} exceed sqrt(float max) = {DRIVE_LIMIT:g}")
 
     def energy(p: float) -> float:
-        return energy_at_psi(params, p, n_max, tol)
+        return energy_at_psi(params, p, n_max)
 
     # psi = 0 is solved once, from the sector blocks: it opens the search
     # and is the answer whenever the minimum ties with it
-    zero = solution_at(params, 0.0, n_max, tol)
+    zero = solution_at(params, 0.0, n_max)
     tie = zero.energy - ENERGY_TIE_EPS
     psis = np.linspace(0.0, psi_max, SEED_POINTS).tolist()
     energies = [zero.energy] + [energy(p) for p in psis[1:]]
@@ -283,6 +305,6 @@ def minimize_over_psi(params: ModelParams,
         raise BracketExhausted(
             f"energy minimum sits at psi_max={psi_max:g}; "
             "the search interval (and likely n_max) is too small",
-            solution_at(params, best_psi, n_max, tol),
+            solution_at(params, best_psi, n_max),
         )
-    return solution_at(params, best_psi, n_max, tol)
+    return solution_at(params, best_psi, n_max)

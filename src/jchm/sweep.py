@@ -15,14 +15,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import (
-    IndeterminatePhaseError,
-    PhasePoint,
-    SolverSettings,
-    classify_point,
-)
+from .classify import IndeterminatePhaseError, PhasePoint, classify_point
 from .eigen import EigensolverError
-from .groundstate import minimize_over_psi
+from .groundstate import minimize_over_psi, resolve_n_max
 from .operators import ModelParams
 
 BOUNDARY_TOL = 1e-3
@@ -127,12 +122,11 @@ class PhaseGrid:
                 if pt.label is not None and pt.label.L is not None}
 
 
-def classify_at(l: int, x: float, y: float,
-                settings: SolverSettings = SolverSettings(), *, z: int = 2,
-                mu: float = 1.0, delta: float = 0.0) -> PhasePoint:
+def classify_at(l: int, x: float, y: float, n_max: int | None = None, *,
+                z: int = 2, mu: float = 1.0, delta: float = 0.0) -> PhasePoint:
     """classify_point at diagram coordinates, reporting the exact (x, y) given."""
     params = params_for(l, x, y, z=z, mu=mu, delta=delta)
-    return replace(classify_point(params, settings), x=float(x), y=float(y))
+    return replace(classify_point(params, n_max), x=float(x), y=float(y))
 
 
 def _failed_cell(x: float, y: float, note: str) -> PhasePoint:
@@ -156,9 +150,9 @@ def indeterminate_point(x: float, y: float,
 
 def _evaluate_cell(task) -> PhasePoint:
     """Worker for one grid cell; never raises, records failures in the cell."""
-    spec, settings, x, y = task
+    spec, n_max, x, y = task
     try:
-        return classify_at(spec.l, x, y, settings, z=spec.z, mu=spec.mu,
+        return classify_at(spec.l, x, y, n_max, z=spec.z, mu=spec.mu,
                            delta=spec.delta)
     except ValueError as err:
         return _failed_cell(x, y, f"invalid: {err}")
@@ -168,19 +162,19 @@ def _evaluate_cell(task) -> PhasePoint:
         return indeterminate_point(x, y, err)
 
 
-def run_grid(spec: GridSpec, settings: SolverSettings = SolverSettings(), *,
+def run_grid(spec: GridSpec, n_max: int | None = None, *,
              jobs: int = 1) -> PhaseGrid:
-    """Classify every cell of the grid.
+    """Classify every cell of the grid at truncation n_max (resolve_n_max).
 
     Unclassifiable cells are recorded (tokens INVALID / INDET), never fatal;
-    unusable settings raise ValueError before any cell runs.  The result is
-    independent of `jobs`.
+    an unusable n_max or jobs raises ValueError before any cell runs.  The
+    result is independent of `jobs`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    settings = settings.for_l(spec.l)
+    n_max = resolve_n_max(spec.l, n_max)
     ys = spec.y_values
-    tasks = [(spec, settings, x, y) for x in spec.x_values for y in ys]
+    tasks = [(spec, n_max, x, y) for x in spec.x_values for y in ys]
     if jobs == 1:
         flat = [_evaluate_cell(t) for t in tasks]
     else:
@@ -227,17 +221,17 @@ def refine_boundary(evaluate: Callable[[float], PhasePoint], lo: float,
 
 
 def energy_scan(l: int, y: float, x_points: Sequence[float],
-                settings: SolverSettings = SolverSettings(), *, z: int = 2,
-                mu: float = 1.0, delta: float = 0.0) -> list[tuple[float, float, float]]:
+                n_max: int | None = None, *, z: int = 2, mu: float = 1.0,
+                delta: float = 0.0) -> list[tuple[float, float, float]]:
     """Minimised ground energy along a horizontal cut of the diagram.
 
     Returns (x, energy, psi_star) per requested x.  Exposes the kink where
     the minimiser leaves psi = 0 at the insulator-superfluid boundary.
     """
-    settings = settings.for_l(l)
+    n_max = resolve_n_max(l, n_max)
     out: list[tuple[float, float, float]] = []
     for x in x_points:
         params = params_for(l, x, y, z=z, mu=mu, delta=delta)
-        sol = minimize_over_psi(params, settings)
+        sol = minimize_over_psi(params, n_max)
         out.append((float(x), sol.energy, sol.psi_star))
     return out

@@ -323,9 +323,9 @@ def check_invariants() -> CheckResult:
 
 
 def run_all(quick: bool = False, jobs: int = 1) -> list[CheckResult]:
-    """All checks in a stable order, each with the default SolverSettings;
-    quick skips the long diagram census, and jobs is its worker-process
-    count."""
+    """All checks in a stable order, each at the default truncation
+    default_n_max(l); quick skips the long diagram census, and jobs is its
+    worker-process count."""
     results = [
         check_sector_zero(),
         check_sector_crossing(),

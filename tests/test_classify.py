@@ -5,12 +5,10 @@ from jchm.classify import (
     IndeterminatePhaseError,
     PhaseKind,
     PhaseLabel,
-    SolverSettings,
     classify_point,
     convergence_probe,
-    default_n_max,
 )
-from jchm.groundstate import minimize_over_psi
+from jchm.groundstate import default_n_max, minimize_over_psi
 from jchm.operators import ModelParams
 
 from conftest import sector_eigs
@@ -39,7 +37,7 @@ def test_phase_label_invariants():
 
 def test_probe_vacuum_converges():
     params = ModelParams.resonant(1, 3.0)
-    report = convergence_probe(params, SolverSettings(n_max=6))
+    report = convergence_probe(params, 6)
     assert report.n_max_sequence == (6, 12)
     assert report.converged
     assert not report.pinned_at_truncation
@@ -51,7 +49,7 @@ def test_probe_detects_unbounded_two_photon_sector():
     # omega < 2 at l=2: energy per excitation approaches omega - 2 < 0, the
     # ground state rides the truncation edge
     params = ModelParams.resonant(2, 1.5)
-    report = convergence_probe(params, SolverSettings(n_max=20))
+    report = convergence_probe(params, 20)
     assert report.pinned_at_truncation
     assert not report.converged
     slope = (report.energies[1] - report.energies[0]) / (40 - 20)
@@ -60,7 +58,7 @@ def test_probe_detects_unbounded_two_photon_sector():
 
 def test_probe_detects_superlinear_three_photon_runaway():
     params = ModelParams.resonant(3, 3.0)
-    report = convergence_probe(params, SolverSettings(n_max=16))
+    report = convergence_probe(params, 16)
     assert report.pinned_at_truncation
     assert report.l_expects[1] == pytest.approx(32.0, abs=0.5)
     # the coupling root overwhelms the linear terms: doubling the truncation
@@ -134,8 +132,7 @@ def test_classify_label_matches_sector_argmin():
 
 def test_classify_stable_under_truncation_doubling():
     for base in (40, 80):
-        pt = classify_point(ModelParams.resonant(2, 2.3, kappa=1e-4),
-                            SolverSettings(n_max=base))
+        pt = classify_point(ModelParams.resonant(2, 2.3, kappa=1e-4), base)
         assert pt.token == "MI:2"
 
 
@@ -158,14 +155,12 @@ def test_inconclusive_probe_message_names_n_max():
 
 def test_classify_rejects_small_truncation():
     with pytest.raises(ValueError, match="n_max"):
-        classify_point(ModelParams.resonant(2, 2.5, kappa=1e-4),
-                       SolverSettings(n_max=3))
+        classify_point(ModelParams.resonant(2, 2.5, kappa=1e-4), 3)
 
 
 def test_classify_custom_schedule_and_coordinates():
     # the probe schedule follows the base truncation: (n_max, 2 n_max)
-    pt = classify_point(ModelParams.resonant(1, 2.5, kappa=1e-2),
-                        SolverSettings(n_max=20))
+    pt = classify_point(ModelParams.resonant(1, 2.5, kappa=1e-2), 20)
     assert pt.token == "MI:0"
     assert pt.report.n_max_sequence == (20, 40)
     assert pt.n_max_used == 40
@@ -174,15 +169,15 @@ def test_classify_custom_schedule_and_coordinates():
 
 
 def test_probe_and_minimiser_resolve_their_own_settings():
-    # unresolved settings give what SolverSettings().for_l(l) gives
+    # an unset n_max is default_n_max(l), and a too small one is rejected
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
-    resolved = SolverSettings().for_l(params.l)
-    sol = minimize_over_psi(params, SolverSettings())
-    ref = minimize_over_psi(params, resolved)
+    sol = minimize_over_psi(params)
     assert sol.psi_star > 0
-    assert sol == ref
-    assert (convergence_probe(params, SolverSettings())
-            == convergence_probe(params, resolved))
+    assert sol == minimize_over_psi(params, default_n_max(1))
+    assert convergence_probe(params) == convergence_probe(params, 40)
+    for step in (minimize_over_psi, convergence_probe):
+        with pytest.raises(ValueError, match="^n_max: must be at least"):
+            step(params, 2)
 
 
 def count_vector_solves(monkeypatch) -> tuple[list[int], list[int]]:
@@ -197,9 +192,9 @@ def count_vector_solves(monkeypatch) -> tuple[list[int], list[int]]:
         dims.append(len(h))
         return original(h, *args, **kwargs)
 
-    def counted_sector(params, n_max, tol):
+    def counted_sector(params, n_max):
         sectors.append(n_max)
-        return sector_solution(params, n_max, tol)
+        return sector_solution(params, n_max)
     for module in (eigen, groundstate, classify):
         if hasattr(module, "smallest_eigpair"):
             monkeypatch.setattr(module, "smallest_eigpair", counted)
@@ -229,12 +224,11 @@ def test_probe_solves_the_base_level_when_psi_star_is_small(monkeypatch):
     # a psi_star in (0, PSI_EPS] is not the psi = 0 solution, so the probe
     # solves n_max itself; only psi_star takes a band vector solve
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
-    settings = SolverSettings(n_max=20).for_l(1)
-    psi_star = minimize_over_psi(params, settings).psi_star
+    psi_star = minimize_over_psi(params, 20).psi_star
     assert psi_star > 0
     dims, sectors = count_vector_solves(monkeypatch)
     monkeypatch.setattr(classify, "PSI_EPS", 2 * psi_star)
-    pt = classify_point(params, SolverSettings(n_max=20))
+    pt = classify_point(params, 20)
     assert pt.token == "MI:0" and pt.psi_star == psi_star
     assert dims == [42]
     assert sectors == [20, 20, 40]

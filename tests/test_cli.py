@@ -5,10 +5,8 @@ import sys
 
 import pytest
 
-from jchm import cli, sweep
-from jchm.classify import PSI_EPS
+from jchm import cli, eigen, sweep
 from jchm.cli import CSV_HEADER, main
-from jchm.groundstate import REFINE_TOL
 from jchm.validation import CheckResult
 
 
@@ -66,24 +64,35 @@ def test_point_invalid_omega(capsys):
 
 
 def test_scan_bracket_exhausted_names_psi_max(capsys):
-    # a search interval far inside the superfluid minimum
-    code, out, err = run_cli(capsys, "scan", "--l", "1", "--y", "-0.5",
-                             "--x-range=-0.5:-0.2:3", "--psi-max", "0.05")
+    # at l = 3 the energy falls without bound once psi grows: the minimum
+    # sits at psi_max = sqrt(n_max)/2, which only a larger n_max moves
+    code, out, err = run_cli(capsys, "scan", "--l", "3", "--y", "-1",
+                             "--x-range=-2:-0.3:5")
     assert code == 1
     assert out == ""
-    assert err == ("invalid parameter: psi_max: energy minimum sits at "
-                   "psi_max=0.05; the search interval (and likely n_max) is "
-                   "too small\n")
+    assert err == ("invalid parameter: n_max: energy minimum sits at "
+                   "psi_max=2.44949; the search interval (and likely n_max) "
+                   "is too small\n")
 
 
-def test_point_psi_eps_above_psi_max(capsys):
-    code, out, err = run_cli(capsys, "point", "--l", "1", "--x", "-4", "--y", "-1",
-                             "--psi-max", "5e-4")
-    assert code == 1
-    assert out == ""
-    assert err == ("invalid parameter: psi_max: must exceed psi_eps = 0.001, "
-                   "got 0.0005\n")
-    assert REFINE_TOL < PSI_EPS
+def test_overflowing_drive_is_invalid_input(tmp_path, capsys):
+    # z kappa psi_max^2 past sqrt(float max) is rejected before any solve,
+    # so no overflow warning is printed and no cell reads as INDET
+    code, out, err = run_cli(capsys, "point", "--l", "1", "--x", "300",
+                             "--y", "-1")
+    assert (code, out) == (1, "")
+    assert err == ("invalid parameter: x: kappa = 1e+300 makes the drive "
+                   "z kappa psi_max^2 = 2e+301 exceed sqrt(float max) = "
+                   "1.34078e+154\n")
+    out_file = tmp_path / "grid.csv"
+    code, _, err = run_cli(capsys, "diagram", "--l", "1",
+                           "--x-range=100:300:2", "--y-range=-1.2:-1:2",
+                           "--out", str(out_file))
+    assert code == 3
+    assert "INVALID=2" in err and "SF=2" in err
+    rows = [ln.split(",") for ln in out_file.read_text().splitlines()[1:]]
+    assert [(r[0], r[5]) for r in rows] == (
+        [("100", "SF")] * 2 + [("300", "INVALID")] * 2)
 
 
 def test_point_indeterminate_exit_code(capsys):
@@ -108,21 +117,22 @@ def test_usage_errors_exit_invalid(capsys):
     assert "usage: jchm point" in capsys.readouterr().out
 
 
-def test_point_eigensolver_failure_exit_code(capsys):
+def test_point_eigensolver_failure_exit_code(capsys, monkeypatch):
     # a residual bound below rounding fails every eigensolve
-    code, out, err = run_cli(capsys, "point", "--l", "1", "--x=-1", "--y=-1",
-                             "--tol", "1e-17")
+    monkeypatch.setattr(eigen, "TOL", 1e-17)
+    code, out, err = run_cli(capsys, "point", "--l", "1", "--x=-1", "--y=-1")
     assert code == 2
     assert out == ""
     assert err.startswith("indeterminate: eigensolver: residual")
     assert len(err.splitlines()) == 1
 
 
-def test_diagram_eigensolver_failure_writes_indet_cells(tmp_path, capsys):
+def test_diagram_eigensolver_failure_writes_indet_cells(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(eigen, "TOL", 1e-17)
     out_file = tmp_path / "grid.csv"
     code, _, err = run_cli(capsys, "diagram", "--l", "1", "--x-range=-2:-1:2",
-                           "--y-range=-1:-0.5:2", "--tol", "1e-17",
-                           "--out", str(out_file))
+                           "--y-range=-1:-0.5:2", "--out", str(out_file))
     assert code == 3
     assert "INDET=4" in err
     lines = out_file.read_text().splitlines()
@@ -131,12 +141,13 @@ def test_diagram_eigensolver_failure_writes_indet_cells(tmp_path, capsys):
 
 
 def test_probe_thresholds_rejected_before_any_cell(tmp_path, capsys):
-    # the labelling thresholds are constants: neither a flag nor a config key
-    # sets them, and a grid writes nothing
+    # the labelling thresholds, the psi search's end and the eigensolver
+    # tolerance are constants or follow from n_max: neither a flag nor a
+    # config key sets them, and a grid writes nothing
     out_file = tmp_path / "grid.csv"
     grid = ["diagram", "--l", "1", "--x-range=-4:-0.3:3", "--y-range=-1.5:-1:2",
             "--out", str(out_file)]
-    for key in ("psi_eps", "tol_conv", "pin_fraction"):
+    for key in ("psi_eps", "tol_conv", "pin_fraction", "psi_max", "tol"):
         for command in (["point", "--l", "1", "--x", "-4", "--y", "-1.2"],
                         grid, ["validate", "--quick"]):
             with pytest.raises(SystemExit) as exc:
@@ -406,7 +417,6 @@ def test_config_missing_file(capsys):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("point", "tol", "x"),
     ("point", "l", "two"),
     ("point", "z", 2.7),
     ("point", "n_max", 40.9),
@@ -437,8 +447,6 @@ def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
         (["point", "--l", "1", "--x=1", "--y=-inf"], "y: "),
         (["point", "--l", "1", "--x", "-1", "--y", "-1", "--mu", "nan"],
          "omega must be finite"),
-        (["point", "--l", "1", "--x", "-1", "--y", "-1", "--psi-max=inf"],
-         "psi_max: "),
         (["diagram", "--l", "1", "--x-range=-inf:-1:3", "--y-range=-1:-0.5:2"],
          "grid ranges must be finite"),
     ]:
@@ -479,7 +487,7 @@ def test_diagram_json_spec_echo(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("JCHM_JOBS", raising=False)
     out_file = tmp_path / "grid.json"
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"tol": 1e-9, "jobs": 2}))
+    cfg.write_text(json.dumps({"mu": 0.9, "jobs": 2}))
 
     def spec(*extra):
         code, _, _ = run_cli(capsys, "diagram", "--l", "2", "--format", "json",
@@ -490,16 +498,16 @@ def test_diagram_json_spec_echo(tmp_path, capsys, monkeypatch):
 
     assert spec() == {
         "command": "diagram", "delta": 0.0, "format": "json", "jobs": 1,
-        "l": 2, "mu": 1.0, "n_max": 40, "psi_max": None, "tol": 1e-10,
+        "l": 2, "mu": 1.0, "n_max": 40,
         "x_range": [-4.0, -3.5, 2], "y_range": [-1.8, -1.6, 2], "z": 2,
     }
-    # config beats the default (tol) and JCHM_JOBS (jobs)
+    # config beats the default (mu) and JCHM_JOBS (jobs)
     monkeypatch.setenv("JCHM_JOBS", "3")
     echo = spec("--config", str(cfg))
-    assert (echo["tol"], echo["jobs"]) == (1e-9, 2)
+    assert (echo["mu"], echo["jobs"]) == (0.9, 2)
     # a flag beats the config
-    echo = spec("--config", str(cfg), "--tol", "1e-8", "--jobs", "1")
-    assert (echo["tol"], echo["jobs"]) == (1e-8, 1)
+    echo = spec("--config", str(cfg), "--mu", "0.8", "--jobs", "1")
+    assert (echo["mu"], echo["jobs"]) == (0.8, 1)
 
 
 def test_jobs_env_fallback(tmp_path, capsys, monkeypatch):

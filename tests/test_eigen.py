@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jchm import eigen
 from jchm.eigen import (
     EigPair,
     EigensolverError,
@@ -53,8 +54,6 @@ def test_rejects_nonsymmetric():
     # passed: the matrix solved is the symmetric one the band stores
     a = band([0.0, 0.0], [1.0, 0.0])
     assert np.array_equal(a.dense(), a.dense().T)
-    with pytest.raises(ValueError, match="tol"):
-        smallest_eigpair(band([1.0, 1.0]), tol=0.0)
 
 
 def test_band_solve_above_former_dense_limit():
@@ -137,12 +136,13 @@ def test_one_by_one():
     assert pair.vector.tolist() == [1.0]
 
 
-def test_residual_check_runs_on_every_solve():
+def test_residual_check_runs_on_every_solve(monkeypatch):
     # rounding alone leaves a residual far above 1e-20 at dimension 42
     params = ModelParams(l=1, omega=1.1, Omega=0.9, kappa=0.2)
     h = build_mean_field(params, 0.4, 20)
+    monkeypatch.setattr(eigen, "TOL", 1e-20)
     with pytest.raises(EigensolverError, match="residual"):
-        smallest_eigpair(h, tol=1e-20)
+        smallest_eigpair(h)
 
 
 band_case_st = st.tuples(
@@ -203,15 +203,15 @@ def generic_band():
 def test_certificate_accepts_the_smallest_eigenvalue():
     h = generic_band()
     w = np.linalg.eigvalsh(h.dense())
-    certify_smallest(h, smallest_eigenvalue(h), 1e-10)
-    certify_smallest(h, float(w[0]), 1e-10)
+    certify_smallest(h, smallest_eigenvalue(h))
+    certify_smallest(h, float(w[0]))
 
 
 def test_certificate_rejects_a_higher_eigenvalue():
     h = generic_band()
     second = float(np.linalg.eigvalsh(h.dense())[1])
     with pytest.raises(EigensolverError) as exc:
-        certify_smallest(h, second, 1e-10)
+        certify_smallest(h, second)
     assert str(exc.value).startswith(
         f"residual bound 1e-10 * max(1, |{second:.6g}|) not certified: "
         "an eigenvalue lies below")
@@ -221,21 +221,13 @@ def test_certificate_rejects_a_value_below_the_spectrum():
     h = generic_band()
     low = float(np.linalg.eigvalsh(h.dense())[0]) - 1e-6
     with pytest.raises(EigensolverError, match="no eigenvalue lies below"):
-        certify_smallest(h, low, 1e-10)
+        certify_smallest(h, low)
 
 
-def test_certificate_rejects_non_positive_tol():
-    h = generic_band()
-    for tol in (0.0, -1e-10):
-        with pytest.raises(ValueError, match="tol"):
-            certify_smallest(h, smallest_eigpair(h).value, tol)
-        with pytest.raises(ValueError, match="tol"):
-            smallest_eigenvalue(h, tol)
-
-
-def test_certificate_bound_below_rounding_fails():
+def test_certificate_bound_below_rounding_fails(monkeypatch):
     # as for the residual check, no value is certified to 1e-20
     params = ModelParams(l=1, omega=1.1, Omega=0.9, kappa=0.2)
     h = build_mean_field(params, 0.4, 20)
+    monkeypatch.setattr(eigen, "TOL", 1e-20)
     with pytest.raises(EigensolverError, match=r"^residual bound 1e-20 \* max"):
-        smallest_eigenvalue(h, tol=1e-20)
+        smallest_eigenvalue(h)

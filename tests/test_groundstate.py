@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jchm import groundstate
-from jchm.classify import PSI_EPS, SolverSettings
-from jchm.eigen import DEFAULT_TOL, smallest_eigpair
+from jchm.classify import PSI_EPS
+from jchm.eigen import smallest_eigpair, tolerance
 from jchm.groundstate import (
     ENERGY_TIE_EPS,
     REFINE_TOL,
@@ -16,6 +16,7 @@ from jchm.groundstate import (
     energy_at_psi,
     expected_L,
     minimize_over_psi,
+    resolve_n_max,
     solution_at,
 )
 from jchm.operators import ModelParams, build_mean_field
@@ -25,18 +26,14 @@ from conftest import zero_drive_ground_oracle, zero_drive_sector_energies
 ONE_MINUS_SQRT3 = -0.7320508075688772
 
 
-def spec_for(n_max, **overrides):
-    return SolverSettings(n_max=n_max, **overrides)
-
-
 def test_psi_search_spec_validation():
     # golden section must resolve psi well inside the SF threshold
     assert REFINE_TOL < PSI_EPS
-    with pytest.raises(ValueError, match=r"^psi_max: must exceed psi_eps = "
-                                         r"0\.001, got 0\.0005$"):
-        SolverSettings(psi_max=5e-4).for_l(1)
-    spec = SolverSettings().for_l(1)
-    assert spec.search_max() == pytest.approx(math.sqrt(40) / 2)
+    assert (resolve_n_max(1, None), resolve_n_max(3, None)) == (40, 24)
+    assert resolve_n_max(2, 4) == 4
+    with pytest.raises(ValueError, match=r"^n_max: must be at least l \+ 2 "
+                                         r"= 4, got 3$"):
+        resolve_n_max(2, 3)
 
 
 def test_vacuum_energy_is_zero():
@@ -86,15 +83,15 @@ def test_sector_solution_matches_the_band_solve(l, omega, delta, mu, z, kappa,
     n_max = min(l + n_extra, 80)
     params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu,
                          kappa=kappa, z=z)
-    sol = solution_at(params, 0.0, n_max, DEFAULT_TOL)
+    sol = solution_at(params, 0.0, n_max)
     pair = smallest_eigpair(build_mean_field(params, 0.0, n_max))
     low = sorted(zero_drive_sector_energies(l, omega, mu, n_max, omega - delta))
-    if low[1] - low[0] <= DEFAULT_TOL * max(1.0, abs(low[0])):
+    if low[1] - low[0] <= tolerance(low[0]):
         # a tie: the sectors leave the state open, the band solve is returned
         assert sol.energy == pair.value
         assert sol.l_expect == expected_L(pair.vector, l)
         return
-    assert abs(sol.energy - pair.value) <= DEFAULT_TOL * max(1.0, abs(pair.value))
+    assert abs(sol.energy - pair.value) <= tolerance(pair.value)
     # the same state: the band solve's vector lies in the sector's L
     assert sol.l_expect == round(sol.l_expect)
     assert sol.l_expect == pytest.approx(expected_L(pair.vector, l), abs=1e-8)
@@ -116,7 +113,7 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
         return smallest_eigpair(*args, **kwargs)
 
     monkeypatch.setattr(groundstate, "smallest_eigpair", counted)
-    sol = solution_at(params, 0.0, n_max, DEFAULT_TOL)
+    sol = solution_at(params, 0.0, n_max)
     assert calls == [2 * (n_max + 1)]
     assert sol.energy == pair.value
     assert sol.l_expect == expected_L(pair.vector, 2)
@@ -140,7 +137,7 @@ def test_expected_l_examples():
 def test_minimize_deep_insulator():
     # vacuum lobe: psi collapses to exactly zero, energy exactly the vacuum
     params = ModelParams.resonant(1, 2.7, kappa=1e-4)
-    sol = minimize_over_psi(params, spec_for(40))
+    sol = minimize_over_psi(params, 40)
     assert sol.psi_star == 0.0
     assert sol.energy == pytest.approx(0.0, abs=1e-12)
     assert sol.l_expect == pytest.approx(0.0, abs=1e-6)
@@ -149,7 +146,7 @@ def test_minimize_deep_insulator():
 
 def test_minimize_single_occupancy_insulator():
     params = ModelParams.resonant(1, 1.7, kappa=10 ** -1.3)
-    sol = minimize_over_psi(params, spec_for(40))
+    sol = minimize_over_psi(params, 40)
     assert sol.psi_star == 0.0
     assert sol.energy == pytest.approx(1.7 - 2.0, abs=1e-9)
     assert sol.l_expect == pytest.approx(1.0, abs=1e-6)
@@ -157,9 +154,8 @@ def test_minimize_single_occupancy_insulator():
 
 def test_minimize_superfluid():
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
-    spec = spec_for(40)
-    psi_max = spec.search_max()
-    sol = minimize_over_psi(params, spec)
+    psi_max = math.sqrt(40) / 2
+    sol = minimize_over_psi(params, 40)
     assert sol.psi_star > PSI_EPS
     assert sol.energy < -1e-4
     # the reported energy beats (or ties) every energy of a 64-point scan
@@ -169,26 +165,27 @@ def test_minimize_superfluid():
 
 def test_minimize_monotone_in_truncation():
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
-    e_small = minimize_over_psi(params, spec_for(30)).energy
-    e_large = minimize_over_psi(params, spec_for(60)).energy
+    e_small = minimize_over_psi(params, 30).energy
+    e_large = minimize_over_psi(params, 60).energy
     assert e_large <= e_small + 1e-9
 
 
 def test_minimize_reports_bracket_exhaustion():
-    # a deliberately tiny interval in a superfluid region: the minimum sits
-    # at the edge and must be reported, carrying the edge solution
+    # z kappa = 2 exceeds the large-L slope omega - 1 = 1.2, so the energy
+    # falls without bound as psi grows: the minimum sits at the edge
+    # psi_max = sqrt(n_max)/2 of every truncation and must be reported,
+    # carrying the edge solution
     params = ModelParams.resonant(1, 2.2, kappa=1.0)
-    spec = spec_for(30, psi_max=0.05)
-    with pytest.raises(BracketExhausted) as exc:
-        minimize_over_psi(params, spec)
+    with pytest.raises(BracketExhausted, match=r"psi_max=2\.73861;") as exc:
+        minimize_over_psi(params, 30)
     sol = exc.value.solution
-    assert sol.psi_star == pytest.approx(0.05, abs=2e-3)
-    assert sol.energy < 0.0
+    assert sol.psi_star == pytest.approx(math.sqrt(30) / 2, abs=2e-6)
+    assert sol.energy < 0.0 and sol.n_max_used == 30
 
 
 def test_minimize_l_expect_lies_within_the_truncation():
     params = ModelParams.resonant(2, 2.3, kappa=0.05)
-    sol = minimize_over_psi(params, spec_for(30))
+    sol = minimize_over_psi(params, 30)
     assert 0.0 <= sol.l_expect <= 30 + 2
 
 
@@ -215,8 +212,7 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                         counted("pair", groundstate.smallest_eigpair))
     monkeypatch.setattr(groundstate, "smallest_eigenvalue",
                         counted("value", groundstate.smallest_eigenvalue))
-    sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa),
-                            spec_for(40))
+    sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa), 40)
     assert (sol.psi_star > 0) == (vector_solves == 2)
     assert calls["sector"] == 1
     assert calls["pair"] == vector_solves - 1
@@ -234,7 +230,7 @@ def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
     # 0.5 scan steps wide and falls between two points of a 64-point scan
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
     c = params.z * params.kappa
-    psi_max = spec_for(40).search_max()
+    psi_max = math.sqrt(40) / 2
     step = psi_max / 63
     psi1, e1 = 20 * step, -0.5           # broad basin, on a scan point
     psi2 = 40.37 * step                  # narrow global minimum
@@ -245,14 +241,14 @@ def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
         line2 = -2 * c * psi2 * psi + c * psi2 ** 2 + e2
         return c * psi * psi + min(line1, line2)
 
-    def solution(params, psi, n_max, tol):
+    def solution(params, psi, n_max):
         return MeanFieldSolution(psi_star=float(psi), energy=energy(psi),
                                  l_expect=0.0, n_max_used=n_max)
 
     monkeypatch.setattr(groundstate, "energy_at_psi",
-                        lambda params, psi, n_max, tol: energy(psi))
+                        lambda params, psi, n_max: energy(psi))
     monkeypatch.setattr(groundstate, "solution_at", solution)
-    sol = minimize_over_psi(params, spec_for(40))
+    sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(psi2, abs=REFINE_TOL)
     assert sol.energy == pytest.approx(e2, abs=1e-12)
 

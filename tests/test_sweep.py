@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from jchm import eigen
 from jchm.analytic import Side, strong_coupling_boundary
-from jchm.classify import SolverSettings
 from jchm.sweep import (
     GridSpec,
     classify_at,
@@ -101,10 +101,11 @@ def test_run_grid_marks_invalid_rows():
     assert tokens.get("FORBIDDEN", 0) == 2  # y = 0.8 row survives
 
 
-def test_run_grid_records_eigensolver_failure_as_indet():
+def test_run_grid_records_eigensolver_failure_as_indet(monkeypatch):
     # no eigenpair meets a residual bound of 1e-17: every cell is recorded
     spec = GridSpec(l=1, x_lo=-2.0, x_hi=-1.0, nx=2, y_lo=-1.0, y_hi=-0.5, ny=2)
-    grid = run_grid(spec, SolverSettings(tol=1e-17))
+    monkeypatch.setattr(eigen, "TOL", 1e-17)
+    grid = run_grid(spec)
     for pt in grid.iter_cells():
         assert pt.token == "INDET"
         assert pt.note.startswith("indeterminate: eigensolver: residual")
@@ -116,7 +117,7 @@ def test_run_grid_rejects_bad_inputs():
     with pytest.raises(ValueError, match="jobs"):
         run_grid(spec, jobs=0)
     with pytest.raises(ValueError, match="n_max"):
-        run_grid(spec, SolverSettings(n_max=3))
+        run_grid(spec, 3)
 
 
 def test_high_order_grid_has_no_insulators():
