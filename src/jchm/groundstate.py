@@ -9,14 +9,18 @@ reported minimiser is solved with its eigenvector (eigen.smallest_eigpair),
 for <L>.  The spectrum is even in psi, so only psi >= 0 is searched, by
 branch and bound: the energy is z kappa psi^2 plus a concave function of
 psi, so on any interval it lies above a convex quadratic fixed by the two
-end energies.  Intervals whose bound cannot beat the best energy
-by MARGIN, nor the psi = 0 energy by ENERGY_TIE_EPS, are pruned; the rest
-are split until narrower than REFINE_TOL.  Each new best that beats psi = 0
-is polished by golden section and its bracket closed unbounded, which
-assumes one minimum in that bracket.  MARGIN covers the rounding of one
-eigensolve, not the eigensolve tolerance (see minimize_over_psi).
-Minimisers within ENERGY_TIE_EPS of the psi = 0 energy collapse to exactly
-zero so the insulating solution is reported cleanly.
+end energies, or by lower bounds on them.  Intervals whose bound cannot
+beat the best energy by MARGIN, nor the psi = 0 energy by ENERGY_TIE_EPS,
+are pruned; the rest are split until narrower than REFINE_TOL.  Each split
+point is tested before it is solved: one band Cholesky (energy_unless_above)
+usually proves its energy above the pruning threshold, and that proof is
+kept as the point's lower bound.  Each new best that beats psi = 0 inside
+[0, psi_max) is polished by Brent's method and its bracket closed
+unbounded, which assumes one minimum in that bracket; a best at psi_max is
+left to the bounds.  MARGIN covers the rounding of one eigensolve, not the
+eigensolve tolerance (see minimize_over_psi).  Minimisers within
+ENERGY_TIE_EPS of the psi = 0 energy collapse to exactly zero so the
+insulating solution is reported cleanly.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from .eigen import (
     SymmetricMatrix,
+    _positive_definite,
     certify_smallest,
     smallest_eigenvalue,
     smallest_eigpair,
@@ -53,7 +58,8 @@ SPLIT_EDGE = 0.05
 # to a finite number in the residual norm of smallest_eigpair.
 DRIVE_LIMIT = math.sqrt(sys.float_info.max)
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Brent's golden-section step, the fraction (3 - sqrt 5)/2 of a bracket
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -100,32 +106,80 @@ def energy_at_psi(params: ModelParams, psi: float, n_max: int) -> float:
     return smallest_eigenvalue(build_mean_field(params, psi, n_max))
 
 
+def energy_unless_above(params: ModelParams, psi: float, n_max: int,
+                        t: float) -> float | None:
+    """energy_at_psi(params, psi, n_max), or None when the energy provably
+    lies above t.
+
+    One band Cholesky of A - t I decides: it succeeds exactly when every
+    eigenvalue of A lies above t (Sylvester's law of inertia), up to
+    rounding of order eps * ||A||.  Only when it fails is the same matrix
+    solved, by the same call as energy_at_psi.
+    """
+    a = build_mean_field(params, psi, n_max)
+    if _positive_definite(a, t):
+        return None
+    return smallest_eigenvalue(a)
+
+
 def expected_L(vector: np.ndarray, l: int) -> float:
     """Expectation of the conserved quantity L in a unit-norm state of the
     l-photon basis; the truncation follows from the vector's length."""
     return float(np.dot(vector * vector, build_l_diag(l, len(vector) // 2 - 1)))
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Minimise f on [a, b]; returns the best evaluated (x, f(x))."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    yc, yd = f(c), f(d)
-    best = (c, yc) if yc <= yd else (d, yd)
-    while (b - a) > tol:
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = b - _INV_PHI * (b - a)
-            yc = f(c)
-            if yc < best[1]:
-                best = (c, yc)
+def _brent(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimise f on the open interval (a, b) by Brent's bounded parabolic
+    interpolation with golden-section steps (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5), to xatol plus
+    sqrt(eps) |x|; returns the best evaluated (x, f(x)).  f is never
+    evaluated at a or b."""
+    sqrt_eps = math.sqrt(sys.float_info.epsilon)
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            # the parabola through (x, fx), (w, fw), (v, fv)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+                golden = False
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            yd = f(d)
-            if yd < best[1]:
-                best = (d, yd)
-    return best
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def solution_at(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolution:
@@ -210,26 +264,38 @@ def minimize_over_psi(params: ModelParams,
     Branch and bound on E(psi) = z kappa psi^2 + g(psi), where
     g(psi) = lambda_min(H_free - z kappa psi (a + a+)) is concave, a
     minimum of functions affine in psi.  On an interval g lies above its
-    chord, which bounds E from below by a convex quadratic (_chord_bound).
+    chord, which bounds E from below by a convex quadratic (_chord_bound);
+    a chord through lower bounds on the end energies bounds E as well.
     SEED_POINTS evenly spaced samples, psi = 0 and psi_max among them, open
     the search.  An interval is pruned when its bound is at or above
-    min(best - MARGIN, E(0) - ENERGY_TIE_EPS): nothing in it can beat the
-    incumbent, nor break the tie with psi = 0.  Otherwise it is split at
-    the bound's minimiser (the midpoint when that lies within SPLIT_EDGE of
-    an end) and closed once narrower than REFINE_TOL.  A sample that
-    becomes the incumbent and beats E(0) by more than ENERGY_TIE_EPS is
-    polished once, by golden section to REFINE_TOL between its two
-    evaluated neighbours, and that bracket is then closed without a bound:
-    the closure assumes E is unimodal there, and a second, lower minimum
-    inside the bracket is not excluded.  With three seeds a middle seed's
-    bracket is all of [0, psi_max].  Minima in other intervals are still
-    bounded, so a first-order (two-minimum) landscape is resolved when its
-    basins fall in different brackets.
+    T = min(best - MARGIN, E(0) - ENERGY_TIE_EPS): nothing in it can beat
+    the incumbent, nor break the tie with psi = 0.  Otherwise it is split
+    at the bound's minimiser p (the midpoint when that lies within
+    SPLIT_EDGE of an end) and closed once narrower than REFINE_TOL.
+
+    p is tested before it is solved: energy_unless_above tries the band
+    Cholesky of A(p) - t I, t = T + z kappa h^2/4 with h the wider child.
+    When it succeeds, E(p) > t is proven and t stands in for E(p) at the
+    children's shared end; a bound never becomes the incumbent.  The
+    widening z kappa h^2/4 is what the chord bound of a child of width h
+    loses at most below its ends, so a child whose other end also clears T
+    by that much is pruned.  Only when the test fails is A(p) solved.
+
+    A sample that becomes the incumbent below psi_max and beats E(0) by
+    more than ENERGY_TIE_EPS is polished once, by Brent's method (_brent)
+    to REFINE_TOL/4 between its two evaluated neighbours, and that bracket
+    is then closed without a bound: the closure assumes E is unimodal
+    there, and a second, lower minimum inside the bracket is not excluded.
+    With three seeds a middle seed's bracket is all of [0, psi_max].  A
+    seed incumbent at psi_max is not polished: its interval stays on the
+    heap, where a steep fall into the edge is pruned at once.  Minima in
+    other intervals are still bounded, so a first-order (two-minimum)
+    landscape is resolved when its basins fall in different brackets.
 
     The proof is only as tight as MARGIN, an absolute 1e-10 that covers
-    the rounding of one dsbevx call (about eps * ||A||), and as the
-    unimodality of each polished bracket.  MARGIN does not cover the
-    inertia certificate's d = eigen.tolerance(E) of each sampled value,
+    the rounding of one dsbevx call or band Cholesky (about eps * ||A||),
+    and as the unimodality of each polished bracket.  MARGIN does not cover
+    the inertia certificate's d = eigen.tolerance(E) of each sampled value,
     which is larger than MARGIN whenever |E| > 1: every sampled energy is
     certified to within d, but the bound that prunes is not widened by it.
 
@@ -258,7 +324,7 @@ def minimize_over_psi(params: ModelParams,
 
     def polish(a: float, b: float) -> None:
         nonlocal best_psi, best_e
-        p, e = _golden_section(energy, a, b, REFINE_TOL)
+        p, e = _brent(energy, a, b, REFINE_TOL / 4.0)
         if e < best_e:
             best_psi, best_e = p, e
 
@@ -274,22 +340,27 @@ def minimize_over_psi(params: ModelParams,
     closed = ()
     if energies[i] < tie:
         best_psi, best_e = psis[i], energies[i]
-        polish(psis[max(i - 1, 0)], psis[min(i + 1, last)])
-        closed = (i - 1, i)
+        if i < last:
+            polish(psis[i - 1], psis[i + 1])
+            closed = (i - 1, i)
     for j in range(last):
         if j not in closed:
             push(psis[j], psis[j + 1], energies[j], energies[j + 1])
 
     while heap:
         bound, a, b, ea, eb, p = heapq.heappop(heap)
-        if bound >= min(best_e - MARGIN, tie):
+        threshold = min(best_e - MARGIN, tie)
+        if bound >= threshold:
             break
         if b - a < REFINE_TOL:
             continue
         if min(p - a, b - p) < SPLIT_EDGE * (b - a):
             p = 0.5 * (a + b)
-        e = energy(p)
-        if e < best_e:
+        t = threshold + 0.25 * c * max(p - a, b - p) ** 2
+        e = energy_unless_above(params, p, n_max, t)
+        if e is None:
+            e = t
+        elif e < best_e:
             best_psi, best_e = p, e
             if e < tie:
                 polish(a, b)
@@ -303,8 +374,7 @@ def minimize_over_psi(params: ModelParams,
 
     if best_psi >= psi_max - 2.0 * REFINE_TOL:
         raise BracketExhausted(
-            f"energy minimum sits at psi_max={psi_max:g}; "
-            "the search interval (and likely n_max) is too small",
+            f"energy minimum sits at psi_max={psi_max:g}; raise n_max",
             solution_at(params, best_psi, n_max),
         )
     return solution_at(params, best_psi, n_max)

@@ -71,8 +71,7 @@ def test_scan_bracket_exhausted_names_psi_max(capsys):
     assert code == 1
     assert out == ""
     assert err == ("invalid parameter: n_max: energy minimum sits at "
-                   "psi_max=2.44949; the search interval (and likely n_max) "
-                   "is too small\n")
+                   "psi_max=2.44949; raise n_max\n")
 
 
 def test_overflowing_drive_is_invalid_input(tmp_path, capsys):

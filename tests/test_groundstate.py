@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from jchm import groundstate
 from jchm.classify import PSI_EPS
-from jchm.eigen import smallest_eigpair, tolerance
+from jchm.eigen import smallest_eigenvalue, smallest_eigpair, tolerance
 from jchm.groundstate import (
     ENERGY_TIE_EPS,
     REFINE_TOL,
     BracketExhausted,
     MeanFieldSolution,
     energy_at_psi,
+    energy_unless_above,
     expected_L,
     minimize_over_psi,
     resolve_n_max,
@@ -27,7 +28,7 @@ ONE_MINUS_SQRT3 = -0.7320508075688772
 
 
 def test_psi_search_spec_validation():
-    # golden section must resolve psi well inside the SF threshold
+    # the polish must resolve psi well inside the SF threshold
     assert REFINE_TOL < PSI_EPS
     assert (resolve_n_max(1, None), resolve_n_max(3, None)) == (40, 24)
     assert resolve_n_max(2, 4) == 4
@@ -67,6 +68,29 @@ def test_energy_even_in_psi(l, omega, psi, kappa):
     plus = energy_at_psi(params, psi, l + 12)
     minus = energy_at_psi(params, -psi, l + 12)
     assert abs(plus - minus) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 4), omega=st.floats(0.5, 4.0), mu=st.floats(0.0, 2.0),
+       kappa=st.floats(0.0, 1.0), psi=st.floats(0.0, 3.0),
+       n_extra=st.integers(2, 40), above=st.booleans(),
+       log_gap=st.floats(-9.5, 1.0))
+def test_energy_unless_above_is_sound(l, omega, mu, kappa, psi, n_extra,
+                                      above, log_gap):
+    # the band Cholesky reports "above t" only when the smallest eigenvalue
+    # is, and otherwise returns bitwise what energy_at_psi returns; t sits a
+    # random distance, never within the certificate's tolerance, either side
+    params = ModelParams(l=l, omega=omega, Omega=omega, mu=mu, kappa=kappa)
+    n_max = l + n_extra
+    energy = energy_at_psi(params, psi, n_max)
+    gap = 10.0 ** log_gap * max(1.0, abs(energy))
+    assert gap > tolerance(energy)
+    t = energy - gap if above else energy + gap
+    got = energy_unless_above(params, psi, n_max, t)
+    if above:
+        assert got is None
+    else:
+        assert got is not None and got.hex() == energy.hex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,11 +200,31 @@ def test_minimize_reports_bracket_exhaustion():
     # psi_max = sqrt(n_max)/2 of every truncation and must be reported,
     # carrying the edge solution
     params = ModelParams.resonant(1, 2.2, kappa=1.0)
-    with pytest.raises(BracketExhausted, match=r"psi_max=2\.73861;") as exc:
+    with pytest.raises(BracketExhausted,
+                       match=r"^energy minimum sits at psi_max=2\.73861; "
+                             r"raise n_max$") as exc:
         minimize_over_psi(params, 30)
     sol = exc.value.solution
     assert sol.psi_star == pytest.approx(math.sqrt(30) / 2, abs=2e-6)
     assert sol.energy < 0.0 and sol.n_max_used == 30
+
+
+def test_minimize_runaway_takes_its_seeds_only(monkeypatch):
+    # the runaway point of test_minimize_reports_bracket_exhaustion: the
+    # seed at psi_max is the incumbent and is not polished, and the steep
+    # fall into the edge prunes both seed intervals at once, so the edge
+    # is reported exactly after at most 3 value solves
+    values = []
+
+    def counted(a):
+        values.append(len(a))
+        return smallest_eigenvalue(a)
+
+    monkeypatch.setattr(groundstate, "smallest_eigenvalue", counted)
+    with pytest.raises(BracketExhausted) as exc:
+        minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=1.0), 30)
+    assert exc.value.solution.psi_star == math.sqrt(30) / 2
+    assert len(values) <= 3
 
 
 def test_minimize_l_expect_lies_within_the_truncation():
@@ -196,8 +240,8 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     # eigensolve, and returned for an insulator; the branch and bound and
     # its polish take eigenvalues only, and a superfluid adds one band
     # vector solve at psi_star.  The deep insulator is pruned after its
-    # seeds; the superfluid takes fewer value solves than the 63 a 64-point
-    # scan spends before any refinement
+    # seeds; the superfluid, tested before solving and polished by Brent's
+    # method, takes 13 value solves
     calls = {"sector": 0, "pair": 0, "value": 0}
 
     def counted(name, fn):
@@ -217,9 +261,47 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     assert calls["sector"] == 1
     assert calls["pair"] == vector_solves - 1
     if vector_solves == 1:
-        assert calls["value"] <= 16
+        assert calls["value"] <= 2
     else:
-        assert calls["value"] < 63
+        assert calls["value"] <= 13
+
+
+def synthetic_landscape(monkeypatch, energy) -> list[float]:
+    """Make minimize_over_psi see energy(psi) alone, through every seam it
+    solves by: energy_at_psi, the test before solving energy_unless_above
+    and solution_at.  The real Hamiltonian is never built.  Returns the
+    psi of every energy_at_psi call, in order."""
+    solved = []
+
+    def energy_at(params, psi, n_max):
+        solved.append(psi)
+        return energy(psi)
+
+    def unless_above(params, psi, n_max, t):
+        e = energy(psi)
+        return None if e > t else e
+
+    def solution(params, psi, n_max):
+        return MeanFieldSolution(psi_star=float(psi), energy=energy(psi),
+                                 l_expect=0.0, n_max_used=n_max)
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a synthetic landscape builds no matrix")
+
+    monkeypatch.setattr(groundstate, "energy_at_psi", energy_at)
+    monkeypatch.setattr(groundstate, "energy_unless_above", unless_above)
+    monkeypatch.setattr(groundstate, "solution_at", solution)
+    monkeypatch.setattr(groundstate, "build_mean_field", no_matrix)
+    return solved
+
+
+def crossing(c, *wells):
+    """E = min over the (p, e) wells of c (psi - p)^2 + e: c psi^2 plus a
+    minimum of lines, concave in its second term as the true energy is."""
+    def energy(psi):
+        return c * psi * psi + min(-2 * c * p * psi + c * p * p + e
+                                   for p, e in wells)
+    return energy
 
 
 def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
@@ -236,18 +318,8 @@ def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
     psi2 = 40.37 * step                  # narrow global minimum
     e2 = e1 - c * (0.25 * step) ** 2
 
-    def energy(psi):
-        line1 = -2 * c * psi1 * psi + c * psi1 ** 2 + e1
-        line2 = -2 * c * psi2 * psi + c * psi2 ** 2 + e2
-        return c * psi * psi + min(line1, line2)
-
-    def solution(params, psi, n_max):
-        return MeanFieldSolution(psi_star=float(psi), energy=energy(psi),
-                                 l_expect=0.0, n_max_used=n_max)
-
-    monkeypatch.setattr(groundstate, "energy_at_psi",
-                        lambda params, psi, n_max: energy(psi))
-    monkeypatch.setattr(groundstate, "solution_at", solution)
+    energy = crossing(c, (psi1, e1), (psi2, e2))
+    synthetic_landscape(monkeypatch, energy)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(psi2, abs=REFINE_TOL)
     assert sol.energy == pytest.approx(e2, abs=1e-12)
@@ -256,3 +328,38 @@ def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
     best = min(scan, key=energy)
     assert best == pytest.approx(psi1)
     assert energy(best) - e2 > 0.5 * (e1 - e2)
+
+
+def test_minimize_leaves_an_edge_minimum_to_the_bounds(monkeypatch):
+    # a synthetic landscape whose minimum sits at psi_max: a shallow basin
+    # at 0.3 psi_max and a deeper well whose vertex lies past the edge.
+    # The seed at psi_max is the incumbent and is not polished, so
+    # energy_at_psi runs at the two seeds only; the heap's tests settle the
+    # rest, and the edge is reported exactly
+    params = ModelParams.resonant(1, 2.2, kappa=0.5)
+    c = params.z * params.kappa
+    psi_max = math.sqrt(40) / 2
+    energy = crossing(c, (0.3 * psi_max, -0.5), (1.2 * psi_max, -1.5))
+    solved = synthetic_landscape(monkeypatch, energy)
+    with pytest.raises(BracketExhausted) as exc:
+        minimize_over_psi(params, 40)
+    assert solved == [psi_max / 2, psi_max]
+    sol = exc.value.solution
+    assert sol.psi_star == psi_max and sol.energy == energy(psi_max)
+    assert min(energy(p) for p in np.linspace(0.0, psi_max, 1001)) == (
+        energy(psi_max))
+
+
+def test_minimize_bounds_find_a_well_below_an_edge_incumbent(monkeypatch):
+    # the seed at psi_max is the first incumbent and is not polished, but a
+    # deeper well at 0.8 psi_max, missed by the seeds, lies below it: the
+    # chord bounds of the edge interval must still lead the heap to it
+    params = ModelParams.resonant(1, 2.2, kappa=0.5)
+    c = params.z * params.kappa
+    psi_max = math.sqrt(40) / 2
+    energy = crossing(c, (0.8 * psi_max, -1.05), (1.2 * psi_max, -1.2))
+    synthetic_landscape(monkeypatch, energy)
+    assert energy(psi_max) < min(energy(0.0), energy(psi_max / 2))
+    sol = minimize_over_psi(params, 40)
+    assert sol.psi_star == pytest.approx(0.8 * psi_max, abs=REFINE_TOL)
+    assert sol.energy == pytest.approx(-1.05, abs=1e-12)
