@@ -6,10 +6,15 @@ taken without an eigenvector (eigen.smallest_eigenvalue, certified by
 inertia).  psi = 0 takes its lowest L-sector energy in closed form, under
 the same certificate, and its <L> is that sector's L; only a nonzero
 reported minimiser is solved with its eigenvector (eigen.smallest_eigpair),
-for <L>.  The spectrum is even in psi, so only psi >= 0 is searched, by
-branch and bound: the energy is z kappa psi^2 plus a concave function of
-psi, so on any interval it lies above a convex quadratic fixed by the two
-end energies, or by lower bounds on them.  Intervals whose bound cannot
+for <L>.  The same sector data prove, with no band solve, that no energy
+within a reach h* of psi = 0 comes within ENERGY_TIE_EPS of it (zero_reach:
+a Schur complement on the psi = 0 state, whose drive couples only to the
+sectors L* +- 1); when h* covers psi_max the psi = 0 solution is returned
+at once, and otherwise the search starts at h*.  The spectrum is even in
+psi, so only psi >= 0 is searched, by branch and bound: the energy is
+z kappa psi^2 plus a concave function of psi, so on any interval it lies
+above a convex quadratic fixed by the two end energies, or by lower bounds
+on them.  Intervals whose bound cannot
 beat the best energy by MARGIN, nor the psi = 0 energy by ENERGY_TIE_EPS,
 are pruned; the rest are split until narrower than REFINE_TOL.  Each split
 point is tested before it is solved: one band Cholesky (energy_unless_above)
@@ -29,6 +34,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,36 +209,116 @@ def _band_solution(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolu
     )
 
 
-def _sector_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
-    """The psi = 0 ground state, taken from the L-sector blocks.
+@dataclass(frozen=True)
+class _Sectors:
+    """The psi = 0 spectrum as zero_reach and _sector_solution read it.
+
+    energy is E0, the lowest E_L, and L its sector; tied says whether the
+    next E_L lies within eigen.tolerance(E0).  second is E1, the
+    second-lowest eigenvalue of the psi-free band: the next E_L or the
+    upper root of block L, whichever is lower.  neighbour is E_R, the
+    lowest E_L of the sectors L - 1 and L + 1, and weight is
+    W = ||(a + a+)|0>||^2 for the lowest state |0>.
+    """
+
+    L: int
+    energy: float
+    tied: bool
+    second: float
+    neighbour: float
+    weight: float
+
+
+@lru_cache(maxsize=128)
+def _sectors(l: int, omega: float, Omega: float, mu: float,
+             n_max: int) -> _Sectors:
+    """The psi = 0 sector data of one (l, omega, Omega, mu, n_max), from the
+    block roots of the psi-free band; shared by every kappa.
 
     At psi = 0 the Hamiltonian commutes with L, so each L = 0..n_max + l
     has one candidate energy E_L: the lower root of the 2x2 block
     {|e,L-l>, |g,L>} for l <= L <= n_max, and the single state |g,L> for
     L < l or |e,L-l> for L > n_max, whose partner the truncation drops.
-    The lowest E_L passes the same inertia certificate (certify_smallest)
-    on the full band as a value solve, and <L> is its L exactly.  When the
-    two lowest E_L lie within eigen.tolerance(E), the sectors cannot say
-    which state the band solve picks, and the band is solved.
     """
-    l = params.l
-    band = _psi_free_band(l, params.omega, params.Omega, params.mu, n_max)
+    band = _psi_free_band(l, omega, Omega, mu, n_max)
     exc, gnd = band[0, 1::2], band[0, 0::2]     # |e,n>, |g,n>, n = 0..n_max
     k = n_max - l + 1                           # number of 2x2 blocks
     # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..n_max
     c = band[2 * l - 1, 1:2 * k:2]
     half = 0.5 * (exc[:k] - gnd[l:])
     root = np.hypot(half, c)
-    energies = np.concatenate(
-        (gnd[:l], 0.5 * (exc[:k] + gnd[l:]) - root, exc[k:]))
+    mid = 0.5 * (exc[:k] + gnd[l:])
+    energies = np.concatenate((gnd[:l], mid - root, exc[k:]))
     L = int(np.argmin(energies))
     value = float(energies[L])
-    if np.partition(energies, 1)[1] - value <= tolerance(value):
+    following = float(np.partition(energies, 1)[1])
+    upper = math.inf                            # block L's upper root
+
+    def spread(n: int) -> float:
+        # squared norm of (a + a+)|n>: 2n + 1, or n at the truncation edge
+        return 2.0 * n + 1.0 if n < n_max else float(n)
+
+    # X = a + a+ keeps the atom, so W is spread over the state's two parts
+    if L < l:
+        weight = spread(L)                      # |g,L>
+    elif L > n_max:
+        weight = spread(L - l)                  # |e,L-l>
+    else:
+        # the lower root's vector puts weight p on |e,L-l>, 1 - p on |g,L>
+        b = L - l
+        p = float((root[b] - half[b]) / (2.0 * root[b]))
+        weight = p * spread(b) + (1.0 - p) * spread(L)
+        upper = float(mid[b] + root[b])
+    neighbour = min(float(energies[j]) for j in (L - 1, L + 1)
+                    if 0 <= j < len(energies))
+    return _Sectors(L=L, energy=value,
+                    tied=following - value <= tolerance(value),
+                    second=min(following, upper), neighbour=neighbour,
+                    weight=weight)
+
+
+def _sector_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
+    """The psi = 0 ground state, taken from the L-sector blocks (_sectors).
+
+    The lowest E_L passes the same inertia certificate (certify_smallest)
+    on the full band as a value solve, and <L> is its L exactly.  When the
+    two lowest E_L lie within eigen.tolerance(E), the sectors cannot say
+    which state the band solve picks, and the band is solved.
+    """
+    key = (params.l, params.omega, params.Omega, params.mu, n_max)
+    sectors = _sectors(*key)
+    if sectors.tied:
         return _band_solution(params, 0.0, n_max)
 
-    certify_smallest(SymmetricMatrix(band), value)
-    return MeanFieldSolution(psi_star=0.0, energy=value, l_expect=float(L),
-                             n_max_used=n_max)
+    certify_smallest(SymmetricMatrix(_psi_free_band(*key)), sectors.energy)
+    return MeanFieldSolution(psi_star=0.0, energy=sectors.energy,
+                             l_expect=float(sectors.L), n_max_used=n_max)
+
+
+def zero_reach(params: ModelParams, n_max: int) -> float:
+    """Half-width h of an interval [-h, h] on which the energy at truncation
+    n_max provably exceeds T = E0 - ENERGY_TIE_EPS, E0 the psi = 0 energy;
+    infinite at zero hopping, 0.0 when nothing is proven.
+
+    With c = z kappa, H(psi) = H0 + c psi^2 - c psi X, X = a + a+, and
+    ||X|| <= 2 sqrt(n_max).  Take the Schur complement of H(psi) - T on the
+    lowest psi = 0 state |0>: <0|X|0> = 0, and X|0> lies in the sectors
+    L* +- 1 (_Sectors).  For |psi| <= h and s = T + 2 c h sqrt(n_max), the
+    rest of H(psi) - T lies above Q (H0 - s + c psi^2) Q, Q = 1 - |0><0|,
+    which is positive definite when s <= E1, and the complement is then at
+    least E0 - T + c psi^2 (1 - c W / (E_R - s + c psi^2)) > 0 when
+    c W <= E_R - s.  So h = (min(E1, E_R - c W) - T) / (2 c sqrt(n_max)).
+    A sector tie (_sector_solution solves the band) is not certified.
+    """
+    c = params.z * params.kappa
+    if c == 0.0:
+        return math.inf
+    sectors = _sectors(params.l, params.omega, params.Omega, params.mu, n_max)
+    if sectors.tied:
+        return 0.0
+    t = sectors.energy - ENERGY_TIE_EPS
+    room = min(sectors.second, sectors.neighbour - c * sectors.weight) - t
+    return max(room / (2.0 * c * math.sqrt(n_max)), 0.0)
 
 
 def _chord_bound(c: float, a: float, b: float, ea: float,
@@ -259,7 +345,17 @@ def minimize_over_psi(params: ModelParams,
 
     psi_max = sqrt(n_max)/2 keeps the displaced-field photon number
     psi_max^2 a factor 4 inside the truncation.  A drive z kappa psi_max^2
-    above DRIVE_LIMIT is rejected with ValueError before any solve.
+    above DRIVE_LIMIT is rejected with ValueError before any solve, and so
+    is a mu or omega whose rounding on the band at the probe's 2 n_max,
+    eps max(|omega|, |Omega|, |mu|) (4 n_max + l), exceeds MARGIN: every
+    bound below assumes that rounding is far below MARGIN.
+
+    psi = 0 is solved first, and zero_reach proves from its sector data
+    that E(psi) > E(0) - ENERGY_TIE_EPS for psi <= h*.  If h* >= psi_max
+    the psi = 0 solution is the answer and nothing else is solved.
+    Otherwise the first seed interval opens at h*, whose energy is tested
+    like a split point's (below) with h the interval's width
+    psi_max/2 - h*, and it is dropped when h* passes the middle seed.
 
     Branch and bound on E(psi) = z kappa psi^2 + g(psi), where
     g(psi) = lambda_min(H_free - z kappa psi (a + a+)) is concave, a
@@ -310,6 +406,13 @@ def minimize_over_psi(params: ModelParams,
         raise ValueError(
             f"x: kappa = {params.kappa:g} makes the drive z kappa psi_max^2 = "
             f"{c * psi_max ** 2:g} exceed sqrt(float max) = {DRIVE_LIMIT:g}")
+    # the band's rounding, eps times its largest diagonal entry, must stay
+    # below MARGIN up to the truncation probe's 2 n_max
+    scale = max(abs(params.omega), abs(params.Omega), abs(params.mu))
+    if not sys.float_info.epsilon * scale * (4 * n_max + params.l) <= MARGIN:
+        raise ValueError(
+            f"mu/omega: max(|omega|, |Omega|, |mu|) = {scale:g} rounds the "
+            f"band at n_max = {2 * n_max} by more than MARGIN = {MARGIN:g}")
 
     def energy(p: float) -> float:
         return energy_at_psi(params, p, n_max)
@@ -317,6 +420,9 @@ def minimize_over_psi(params: ModelParams,
     # psi = 0 is solved once, from the sector blocks: it opens the search
     # and is the answer whenever the minimum ties with it
     zero = solution_at(params, 0.0, n_max)
+    reach = zero_reach(params, n_max)
+    if reach >= psi_max:
+        return zero
     tie = zero.energy - ENERGY_TIE_EPS
     psis = np.linspace(0.0, psi_max, SEED_POINTS).tolist()
     energies = [zero.energy] + [energy(p) for p in psis[1:]]
@@ -343,7 +449,16 @@ def minimize_over_psi(params: ModelParams,
         if i < last:
             polish(psis[i - 1], psis[i + 1])
             closed = (i - 1, i)
-    for j in range(last):
+    # nothing in [0, reach] reaches tie, so the first seed interval opens at
+    # reach, tested like a split point, and is dropped if reach passes it
+    if 0 not in closed and reach < psis[1]:
+        a, ea = psis[0], energies[0]
+        if reach > 0.0:
+            t = min(best_e - MARGIN, tie) + 0.25 * c * (psis[1] - reach) ** 2
+            e = energy_unless_above(params, reach, n_max, t)
+            a, ea = reach, t if e is None else e
+        push(a, psis[1], ea, energies[1])
+    for j in range(1, last):
         if j not in closed:
             push(psis[j], psis[j + 1], energies[j], energies[j + 1])
 

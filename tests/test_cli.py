@@ -94,6 +94,22 @@ def test_overflowing_drive_is_invalid_input(tmp_path, capsys):
         [("100", "SF")] * 2 + [("300", "INVALID")] * 2)
 
 
+@pytest.mark.parametrize("flag, scale", [
+    ("--mu=1e20", "1e+20"), ("--mu=1e300", "1e+300"), ("--y=-1e20", "1e+20"),
+    ("--mu=3000", "3001"),
+])
+def test_unresolvable_scale_is_invalid_input(capsys, flag, scale):
+    # a mu or omega whose rounding on the band, eps * scale * (2 n + l) at
+    # the probe's n = 2 n_max = 80, exceeds MARGIN cannot be labelled: it
+    # once printed FORBIDDEN (mu = 1e20) or failed a certificate (1e300)
+    args = ["point", "--l", "1", "--x=-4", "--y=-1", flag]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == (f"invalid parameter: mu/omega: max(|omega|, |Omega|, |mu|)"
+                   f" = {scale} rounds the band at n_max = 80 by more than "
+                   f"MARGIN = 1e-10\n")
+
+
 def test_point_indeterminate_exit_code(capsys):
     # shallow slope puts the occupation optimum between the probe levels
     code, out, _ = run_cli(capsys, "point", "--l", "1", "--x", "-6", "--y", "-0.0646")

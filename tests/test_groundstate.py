@@ -144,6 +144,52 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     assert sol.psi_star == 0.0 and sol.n_max_used == n_max
 
 
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 4), omega=st.floats(0.2, 4.0),
+       delta=st.floats(-1.0, 1.0), mu=st.floats(0.0, 3.0), z=st.integers(1, 6),
+       log_kappa=st.floats(-5.0, 0.0), n_extra=st.integers(2, 40),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=6))
+# the MI(1) point of test_minimize_single_occupancy_insulator, 0 < h* < psi_max
+@example(l=1, omega=1.7, delta=0.0, mu=1.0, z=2, log_kappa=-1.3, n_extra=38,
+         fractions=[0.5, 0.99])
+def test_zero_reach_is_sound(l, omega, delta, mu, z, log_kappa, n_extra,
+                             fractions):
+    # every energy within the proven reach h* lies above the psi = 0 energy
+    # less ENERGY_TIE_EPS; h* itself, and psi past psi_max, are sampled too
+    assume(omega - delta > 0.0)
+    params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu,
+                         kappa=10.0 ** log_kappa, z=z)
+    n_max = l + n_extra
+    reach = groundstate.zero_reach(params, n_max)
+    assert reach >= 0.0
+    floor = solution_at(params, 0.0, n_max).energy - ENERGY_TIE_EPS
+    top = min(reach, math.sqrt(n_max))             # at most 2 psi_max
+    for f in [1.0] + fractions:
+        assert energy_at_psi(params, f * top, n_max) > floor
+
+
+def test_zero_reach_pins():
+    psi_max = math.sqrt(40) / 2
+    # a deep insulator is proven over all of [0, psi_max]
+    assert groundstate.zero_reach(ModelParams.resonant(1, 2.7, kappa=1e-4),
+                                  40) >= psi_max
+    # zero hopping: the energy is E0 at every psi
+    assert groundstate.zero_reach(ModelParams.resonant(1, 2.2), 40) == math.inf
+    # a sector tie is not certified (test_sector_tie_falls_back...)
+    tied = ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0, kappa=1e-4)
+    assert groundstate.zero_reach(tied, 40) == 0.0
+    # a superfluid whose second-order coefficient a2, from the full sum over
+    # a dense eigendecomposition, is negative: nothing is proven
+    sf = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
+    c = sf.z * sf.kappa
+    values, vectors = np.linalg.eigh(build_mean_field(sf, 0.0, 40).dense())
+    x = np.diag(np.repeat(np.sqrt(np.arange(1.0, 41.0)), 2), 2)
+    amps = vectors.T @ (x + x.T) @ vectors[:, 0]
+    a2 = c - c * c * np.sum(amps[1:] ** 2 / (values[1:] - values[0]))
+    assert a2 < 0.0
+    assert groundstate.zero_reach(sf, 40) == 0.0
+
+
 def test_expected_l_examples():
     dim = 2 * (4 + 1)  # l = 2, n_max = 4
     v = np.zeros(dim)
@@ -239,10 +285,11 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     # psi = 0 is solved once, from the sector blocks with no band
     # eigensolve, and returned for an insulator; the branch and bound and
     # its polish take eigenvalues only, and a superfluid adds one band
-    # vector solve at psi_star.  The deep insulator is pruned after its
-    # seeds; the superfluid, tested before solving and polished by Brent's
-    # method, takes 13 value solves
-    calls = {"sector": 0, "pair": 0, "value": 0}
+    # vector solve at psi_star.  The deep insulator is proven by zero_reach
+    # over all of [0, psi_max] and builds no band at all; the superfluid,
+    # tested before solving and polished by Brent's method, takes 13 value
+    # solves
+    calls = {"sector": 0, "pair": 0, "value": 0, "build": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -256,21 +303,52 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                         counted("pair", groundstate.smallest_eigpair))
     monkeypatch.setattr(groundstate, "smallest_eigenvalue",
                         counted("value", groundstate.smallest_eigenvalue))
+    monkeypatch.setattr(groundstate, "build_mean_field",
+                        counted("build", groundstate.build_mean_field))
     sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa), 40)
     assert (sol.psi_star > 0) == (vector_solves == 2)
     assert calls["sector"] == 1
     assert calls["pair"] == vector_solves - 1
     if vector_solves == 1:
-        assert calls["value"] <= 2
+        assert calls["value"] == calls["build"] == 0
     else:
         assert calls["value"] <= 13
+
+
+def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
+    # the MI(1) point of test_minimize_single_occupancy_insulator: zero_reach
+    # proves psi = 0 over [0, h*] with 0 < h* < psi_max, so the first seed
+    # interval opens at h* and the cascade toward psi = 0 is skipped:
+    # 5 value solves (10 without the reach), none of them below h*
+    params = ModelParams.resonant(1, 1.7, kappa=10 ** -1.3)
+    reach = groundstate.zero_reach(params, 40)
+    assert 0.0 < reach < math.sqrt(40) / 2
+    built = []
+
+    def counted(params, psi, n_max):
+        built.append(psi)
+        return build_mean_field(params, psi, n_max)
+
+    values = []
+
+    def counted_value(a):
+        values.append(len(a))
+        return smallest_eigenvalue(a)
+
+    monkeypatch.setattr(groundstate, "build_mean_field", counted)
+    monkeypatch.setattr(groundstate, "smallest_eigenvalue", counted_value)
+    sol = minimize_over_psi(params, 40)
+    assert sol.psi_star == 0.0 and sol.l_expect == 1.0
+    assert len(values) <= 5
+    assert min(built) == reach
 
 
 def synthetic_landscape(monkeypatch, energy) -> list[float]:
     """Make minimize_over_psi see energy(psi) alone, through every seam it
     solves by: energy_at_psi, the test before solving energy_unless_above
-    and solution_at.  The real Hamiltonian is never built.  Returns the
-    psi of every energy_at_psi call, in order."""
+    and solution_at, with zero_reach proving nothing.  The real
+    Hamiltonian is never built.  Returns the psi of every energy_at_psi
+    call, in order."""
     solved = []
 
     def energy_at(params, psi, n_max):
@@ -291,6 +369,7 @@ def synthetic_landscape(monkeypatch, energy) -> list[float]:
     monkeypatch.setattr(groundstate, "energy_at_psi", energy_at)
     monkeypatch.setattr(groundstate, "energy_unless_above", unless_above)
     monkeypatch.setattr(groundstate, "solution_at", solution)
+    monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: 0.0)
     monkeypatch.setattr(groundstate, "build_mean_field", no_matrix)
     return solved
 
@@ -363,3 +442,30 @@ def test_minimize_bounds_find_a_well_below_an_edge_incumbent(monkeypatch):
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(0.8 * psi_max, abs=REFINE_TOL)
     assert sol.energy == pytest.approx(-1.05, abs=1e-12)
+
+
+def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
+    # zero_reach patched to 0.2 psi_max, between the seeds 0 and psi_max/2:
+    # a well at 0.3 psi_max, below psi = 0 and missed by the seeds, must
+    # still be found, and no energy may be taken inside [0, reach)
+    params = ModelParams.resonant(1, 2.2, kappa=0.5)
+    c = params.z * params.kappa
+    psi_max = math.sqrt(40) / 2
+    reach = 0.2 * psi_max
+    energy = crossing(c, (0.0, 0.0), (0.3 * psi_max, -0.01))
+    solved = synthetic_landscape(monkeypatch, energy)
+    tested = []
+    unless_above = groundstate.energy_unless_above
+
+    def recorded(params, psi, n_max, t):
+        tested.append(psi)
+        return unless_above(params, psi, n_max, t)
+
+    monkeypatch.setattr(groundstate, "energy_unless_above", recorded)
+    monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: reach)
+    assert min(energy(psi_max / 2), energy(psi_max)) > energy(0.0)
+    sol = minimize_over_psi(params, 40)
+    assert sol.psi_star == pytest.approx(0.3 * psi_max, abs=REFINE_TOL)
+    assert sol.energy == pytest.approx(-0.01, abs=1e-12)
+    assert tested[0] == reach
+    assert min(solved + tested) >= reach

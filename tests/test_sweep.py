@@ -32,6 +32,14 @@ def test_params_for_axes():
         params_for(1, -1.0, 0.4, delta=0.7)
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_default_windows_pass_the_rounding_check(l):
+    # the window's corners, the lowest y with its largest omega among them:
+    # no cell is rejected for the rounding of mu and omega on the band
+    counts = run_grid(GridSpec.default(l, nx=2, ny=2)).token_counts()
+    assert "INVALID" not in counts and sum(counts.values()) == 4
+
+
 def test_grid_spec_defaults():
     g1 = GridSpec.default(1)
     assert (g1.x_lo, g1.x_hi, g1.nx) == (-4.0, -0.2, 81)
