@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -100,13 +100,33 @@ def leading_submatrix(h: SymmetricMatrix) -> SymmetricMatrix:
     return SymmetricMatrix(rows)
 
 
+def dense_lowest(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a dense symmetric matrix by numpy's general
+    eigensolver (LAPACK dgeev).
+
+    numpy's eigvalsh is not the reference: its symmetric tridiagonal solve
+    returns -1.99792 for TINY_ENTRIES, whose smallest eigenvalue is -2 to
+    within 1e-160.  dgeev is backward stable without that stage, and a
+    symmetric matrix has orthogonal eigenvectors, so its backward error
+    bounds the eigenvalue error (Bauer-Fike).
+    """
+    return float(np.linalg.eigvals(a).real.min())
+
+
+# a 2 in (1, 0) and 3.44e-161 or 0 elsewhere, found by hypothesis
+TINY = 3.4405676774255984e-161
+TINY_ENTRIES = band([TINY, TINY, TINY, TINY], [2.0, TINY, TINY, 0.0],
+                    [TINY, TINY, 0.0, 0.0])
+
+
 @settings(max_examples=80, deadline=None)
 @given(h=lower_bands())
+@example(h=TINY_ENTRIES)
 def test_matches_numpy_and_residual(h):
     a = full_matrix(h)
     pair = smallest_eigpair(h)
-    w = np.linalg.eigvalsh(a)
-    assert pair.value == pytest.approx(float(w[0]), abs=1e-9 * max(1.0, abs(w[0])))
+    w0 = dense_lowest(a)
+    assert pair.value == pytest.approx(w0, abs=1e-9 * max(1.0, abs(w0)))
     assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
     residual = np.linalg.norm(a @ pair.vector - pair.value * pair.vector)
     assert residual <= 1e-10 * max(1.0, abs(pair.value)) + 1e-12
@@ -167,7 +187,7 @@ def test_band_path_matches_dense_reference(case):
     assert not np.tril(a, -width - 1).any() and not np.triu(a, width + 1).any()
 
     pair = smallest_eigpair(h)
-    w0 = float(np.linalg.eigvalsh(a)[0])
+    w0 = dense_lowest(a)
     assert pair.value == pytest.approx(w0, abs=1e-9 * max(1.0, abs(w0)))
     assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
     residual = np.linalg.norm(a @ pair.vector - pair.value * pair.vector)
