@@ -14,18 +14,20 @@ at once, and otherwise the search starts at h*.  The spectrum is even in
 psi, so only psi >= 0 is searched, by branch and bound: the energy is
 z kappa psi^2 plus a concave function of psi, so on any interval it lies
 above a convex quadratic fixed by the two end energies, or by lower bounds
-on them.  Intervals whose bound cannot
-beat the best energy by MARGIN, nor the psi = 0 energy by ENERGY_TIE_EPS,
-are pruned; the rest are split until narrower than REFINE_TOL.  Each split
-point is tested before it is solved: one band Cholesky (energy_unless_above)
-usually proves its energy above the pruning threshold, and that proof is
-kept as the point's lower bound.  Each new best that beats psi = 0 inside
-[0, psi_max) is polished by Brent's method and its bracket closed
-unbounded, which assumes one minimum in that bracket; a best at psi_max is
-left to the bounds.  MARGIN covers the rounding of one eigensolve, not the
-eigensolve tolerance (see minimize_over_psi).  Minimisers within
-ENERGY_TIE_EPS of the psi = 0 energy collapse to exactly zero so the
-insulating solution is reported cleanly.
+on them.  Intervals whose bound cannot beat the best energy by MARGIN, nor
+the psi = 0 energy by ENERGY_TIE_EPS, are pruned; the rest are split until
+narrower than REFINE_TOL.  Every point the search evaluates (the seeds,
+the opening at h* and each split point) goes through one rule
+(bounded_energy): band Choleskys of its matrix prove its energy above the
+pruning threshold wherever they can, the highest proven level is kept as
+the point's lower bound, and only a point that may beat the threshold is
+solved.  Each new best that beats psi = 0 inside [0, psi_max) is polished
+by Brent's method and its bracket closed unbounded, which assumes one
+minimum in that bracket; a best at psi_max is left to the bounds.
+MARGIN covers the rounding of one eigensolve, not the eigensolve
+tolerance (see minimize_over_psi).  Minimisers within ENERGY_TIE_EPS of
+the psi = 0 energy collapse to exactly zero so the insulating solution is
+reported cleanly.
 """
 
 from __future__ import annotations
@@ -112,20 +114,40 @@ def energy_at_psi(params: ModelParams, psi: float, n_max: int) -> float:
     return smallest_eigenvalue(build_mean_field(params, psi, n_max))
 
 
-def energy_unless_above(params: ModelParams, psi: float, n_max: int,
-                        t: float) -> float | None:
-    """energy_at_psi(params, psi, n_max), or None when the energy provably
-    lies above t.
+def bounded_energy(params: ModelParams, psi: float, n_max: int,
+                   threshold: float, width: float) -> tuple[float, bool]:
+    """The energy at psi as the psi search needs it: (E, True) with E
+    bitwise energy_at_psi(params, psi, n_max) when E <= threshold, and
+    otherwise (b, False) with threshold <= b < E a lower bound.
 
-    One band Cholesky of A - t I decides: it succeeds exactly when every
-    eigenvalue of A lies above t (Sylvester's law of inertia), up to
-    rounding of order eps * ||A||.  Only when it fails is the same matrix
-    solved, by the same call as energy_at_psi.
+    width is that of the widest interval psi ends.  A = build_mean_field
+    is built once and tried by band Cholesky of A - r I, which succeeds
+    exactly when every eigenvalue of A lies above r (Sylvester's law of
+    inertia), up to rounding of order eps * ||A||, at these r in turn:
+
+    1. r = threshold + z kappa width^2/4, the clearance that lets an
+       interval of that width, whose other end clears it too, be pruned;
+    2. r = threshold: when that fails, E <= threshold, and only then is
+       psi solved, by energy_at_psi, the one entry of every value solve
+       (it builds A again, a few percent of the dsbevx call);
+    3. the rungs r = threshold + z kappa (width/2^k)^2/4, k = 1, 2, ...,
+       the clearance a descendant of width width/2^k needs, down to width
+       REFINE_TOL: the first proven rung is the bound, threshold if none.
     """
+    c = params.z * params.kappa
     a = build_mean_field(params, psi, n_max)
-    if _positive_definite(a, t):
-        return None
-    return smallest_eigenvalue(a)
+    clearance = threshold + 0.25 * c * width * width
+    if _positive_definite(a, clearance):
+        return clearance, False
+    if not _positive_definite(a, threshold):
+        return energy_at_psi(params, psi, n_max), True
+    width *= 0.5
+    while width >= REFINE_TOL:
+        rung = threshold + 0.25 * c * width * width
+        if _positive_definite(a, rung):
+            return rung, False
+        width *= 0.5
+    return threshold, False
 
 
 def expected_L(vector: np.ndarray, l: int) -> float:
@@ -353,9 +375,9 @@ def minimize_over_psi(params: ModelParams,
     psi = 0 is solved first, and zero_reach proves from its sector data
     that E(psi) > E(0) - ENERGY_TIE_EPS for psi <= h*.  If h* >= psi_max
     the psi = 0 solution is the answer and nothing else is solved.
-    Otherwise the first seed interval opens at h*, whose energy is tested
-    like a split point's (below) with h the interval's width
-    psi_max/2 - h*, and it is dropped when h* passes the middle seed.
+    Otherwise the first seed interval opens at h*, evaluated like a split
+    point (below) with width psi_max/2 - h*, and it is dropped when h*
+    passes the middle seed.
 
     Branch and bound on E(psi) = z kappa psi^2 + g(psi), where
     g(psi) = lambda_min(H_free - z kappa psi (a + a+)) is concave, a
@@ -369,13 +391,22 @@ def minimize_over_psi(params: ModelParams,
     at the bound's minimiser p (the midpoint when that lies within
     SPLIT_EDGE of an end) and closed once narrower than REFINE_TOL.
 
-    p is tested before it is solved: energy_unless_above tries the band
-    Cholesky of A(p) - t I, t = T + z kappa h^2/4 with h the wider child.
-    When it succeeds, E(p) > t is proven and t stands in for E(p) at the
-    children's shared end; a bound never becomes the incumbent.  The
-    widening z kappa h^2/4 is what the chord bound of a child of width h
-    loses at most below its ends, so a child whose other end also clears T
-    by that much is pruned.  Only when the test fails is A(p) solved.
+    Every evaluated point p, the seeds psi_max/2 and psi_max among them,
+    goes through one rule (bounded_energy) on its matrix A(p), with h the
+    widest interval p ends (the wider child of a split, the seed spacing
+    for a seed).  It tries the band Cholesky of A(p) - t I at the
+    clearance t = T + z kappa h^2/4, which is what the chord bound of an
+    interval of width h loses at most below its ends: on success t is the
+    bound at p, and an interval whose other end also clears T by that much
+    is pruned.  Otherwise a Cholesky at T itself decides: when it succeeds
+    p cannot become the incumbent, and its bound is the highest rung
+    T + z kappa (h/2^k)^2/4, k = 1, 2, ..., that a Cholesky proves, the
+    clearance a descendant of width h/2^k needs, or T when none is.  Only
+    a candidate, E(p) <= T, is solved, by energy_at_psi.  A chord through
+    lower bounds still bounds E, so a bound stands in for E(p) at the
+    children's shared end, but it never becomes the incumbent, and the
+    seeds, evaluated against T = E(0) - ENERGY_TIE_EPS before any
+    incumbent, compete for the first one only when solved.
 
     A sample that becomes the incumbent below psi_max and beats E(0) by
     more than ENERGY_TIE_EPS is polished once, by Brent's method (_brent)
@@ -414,9 +445,6 @@ def minimize_over_psi(params: ModelParams,
             f"mu/omega: max(|omega|, |Omega|, |mu|) = {scale:g} rounds the "
             f"band at n_max = {2 * n_max} by more than MARGIN = {MARGIN:g}")
 
-    def energy(p: float) -> float:
-        return energy_at_psi(params, p, n_max)
-
     # psi = 0 is solved once, from the sector blocks: it opens the search
     # and is the answer whenever the minimum ties with it
     zero = solution_at(params, 0.0, n_max)
@@ -425,12 +453,17 @@ def minimize_over_psi(params: ModelParams,
         return zero
     tie = zero.energy - ENERGY_TIE_EPS
     psis = np.linspace(0.0, psi_max, SEED_POINTS).tolist()
-    energies = [zero.energy] + [energy(p) for p in psis[1:]]
+    # the seeds are evaluated before any incumbent, against tie, and only
+    # solved seeds compete for the first one
+    seeds = [bounded_energy(params, p, n_max, tie, psis[1]) for p in psis[1:]]
+    energies = [zero.energy] + [e for e, _ in seeds]
+    solved = [0] + [j for j, (_, exact) in enumerate(seeds, 1) if exact]
     best_psi, best_e = 0.0, zero.energy
 
     def polish(a: float, b: float) -> None:
         nonlocal best_psi, best_e
-        p, e = _brent(energy, a, b, REFINE_TOL / 4.0)
+        p, e = _brent(lambda x: energy_at_psi(params, x, n_max), a, b,
+                      REFINE_TOL / 4.0)
         if e < best_e:
             best_psi, best_e = p, e
 
@@ -442,7 +475,7 @@ def minimize_over_psi(params: ModelParams,
             heapq.heappush(heap, (bound, a, b, ea, eb, p))
 
     last = len(psis) - 1
-    i = int(np.argmin(energies))
+    i = min(solved, key=energies.__getitem__)
     closed = ()
     if energies[i] < tie:
         best_psi, best_e = psis[i], energies[i]
@@ -454,9 +487,9 @@ def minimize_over_psi(params: ModelParams,
     if 0 not in closed and reach < psis[1]:
         a, ea = psis[0], energies[0]
         if reach > 0.0:
-            t = min(best_e - MARGIN, tie) + 0.25 * c * (psis[1] - reach) ** 2
-            e = energy_unless_above(params, reach, n_max, t)
-            a, ea = reach, t if e is None else e
+            a = reach
+            ea, _ = bounded_energy(params, reach, n_max,
+                                   min(best_e - MARGIN, tie), psis[1] - reach)
         push(a, psis[1], ea, energies[1])
     for j in range(1, last):
         if j not in closed:
@@ -471,11 +504,9 @@ def minimize_over_psi(params: ModelParams,
             continue
         if min(p - a, b - p) < SPLIT_EDGE * (b - a):
             p = 0.5 * (a + b)
-        t = threshold + 0.25 * c * max(p - a, b - p) ** 2
-        e = energy_unless_above(params, p, n_max, t)
-        if e is None:
-            e = t
-        elif e < best_e:
+        e, exact = bounded_energy(params, p, n_max, threshold,
+                                  max(p - a, b - p))
+        if exact and e < best_e:
             best_psi, best_e = p, e
             if e < tie:
                 polish(a, b)

@@ -173,8 +173,11 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     n_max = resolve_n_max(spec.l, n_max)
-    ys = spec.y_values
-    tasks = [(spec, n_max, x, y) for x in spec.x_values for y in ys]
+    xs = spec.x_values
+    # row by row: the cells of one y share their psi = 0 sector data
+    # (groundstate._sectors), so each row misses that cache once per
+    # truncation level
+    tasks = [(spec, n_max, x, y) for y in spec.y_values for x in xs]
     if jobs == 1:
         flat = [_evaluate_cell(t) for t in tasks]
     else:
@@ -182,7 +185,7 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             flat = list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
     cells = tuple(
-        tuple(flat[ix * spec.ny + iy] for iy in range(spec.ny))
+        tuple(flat[iy * spec.nx + ix] for iy in range(spec.ny))
         for ix in range(spec.nx)
     )
     return PhaseGrid(spec=spec, cells=cells)

@@ -10,17 +10,19 @@ from jchm.classify import PSI_EPS
 from jchm.eigen import smallest_eigenvalue, smallest_eigpair, tolerance
 from jchm.groundstate import (
     ENERGY_TIE_EPS,
+    MARGIN,
     REFINE_TOL,
     BracketExhausted,
     MeanFieldSolution,
+    bounded_energy,
     energy_at_psi,
-    energy_unless_above,
     expected_L,
     minimize_over_psi,
     resolve_n_max,
     solution_at,
 )
 from jchm.operators import ModelParams, build_mean_field
+from jchm.sweep import params_for
 
 from conftest import zero_drive_ground_oracle, zero_drive_sector_energies
 
@@ -74,23 +76,27 @@ def test_energy_even_in_psi(l, omega, psi, kappa):
 @given(l=st.integers(1, 4), omega=st.floats(0.5, 4.0), mu=st.floats(0.0, 2.0),
        kappa=st.floats(0.0, 1.0), psi=st.floats(0.0, 3.0),
        n_extra=st.integers(2, 40), above=st.booleans(),
-       log_gap=st.floats(-9.5, 1.0))
-def test_energy_unless_above_is_sound(l, omega, mu, kappa, psi, n_extra,
-                                      above, log_gap):
-    # the band Cholesky reports "above t" only when the smallest eigenvalue
-    # is, and otherwise returns bitwise what energy_at_psi returns; t sits a
-    # random distance, never within the certificate's tolerance, either side
+       log_gap=st.floats(-9.5, 1.0), width=st.floats(0.0, 2.0))
+def test_bounded_energy_is_sound(l, omega, mu, kappa, psi, n_extra, above,
+                                 log_gap, width):
+    # the rule solves a point only when its energy is at or below the
+    # threshold, and then returns bitwise what energy_at_psi returns; any
+    # other return is a bound at or above the threshold and below the
+    # energy, up to the tolerance every eigenvalue check holds to.  The
+    # threshold sits a random distance, never within that tolerance,
+    # either side of the energy
     params = ModelParams(l=l, omega=omega, Omega=omega, mu=mu, kappa=kappa)
     n_max = l + n_extra
     energy = energy_at_psi(params, psi, n_max)
     gap = 10.0 ** log_gap * max(1.0, abs(energy))
     assert gap > tolerance(energy)
-    t = energy - gap if above else energy + gap
-    got = energy_unless_above(params, psi, n_max, t)
+    threshold = energy - gap if above else energy + gap
+    value, exact = bounded_energy(params, psi, n_max, threshold, width)
     if above:
-        assert got is None
+        assert not exact
+        assert threshold <= value < energy + tolerance(energy)
     else:
-        assert got is not None and got.hex() == energy.hex()
+        assert exact and value.hex() == energy.hex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,8 +324,9 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
 def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
     # the MI(1) point of test_minimize_single_occupancy_insulator: zero_reach
     # proves psi = 0 over [0, h*] with 0 < h* < psi_max, so the first seed
-    # interval opens at h* and the cascade toward psi = 0 is skipped:
-    # 5 value solves (10 without the reach), none of them below h*
+    # interval opens at h* and the cascade toward psi = 0 is skipped, and
+    # every point the search evaluates is bounded by band Choleskys: no
+    # value solve, and no matrix built below h*
     params = ModelParams.resonant(1, 1.7, kappa=10 ** -1.3)
     reach = groundstate.zero_reach(params, 40)
     assert 0.0 < reach < math.sqrt(40) / 2
@@ -339,38 +346,58 @@ def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
     monkeypatch.setattr(groundstate, "smallest_eigenvalue", counted_value)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == 0.0 and sol.l_expect == 1.0
-    assert len(values) <= 5
+    assert values == []
     assert min(built) == reach
+
+
+def test_minimize_bounds_a_near_critical_insulator_without_solving(
+        monkeypatch):
+    # an MI(1) point just inside its lobe edge, where the energy is flattest
+    # near psi = 0 and zero_reach proves nothing: the branch and bound
+    # splits down toward psi = 0, and every point it evaluates is proven
+    # above the pruning threshold by band Choleskys, so no value solve runs
+    params = params_for(1, -1.1328125, -0.7)
+    assert groundstate.zero_reach(params, 40) == 0.0
+    values = []
+
+    def counted_value(a):
+        values.append(len(a))
+        return smallest_eigenvalue(a)
+
+    monkeypatch.setattr(groundstate, "smallest_eigenvalue", counted_value)
+    sol = minimize_over_psi(params, 40)
+    assert sol.psi_star == 0.0 and sol.l_expect == 1.0
+    assert values == []
 
 
 def synthetic_landscape(monkeypatch, energy) -> list[float]:
     """Make minimize_over_psi see energy(psi) alone, through every seam it
-    solves by: energy_at_psi, the test before solving energy_unless_above
-    and solution_at, with zero_reach proving nothing.  The real
-    Hamiltonian is never built.  Returns the psi of every energy_at_psi
-    call, in order."""
+    solves or tests by: energy_at_psi, solution_at and the band Cholesky
+    of the rule (bounded_energy), with zero_reach proving nothing.  The
+    real Hamiltonian is never built: build_mean_field hands the rule psi
+    itself, and its Cholesky of A - t I succeeds when energy(psi) > t.
+    Returns the psi of every energy_at_psi call, in order."""
     solved = []
 
     def energy_at(params, psi, n_max):
         solved.append(psi)
         return energy(psi)
 
-    def unless_above(params, psi, n_max, t):
-        e = energy(psi)
-        return None if e > t else e
-
     def solution(params, psi, n_max):
         return MeanFieldSolution(psi_star=float(psi), energy=energy(psi),
                                  l_expect=0.0, n_max_used=n_max)
 
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("a synthetic landscape builds no matrix")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a synthetic landscape solves no matrix")
 
     monkeypatch.setattr(groundstate, "energy_at_psi", energy_at)
-    monkeypatch.setattr(groundstate, "energy_unless_above", unless_above)
     monkeypatch.setattr(groundstate, "solution_at", solution)
     monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: 0.0)
-    monkeypatch.setattr(groundstate, "build_mean_field", no_matrix)
+    monkeypatch.setattr(groundstate, "build_mean_field",
+                        lambda params, psi, n_max: psi)
+    monkeypatch.setattr(groundstate, "_positive_definite",
+                        lambda psi, t: energy(psi) > t)
+    monkeypatch.setattr(groundstate, "smallest_eigenvalue", no_solve)
     return solved
 
 
@@ -455,17 +482,48 @@ def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
     energy = crossing(c, (0.0, 0.0), (0.3 * psi_max, -0.01))
     solved = synthetic_landscape(monkeypatch, energy)
     tested = []
-    unless_above = groundstate.energy_unless_above
+    rule = groundstate.bounded_energy
 
-    def recorded(params, psi, n_max, t):
+    def recorded(params, psi, n_max, threshold, width):
         tested.append(psi)
-        return unless_above(params, psi, n_max, t)
+        return rule(params, psi, n_max, threshold, width)
 
-    monkeypatch.setattr(groundstate, "energy_unless_above", recorded)
+    monkeypatch.setattr(groundstate, "bounded_energy", recorded)
     monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: reach)
     assert min(energy(psi_max / 2), energy(psi_max)) > energy(0.0)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(0.3 * psi_max, abs=REFINE_TOL)
     assert sol.energy == pytest.approx(-0.01, abs=1e-12)
-    assert tested[0] == reach
+    # the two seeds come first, then the opening at the reach
+    assert tested[:3] == [psi_max / 2, psi_max, reach]
     assert min(solved + tested) >= reach
+
+
+def test_minimize_never_takes_a_bound_as_the_incumbent(monkeypatch):
+    # two wells whose depths differ by MARGIN/2: the one at 0.75 psi_max
+    # becomes the incumbent first, and the deeper one at 0.25 psi_max
+    # cannot beat it by MARGIN, so its points are bounded, not solved.  A
+    # bound there lies below the incumbent's energy but is no energy of any
+    # point: it must not replace the incumbent
+    params = ModelParams.resonant(1, 2.2, kappa=0.5)
+    c = params.z * params.kappa
+    psi_max = math.sqrt(40) / 2
+    energy = crossing(c, (0.75 * psi_max, -1.0),
+                      (0.25 * psi_max, -1.0 - MARGIN / 2))
+    solved = synthetic_landscape(monkeypatch, energy)
+    bounds = []
+    rule = groundstate.bounded_energy
+
+    def recorded(params, psi, n_max, threshold, width):
+        value, exact = rule(params, psi, n_max, threshold, width)
+        if not exact:
+            bounds.append((psi, value))
+        return value, exact
+
+    monkeypatch.setattr(groundstate, "bounded_energy", recorded)
+    sol = minimize_over_psi(params, 40)
+    assert sol.psi_star == pytest.approx(0.75 * psi_max, abs=REFINE_TOL)
+    assert sol.energy == energy(sol.psi_star)
+    assert energy(0.25 * psi_max) < sol.energy
+    assert any(value < sol.energy for _, value in bounds)
+    assert 0.25 * psi_max not in solved

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from jchm import eigen
+from jchm import eigen, groundstate
 from jchm.analytic import Side, strong_coupling_boundary
 from jchm.sweep import (
     GridSpec,
@@ -81,6 +81,21 @@ def test_run_grid_deterministic():
         assert pa.token == pb.token
         assert pa.energy == pb.energy
         assert pa.psi_star == pb.psi_star
+
+
+
+def test_run_grid_reuses_each_row_of_sector_data():
+    # the cells of one row share omega, so their psi = 0 sector data is
+    # one cache entry per truncation level (n_max and the probe's
+    # 2 n_max): run row by row, a grid misses that cache at most 2 ny
+    # times, however many columns it has and however small the cache.
+    # Column by column, 80 rows need 160 entries, more than the cache
+    # holds, and every cell would miss
+    spec = GridSpec.default(1, nx=3, ny=80)
+    assert 2 * spec.ny > groundstate._sectors.cache_info().maxsize
+    groundstate._sectors.cache_clear()
+    run_grid(spec, jobs=1)
+    assert groundstate._sectors.cache_info().misses <= 2 * spec.ny
 
 
 def test_run_grid_parallel_matches_serial():
