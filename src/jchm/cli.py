@@ -91,6 +91,7 @@ _LIMITS = {
     "l": (lambda v: 1 <= v <= 4, "must be between 1 and 4"),
     "z": (lambda v: v >= 1, "must be a positive integer"),
     "jobs": (lambda v: v >= 1, "must be a positive integer"),
+    "boundary_tol": (lambda v: v > 0, "must be positive"),
 }
 
 

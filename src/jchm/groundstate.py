@@ -3,31 +3,31 @@
 The drive amplitude psi is treated variationally: the full mean-field matrix
 is rebuilt at every psi, never linearised, and its smallest eigenvalue is
 taken without an eigenvector (eigen.smallest_eigenvalue, certified by
-inertia).  psi = 0 takes its lowest L-sector energy in closed form, under
+inertia).  psi = 0 takes its lowest L-sector energy analytically, under
 the same certificate, and its <L> is that sector's L; only a nonzero
 reported minimiser is solved with its eigenvector (eigen.smallest_eigpair),
 for <L>.  The same sector data prove, with no band solve, that no energy
 within a reach h* of psi = 0 comes within ENERGY_TIE_EPS of it (zero_reach:
 a Schur complement on the psi = 0 state, whose drive couples only to the
 sectors L* +- 1); when h* covers psi_max the psi = 0 solution is returned
-at once, and otherwise the search starts at h*.  The spectrum is even in
-psi, so only psi >= 0 is searched, by branch and bound: the energy is
-z kappa psi^2 plus a concave function of psi, so on any interval it lies
-above a convex quadratic fixed by the two end energies, or by lower bounds
-on them.  Intervals whose bound cannot beat the best energy by MARGIN, nor
-the psi = 0 energy by ENERGY_TIE_EPS, are pruned; the rest are split until
-narrower than REFINE_TOL.  Every point the search evaluates (the seeds,
-the opening at h* and each split point) goes through one rule
-(bounded_energy): band Choleskys of its matrix prove its energy above the
-pruning threshold wherever they can, the highest proven level is kept as
-the point's lower bound, and only a point that may beat the threshold is
-solved.  Each new best that beats psi = 0 inside [0, psi_max) is polished
-by Brent's method and its bracket closed unbounded, which assumes one
-minimum in that bracket; a best at psi_max is left to the bounds.
-MARGIN covers the rounding of one eigensolve, not the eigensolve
-tolerance (see minimize_over_psi).  Minimisers within ENERGY_TIE_EPS of
-the psi = 0 energy collapse to exactly zero so the insulating solution is
-reported cleanly.
+at once, and otherwise the search opens on the one interval [h*, psi_max].
+The spectrum is even in psi, so only psi >= 0 is searched, by branch and
+bound: the energy is z kappa psi^2 plus a concave function of psi, so on
+any interval it lies above a convex quadratic fixed by the two end
+energies, or by lower bounds on them.  Intervals whose bound cannot beat
+the best energy by MARGIN, nor the psi = 0 energy by ENERGY_TIE_EPS, are
+pruned; the rest are split until narrower than REFINE_TOL.  Every point
+the search evaluates (psi_max, h* and each split point) goes through one
+rule (bounded_energy): band Choleskys of its matrix prove its energy above
+the pruning threshold wherever they can, the highest proven level is kept
+as the point's lower bound, and only a point that may beat the threshold
+is solved.  Each split point that becomes a new best and beats psi = 0 is
+polished by Brent's method and the interval it split dropped unbounded,
+which assumes one minimum in that interval; a best at psi_max is left to
+the bounds.  MARGIN covers the rounding of one eigensolve, not the
+eigensolve tolerance (see minimize_over_psi).  Minimisers within
+ENERGY_TIE_EPS of the psi = 0 energy collapse to exactly zero so the
+insulating solution is reported cleanly.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .operators import (
     build_mean_field,
 )
 
-SEED_POINTS = 3
 REFINE_TOL = 1e-6
 ENERGY_TIE_EPS = 1e-9
 MARGIN = 1e-10
@@ -375,53 +374,48 @@ def minimize_over_psi(params: ModelParams,
     psi = 0 is solved first, and zero_reach proves from its sector data
     that E(psi) > E(0) - ENERGY_TIE_EPS for psi <= h*.  If h* >= psi_max
     the psi = 0 solution is the answer and nothing else is solved.
-    Otherwise the first seed interval opens at h*, evaluated like a split
-    point (below) with width psi_max/2 - h*, and it is dropped when h*
-    passes the middle seed.
+    Otherwise the search opens on the one interval [h*, psi_max]: psi_max
+    is evaluated first, then h* unless it is 0, where E(0) is known, each
+    like a split point (below) with width psi_max - h*.
 
     Branch and bound on E(psi) = z kappa psi^2 + g(psi), where
     g(psi) = lambda_min(H_free - z kappa psi (a + a+)) is concave, a
     minimum of functions affine in psi.  On an interval g lies above its
     chord, which bounds E from below by a convex quadratic (_chord_bound);
-    a chord through lower bounds on the end energies bounds E as well.
-    SEED_POINTS evenly spaced samples, psi = 0 and psi_max among them, open
-    the search.  An interval is pruned when its bound is at or above
-    T = min(best - MARGIN, E(0) - ENERGY_TIE_EPS): nothing in it can beat
-    the incumbent, nor break the tie with psi = 0.  Otherwise it is split
-    at the bound's minimiser p (the midpoint when that lies within
-    SPLIT_EDGE of an end) and closed once narrower than REFINE_TOL.
+    a chord through lower bounds on the end energies bounds E as well.  An
+    interval is pruned when its bound is at or above T = min(best - MARGIN,
+    E(0) - ENERGY_TIE_EPS): nothing in it can beat the incumbent, nor break
+    the tie with psi = 0.  Otherwise it is split at the bound's minimiser p
+    (the midpoint when that lies within SPLIT_EDGE of an end) and dropped
+    once narrower than REFINE_TOL.
 
-    Every evaluated point p, the seeds psi_max/2 and psi_max among them,
-    goes through one rule (bounded_energy) on its matrix A(p), with h the
-    widest interval p ends (the wider child of a split, the seed spacing
-    for a seed).  It tries the band Cholesky of A(p) - t I at the
-    clearance t = T + z kappa h^2/4, which is what the chord bound of an
-    interval of width h loses at most below its ends: on success t is the
-    bound at p, and an interval whose other end also clears T by that much
-    is pruned.  Otherwise a Cholesky at T itself decides: when it succeeds
-    p cannot become the incumbent, and its bound is the highest rung
-    T + z kappa (h/2^k)^2/4, k = 1, 2, ..., that a Cholesky proves, the
-    clearance a descendant of width h/2^k needs, or T when none is.  Only
-    a candidate, E(p) <= T, is solved, by energy_at_psi.  A chord through
-    lower bounds still bounds E, so a bound stands in for E(p) at the
-    children's shared end, but it never becomes the incumbent, and the
-    seeds, evaluated against T = E(0) - ENERGY_TIE_EPS before any
-    incumbent, compete for the first one only when solved.
+    Every evaluated point p, psi_max and h* among them, goes through one
+    rule (bounded_energy) on its matrix A(p), with h the widest interval p
+    ends (the wider child of a split, psi_max - h* at the opening).  Band
+    Choleskys of A(p) - t I prove E(p) above the clearance
+    t = T + z kappa h^2/4, what the chord bound of an interval of width h
+    loses at most below its ends, or else above T and the highest rung
+    T + z kappa (h/2^k)^2/4 they can, the clearance a descendant of width
+    h/2^k needs.  Only a candidate, E(p) <= T, is solved, by energy_at_psi.
+    A chord through lower bounds still bounds E, so a bound stands in for
+    E(p) at the children's shared end, but it never becomes the incumbent,
+    and psi_max, evaluated against T = E(0) - ENERGY_TIE_EPS before any
+    incumbent, becomes the first one only when solved.
 
-    A sample that becomes the incumbent below psi_max and beats E(0) by
-    more than ENERGY_TIE_EPS is polished once, by Brent's method (_brent)
-    to REFINE_TOL/4 between its two evaluated neighbours, and that bracket
-    is then closed without a bound: the closure assumes E is unimodal
-    there, and a second, lower minimum inside the bracket is not excluded.
-    With three seeds a middle seed's bracket is all of [0, psi_max].  A
-    seed incumbent at psi_max is not polished: its interval stays on the
-    heap, where a steep fall into the edge is pruned at once.  Minima in
-    other intervals are still bounded, so a first-order (two-minimum)
-    landscape is resolved when its basins fall in different brackets.
+    A split point that becomes the incumbent and beats E(0) by more than
+    ENERGY_TIE_EPS is polished once, by Brent's method (_brent) to
+    REFINE_TOL/4 inside the interval it split, and that interval is then
+    dropped without a bound: that assumes E is unimodal there, and a
+    second, lower minimum inside it is not excluded.  The first interval to
+    split is all of [h*, psi_max].  An incumbent at psi_max is not
+    polished: its interval stays on the heap, where a steep fall into the
+    edge is pruned at once.  Minima in other intervals are still bounded,
+    so a first-order (two-minimum) landscape is resolved when its basins
+    fall in different intervals.
 
     The proof is only as tight as MARGIN, an absolute 1e-10 that covers
     the rounding of one dsbevx call or band Cholesky (about eps * ||A||),
-    and as the unimodality of each polished bracket.  MARGIN does not cover
+    and as the unimodality of each polished interval.  MARGIN does not cover
     the inertia certificate's d = eigen.tolerance(E) of each sampled value,
     which is larger than MARGIN whenever |E| > 1: every sampled energy is
     certified to within d, but the bound that prunes is not widened by it.
@@ -452,20 +446,17 @@ def minimize_over_psi(params: ModelParams,
     if reach >= psi_max:
         return zero
     tie = zero.energy - ENERGY_TIE_EPS
-    psis = np.linspace(0.0, psi_max, SEED_POINTS).tolist()
-    # the seeds are evaluated before any incumbent, against tie, and only
-    # solved seeds compete for the first one
-    seeds = [bounded_energy(params, p, n_max, tie, psis[1]) for p in psis[1:]]
-    energies = [zero.energy] + [e for e, _ in seeds]
-    solved = [0] + [j for j, (_, exact) in enumerate(seeds, 1) if exact]
     best_psi, best_e = 0.0, zero.energy
-
-    def polish(a: float, b: float) -> None:
-        nonlocal best_psi, best_e
-        p, e = _brent(lambda x: energy_at_psi(params, x, n_max), a, b,
-                      REFINE_TOL / 4.0)
-        if e < best_e:
-            best_psi, best_e = p, e
+    # nothing in [0, reach] reaches tie, so one interval [reach, psi_max]
+    # opens the search; psi_max becomes the incumbent only when solved
+    width = psi_max - reach
+    e_max, exact = bounded_energy(params, psi_max, n_max, tie, width)
+    if exact and e_max < tie:
+        best_psi, best_e = psi_max, e_max
+    e_reach = zero.energy
+    if reach > 0.0:
+        e_reach, _ = bounded_energy(params, reach, n_max,
+                                    min(best_e - MARGIN, tie), width)
 
     heap: list[tuple[float, float, float, float, float, float]] = []
 
@@ -474,27 +465,7 @@ def minimize_over_psi(params: ModelParams,
         if bound < min(best_e - MARGIN, tie):
             heapq.heappush(heap, (bound, a, b, ea, eb, p))
 
-    last = len(psis) - 1
-    i = min(solved, key=energies.__getitem__)
-    closed = ()
-    if energies[i] < tie:
-        best_psi, best_e = psis[i], energies[i]
-        if i < last:
-            polish(psis[i - 1], psis[i + 1])
-            closed = (i - 1, i)
-    # nothing in [0, reach] reaches tie, so the first seed interval opens at
-    # reach, tested like a split point, and is dropped if reach passes it
-    if 0 not in closed and reach < psis[1]:
-        a, ea = psis[0], energies[0]
-        if reach > 0.0:
-            a = reach
-            ea, _ = bounded_energy(params, reach, n_max,
-                                   min(best_e - MARGIN, tie), psis[1] - reach)
-        push(a, psis[1], ea, energies[1])
-    for j in range(1, last):
-        if j not in closed:
-            push(psis[j], psis[j + 1], energies[j], energies[j + 1])
-
+    push(reach, psi_max, e_reach, e_max)
     while heap:
         bound, a, b, ea, eb, p = heapq.heappop(heap)
         threshold = min(best_e - MARGIN, tie)
@@ -509,7 +480,10 @@ def minimize_over_psi(params: ModelParams,
         if exact and e < best_e:
             best_psi, best_e = p, e
             if e < tie:
-                polish(a, b)
+                p, e = _brent(lambda x: energy_at_psi(params, x, n_max),
+                              a, b, REFINE_TOL / 4.0)
+                if e < best_e:
+                    best_psi, best_e = p, e
                 continue
         push(a, p, ea, e)
         push(p, b, e, eb)

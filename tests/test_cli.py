@@ -474,6 +474,23 @@ def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
     assert "phase = MI:1\n" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_boundary_tol_must_be_positive(tmp_path, capsys, monkeypatch, value):
+    # rejected under its own key, from the flag and the config file alike,
+    # before either bracket end is classified
+    monkeypatch.setattr(sweep, "classify_point",
+                        lambda *a, **k: pytest.fail("a cell was classified"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"boundary_tol": float(value)}))
+    argv = ["boundary", "--l", "1", "--axis", "x", "--fixed=-1.2",
+            "--bracket=-1.2:-0.4"]
+    for source in ([f"--boundary-tol={value}"], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *argv, *source)
+        assert code == 1 and out == ""
+        assert err == (f"invalid parameter: boundary_tol: must be positive, "
+                       f"got {float(value)}\n")
+
+
 def test_config_between_must_hold_two_strings(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     for between in ([1, 2], ["MI:0"], 5):

@@ -228,15 +228,32 @@ def test_minimize_single_occupancy_insulator():
     assert sol.l_expect == pytest.approx(1.0, abs=1e-6)
 
 
-def test_minimize_superfluid():
-    params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
-    psi_max = math.sqrt(40) / 2
-    sol = minimize_over_psi(params, 40)
+@pytest.mark.parametrize("params, n_max, depth", [
+    pytest.param(ModelParams.resonant(1, 2.2, kappa=10 ** -0.5), 40, 1e-4,
+                 id="resonant"),
+    # interior superfluids: two near lobe edges, whose minimum lies barely
+    # below psi = 0, two flat minima and a deep one
+    pytest.param(params_for(1, -1.132, -0.7), 40, ENERGY_TIE_EPS,
+                 id="l1-edge-y-0.7"),
+    pytest.param(params_for(1, -0.73671875, -1.2), 40, ENERGY_TIE_EPS,
+                 id="l1-edge-y-1.2"),
+    pytest.param(params_for(2, -2.8125, 0.12), 40, ENERGY_TIE_EPS,
+                 id="l2-flat"),
+    pytest.param(params_for(3, -1.0075, -0.618), 24, ENERGY_TIE_EPS,
+                 id="l3-flat"),
+    pytest.param(params_for(3, -0.9794, -1.2821), 24, ENERGY_TIE_EPS,
+                 id="l3-deep"),
+])
+def test_minimize_superfluid(params, n_max, depth):
+    psi_max = math.sqrt(n_max) / 2
+    sol = minimize_over_psi(params, n_max)
     assert sol.psi_star > PSI_EPS
-    assert sol.energy < -1e-4
-    # the reported energy beats (or ties) every energy of a 64-point scan
-    for psi in np.linspace(0.0, psi_max, 64):
-        assert sol.energy <= energy_at_psi(params, psi, 40) + ENERGY_TIE_EPS + 1e-9
+    assert sol.energy < energy_at_psi(params, 0.0, n_max) - depth
+    # the reported energy beats (or ties) every energy of an independent
+    # 401-point scan
+    for psi in np.linspace(0.0, psi_max, 401):
+        assert sol.energy <= (energy_at_psi(params, psi, n_max)
+                              + ENERGY_TIE_EPS + 1e-9)
 
 
 def test_minimize_monotone_in_truncation():
@@ -261,11 +278,11 @@ def test_minimize_reports_bracket_exhaustion():
     assert sol.energy < 0.0 and sol.n_max_used == 30
 
 
-def test_minimize_runaway_takes_its_seeds_only(monkeypatch):
-    # the runaway point of test_minimize_reports_bracket_exhaustion: the
-    # seed at psi_max is the incumbent and is not polished, and the steep
-    # fall into the edge prunes both seed intervals at once, so the edge
-    # is reported exactly after at most 3 value solves
+def test_minimize_runaway_solves_the_edge_only(monkeypatch):
+    # the runaway point of test_minimize_reports_bracket_exhaustion: psi_max
+    # is solved first and becomes the incumbent, unpolished, and the steep
+    # fall into the edge prunes the one opening interval at once, so the
+    # edge is reported exactly after 1 value solve
     values = []
 
     def counted(a):
@@ -276,7 +293,7 @@ def test_minimize_runaway_takes_its_seeds_only(monkeypatch):
     with pytest.raises(BracketExhausted) as exc:
         minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=1.0), 30)
     assert exc.value.solution.psi_star == math.sqrt(30) / 2
-    assert len(values) <= 3
+    assert len(values) == 1
 
 
 def test_minimize_l_expect_lies_within_the_truncation():
@@ -293,7 +310,7 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     # its polish take eigenvalues only, and a superfluid adds one band
     # vector solve at psi_star.  The deep insulator is proven by zero_reach
     # over all of [0, psi_max] and builds no band at all; the superfluid,
-    # tested before solving and polished by Brent's method, takes 13 value
+    # tested before solving and polished by Brent's method, takes 11 value
     # solves
     calls = {"sector": 0, "pair": 0, "value": 0, "build": 0}
 
@@ -318,13 +335,13 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     if vector_solves == 1:
         assert calls["value"] == calls["build"] == 0
     else:
-        assert calls["value"] <= 13
+        assert calls["value"] <= 11
 
 
 def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
     # the MI(1) point of test_minimize_single_occupancy_insulator: zero_reach
-    # proves psi = 0 over [0, h*] with 0 < h* < psi_max, so the first seed
-    # interval opens at h* and the cascade toward psi = 0 is skipped, and
+    # proves psi = 0 over [0, h*] with 0 < h* < psi_max, so the search
+    # opens on [h*, psi_max] and the cascade toward psi = 0 is skipped, and
     # every point the search evaluates is bounded by band Choleskys: no
     # value solve, and no matrix built below h*
     params = ModelParams.resonant(1, 1.7, kappa=10 ** -1.3)
@@ -439,9 +456,9 @@ def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
 def test_minimize_leaves_an_edge_minimum_to_the_bounds(monkeypatch):
     # a synthetic landscape whose minimum sits at psi_max: a shallow basin
     # at 0.3 psi_max and a deeper well whose vertex lies past the edge.
-    # The seed at psi_max is the incumbent and is not polished, so
-    # energy_at_psi runs at the two seeds only; the heap's tests settle the
-    # rest, and the edge is reported exactly
+    # psi_max is solved first and becomes the incumbent, unpolished, so
+    # energy_at_psi runs there only; the heap's tests settle the rest, and
+    # the edge is reported exactly
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
     c = params.z * params.kappa
     psi_max = math.sqrt(40) / 2
@@ -449,7 +466,7 @@ def test_minimize_leaves_an_edge_minimum_to_the_bounds(monkeypatch):
     solved = synthetic_landscape(monkeypatch, energy)
     with pytest.raises(BracketExhausted) as exc:
         minimize_over_psi(params, 40)
-    assert solved == [psi_max / 2, psi_max]
+    assert solved == [psi_max]
     sol = exc.value.solution
     assert sol.psi_star == psi_max and sol.energy == energy(psi_max)
     assert min(energy(p) for p in np.linspace(0.0, psi_max, 1001)) == (
@@ -457,9 +474,9 @@ def test_minimize_leaves_an_edge_minimum_to_the_bounds(monkeypatch):
 
 
 def test_minimize_bounds_find_a_well_below_an_edge_incumbent(monkeypatch):
-    # the seed at psi_max is the first incumbent and is not polished, but a
-    # deeper well at 0.8 psi_max, missed by the seeds, lies below it: the
-    # chord bounds of the edge interval must still lead the heap to it
+    # psi_max is the first incumbent and is not polished, but a deeper well
+    # at 0.8 psi_max, above psi = 0 and psi_max/2, lies below it: the chord
+    # bounds of the opening interval must still lead the heap to it
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
     c = params.z * params.kappa
     psi_max = math.sqrt(40) / 2
@@ -472,9 +489,9 @@ def test_minimize_bounds_find_a_well_below_an_edge_incumbent(monkeypatch):
 
 
 def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
-    # zero_reach patched to 0.2 psi_max, between the seeds 0 and psi_max/2:
-    # a well at 0.3 psi_max, below psi = 0 and missed by the seeds, must
-    # still be found, and no energy may be taken inside [0, reach)
+    # zero_reach patched to 0.2 psi_max: a well at 0.3 psi_max, below
+    # psi = 0 while psi_max/2 and psi_max lie above it, must still be found,
+    # and no energy may be taken inside [0, reach)
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
     c = params.z * params.kappa
     psi_max = math.sqrt(40) / 2
@@ -494,8 +511,8 @@ def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(0.3 * psi_max, abs=REFINE_TOL)
     assert sol.energy == pytest.approx(-0.01, abs=1e-12)
-    # the two seeds come first, then the opening at the reach
-    assert tested[:3] == [psi_max / 2, psi_max, reach]
+    # psi_max comes first, then the opening at the reach
+    assert tested[:2] == [psi_max, reach]
     assert min(solved + tested) >= reach
 
 
