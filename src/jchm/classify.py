@@ -1,10 +1,11 @@
 """Phase assignment for one parameter point, with truncation evidence.
 
-A point is superfluid when the minimised drive amplitude is resolvably
-nonzero.  Otherwise the psi = 0 ground state is compared at the base
-truncation (the minimiser's own solution when its psi_star is zero) and at
-twice it: a ground state whose L expectation chases the truncation edge has
-no converged thermodynamic limit and the point is forbidden; a stable
+A point is superfluid when the minimiser returns a nonzero drive
+amplitude, which it does only for a certified minimum that beats psi = 0
+by more than ENERGY_TIE_EPS.  Otherwise the psi = 0 ground state is
+compared at the base truncation (the minimiser's own solution) and at
+twice it: a ground state whose L expectation chases the truncation edge
+has no converged thermodynamic limit and the point is forbidden; a stable
 integer L is a Mott insulator MI(L).  Anything else is reported as
 indeterminate rather than guessed.
 """
@@ -24,11 +25,9 @@ from .groundstate import (
 )
 from .operators import ModelParams
 
-# The labelling rule, read at call time: psi_star above PSI_EPS is
-# superfluid; the truncation probe counts as converged when doubling n_max
-# moves the energy by less than TOL_CONV, and as pinned when the final <L>
-# reaches PIN_FRACTION of its truncation.
-PSI_EPS = 1e-3
+# The labelling rule, read at call time: the truncation probe counts as
+# converged when doubling n_max moves the energy by less than TOL_CONV, and
+# as pinned when the final <L> reaches PIN_FRACTION of its truncation.
 TOL_CONV = 1e-8
 PIN_FRACTION = 0.8
 # <L> drift between the last two truncation levels still counted as converged,
@@ -141,12 +140,12 @@ def classify_point(params: ModelParams, n_max: int | None = None) -> PhasePoint:
     """Classify one parameter point as SF, MI(L) or forbidden.
 
     The psi minimisation runs at the base truncation n_max; if it returns
-    psi_star above PSI_EPS the point is superfluid.  Otherwise the psi = 0
-    problem is probed at n_max and 2 n_max, the base level reusing the
-    minimiser's psi = 0 solution when psi_star is zero, and the reported
-    energy, <L> and n_max_used come from the finer level.  A minimisation
-    whose minimum runs into psi_max is still called superfluid: the drive is
-    resolvably nonzero even though its magnitude is truncation-limited.
+    psi_star > 0 the point is superfluid.  Otherwise it has returned the
+    psi = 0 solution itself, which the probe reuses as its base level
+    before solving 2 n_max, and the reported energy, <L> and n_max_used
+    come from the finer level.  A minimisation whose minimum runs into
+    psi_max is still called superfluid: the drive is resolvably nonzero
+    even though its magnitude is truncation-limited.
 
     Raises IndeterminatePhaseError when the probe is inconclusive and
     ValueError for an unusable n_max or drive.
@@ -158,15 +157,14 @@ def classify_point(params: ModelParams, n_max: int | None = None) -> PhasePoint:
         sol = minimize_over_psi(params, n_max)
     except BracketExhausted as err:
         sol = err.solution
-    if sol.psi_star > PSI_EPS:
+    if sol.psi_star > 0.0:
         return PhasePoint(
             x=x, y=y, psi_star=sol.psi_star, energy=sol.energy,
             l_expect=sol.l_expect, label=PhaseLabel(PhaseKind.SUPERFLUID),
             n_max_used=sol.n_max_used, converged=True,
         )
 
-    report = convergence_probe(params, n_max,
-                               sol if sol.psi_star == 0.0 else None)
+    report = convergence_probe(params, n_max, sol)
     energy = report.energies[-1]
     l_expect = report.l_expects[-1]
     n_used = report.n_max_sequence[-1]
@@ -179,13 +177,13 @@ def classify_point(params: ModelParams, n_max: int | None = None) -> PhasePoint:
         )
     if report.converged:
         nearest = round(l_expect)
-        if nearest < 0 or abs(l_expect - nearest) > _L_DRIFT_TOL:
+        if abs(l_expect - nearest) > _L_DRIFT_TOL:
             raise IndeterminatePhaseError(
                 f"<L> = {l_expect:.6g} is not close to an integer "
                 "(degenerate sectors at a lobe boundary?)", report=report,
             )
         return PhasePoint(
-            x=x, y=y, psi_star=sol.psi_star, energy=energy, l_expect=l_expect,
+            x=x, y=y, psi_star=0.0, energy=energy, l_expect=l_expect,
             label=PhaseLabel(PhaseKind.MOTT_INSULATOR, int(nearest)),
             n_max_used=n_used, converged=True, report=report,
         )

@@ -345,17 +345,14 @@ def zero_reach(params: ModelParams, n_max: int) -> float:
 def _chord_bound(c: float, a: float, b: float, ea: float,
                  eb: float) -> tuple[float, float]:
     """Minimum over [a, b] of the lower bound of E = c psi^2 + g with g
-    concave, and where it is attained.
+    concave and c > 0, and where it is attained.
 
     g lies above its chord, so E >= lin(psi) - c (psi - a)(b - psi), with
     lin the straight line through (a, ea) and (b, eb): a convex quadratic.
     Returns (bound, psi).
     """
     slope = (eb - ea) / (b - a)
-    if c > 0.0:
-        p = min(max(0.5 * (a + b) - slope / (2.0 * c), a), b)
-    else:
-        p = a if ea <= eb else b
+    p = min(max(0.5 * (a + b) - slope / (2.0 * c), a), b)
     return ea + slope * (p - a) - c * (p - a) * (b - p), p
 
 

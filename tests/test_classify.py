@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from jchm import classify, eigen, groundstate
@@ -220,16 +222,15 @@ def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
     assert sectors == [n, 2 * n]
 
 
-def test_probe_solves_the_base_level_when_psi_star_is_small(monkeypatch):
-    # a psi_star in (0, PSI_EPS] is not the psi = 0 solution, so the probe
-    # solves n_max itself; only psi_star takes a band vector solve
+def test_any_nonzero_psi_star_is_superfluid(monkeypatch):
+    # the minimiser returns psi_star > 0 only for a minimum that beats
+    # psi = 0 by more than ENERGY_TIE_EPS, so however small psi_star is the
+    # point is superfluid and no truncation probe runs
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
-    psi_star = minimize_over_psi(params, 20).psi_star
-    assert psi_star > 0
+    sol = replace(minimize_over_psi(params, 20), psi_star=5e-4)
+    monkeypatch.setattr(classify, "minimize_over_psi", lambda *args: sol)
     dims, sectors = count_vector_solves(monkeypatch)
-    monkeypatch.setattr(classify, "PSI_EPS", 2 * psi_star)
     pt = classify_point(params, 20)
-    assert pt.token == "MI:0" and pt.psi_star == psi_star
-    assert dims == [42]
-    assert sectors == [20, 20, 40]
-    assert pt.report.n_max_sequence == (20, 40)
+    assert pt.token == "SF" and pt.psi_star == 5e-4
+    assert pt.energy == sol.energy and pt.report is None
+    assert dims == [] and sectors == []
