@@ -1,16 +1,24 @@
 """Smallest eigenvalue of a real symmetric band matrix, with or without its eigenvector.
 
 Every matrix the package diagonalises is banded, so a SymmetricMatrix holds
-only its lower band in LAPACK's symmetric-band layout.  Both entry points
-make one LAPACK dsbevx call for the lowest eigenvalue of the band, and each
-checks its answer against tolerance(lambda) = TOL * max(1, |lambda|):
+only its lower band in LAPACK's symmetric-band layout.  Three entry points
+return the lowest eigenvalue of the band, and each checks its answer against
+tolerance(lambda) = TOL * max(1, |lambda|):
 
-- smallest_eigpair also returns the eigenvector, with a fixed sign, and
-  checks its residual ||A v - lambda v|| with the band mat-vec dsbmv;
-- smallest_eigenvalue returns the value alone and certifies it by inertia:
-  the band Cholesky dpbtrf of A - (lambda - d) I must succeed and that of
-  A - (lambda + d) I must fail, d = tolerance(lambda), which proves that the
-  smallest eigenvalue lies within d of lambda (certify_smallest).
+- smallest_eigpair makes one LAPACK dsbevx call and returns the eigenvector
+  too, with a fixed sign, and checks its residual ||A v - lambda v|| with
+  the band mat-vec dsbmv;
+- smallest_eigenvalue makes the same call for the value alone and
+  certifies it by inertia: the band Cholesky dpbtrf of A - (lambda - d) I
+  must succeed and that of A - (lambda + d) I must fail, d =
+  tolerance(lambda), which proves that the smallest eigenvalue lies within
+  d of lambda (certify_smallest);
+- warm_eigpair starts from a nearby eigenvector and a shift below the
+  spectrum, and refines the pair by shifted inverse iteration on the band
+  Cholesky factor (dpbtrs) to a residual of tolerance(lambda)/100; its value
+  is certified like smallest_eigenvalue's, and it falls back to
+  smallest_eigpair, then certified, when the shift is not below the
+  spectrum or the iteration does not converge.
 
 TOL, read at call time, never reaches dsbevx (it keeps its own abstol): it
 sets how loose these checks are and how close two psi = 0 sector energies
@@ -23,10 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dsbevx
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsbevx
 
 TOL = 1e-10
 _RANGE_BY_INDEX = 2  # dsbevx RANGE = 'I'
+# inverse iterations warm_eigpair takes before it falls back to dsbevx
+_WARM_STEPS = 40
 
 
 class EigensolverError(RuntimeError):
@@ -97,10 +107,7 @@ def smallest_eigpair(a: SymmetricMatrix) -> EigPair:
     does.
     """
     value, z = _lowest(a, compute_v=1)
-    vector = z[:, 0] / np.linalg.norm(z[:, 0])
-    if vector[int(np.argmax(np.abs(vector)))] < 0:
-        vector = -vector
-
+    vector = _signed(z[:, 0] / np.linalg.norm(z[:, 0]))
     residual = float(np.linalg.norm(
         dsbmv(a.bandwidth, 1.0, a.band, vector, lower=1) - value * vector))
     if residual > tolerance(value):
@@ -108,6 +115,12 @@ def smallest_eigpair(a: SymmetricMatrix) -> EigPair:
             f"residual {residual:.3e} exceeds {TOL:g} * max(1, |{value:.6g}|)"
         )
     return EigPair(value=value, vector=vector)
+
+
+def _signed(vector: np.ndarray) -> np.ndarray:
+    """vector with its largest-magnitude component (the first, at a tie)
+    made positive."""
+    return -vector if vector[int(np.argmax(np.abs(vector)))] < 0 else vector
 
 
 def smallest_eigenvalue(a: SymmetricMatrix) -> float:
@@ -123,14 +136,62 @@ def smallest_eigenvalue(a: SymmetricMatrix) -> float:
     return value
 
 
-def _positive_definite(a: SymmetricMatrix, shift: float) -> bool:
-    """Whether the band Cholesky of A - shift I succeeds."""
+def warm_eigpair(a: SymmetricMatrix, shift: float,
+                 start: np.ndarray) -> EigPair:
+    """Smallest eigenpair of a, refined from start, the eigenvector of a
+    nearby matrix, with shift a lower bound on the spectrum.
+
+    The band Cholesky of A - shift I proves shift below every eigenvalue
+    when it succeeds.  Each step solves with that factor (dpbtrs), which
+    amplifies the lowest eigenvector by (lambda_2 - shift)/(lambda_1 -
+    shift) against the others, normalises, and takes the Rayleigh quotient
+    rho and the residual r = ||A v - rho v||.  Some eigenvalue lies within
+    r of rho, so rho - 2 r is tried as the next shift, and adopted only
+    when above the current one and its Cholesky succeeds.  The pair is
+    accepted at r <= tolerance(rho)/100, rho is certified by
+    certify_smallest, and the vector is signed as in smallest_eigpair.
+    When the first Cholesky fails, so that shift is no lower bound, or
+    _WARM_STEPS steps do not converge, smallest_eigpair solves the band
+    cold and its value is certified the same way.
+    """
+    factor = _cholesky(a, shift)
+    if factor is not None:
+        vector = start
+        for _ in range(_WARM_STEPS):
+            x, info = dpbtrs(factor, vector, lower=1)
+            if info != 0:
+                raise EigensolverError(f"LAPACK dpbtrs failed: info={info}")
+            vector = x / np.linalg.norm(x)
+            av = dsbmv(a.bandwidth, 1.0, a.band, vector, lower=1)
+            rho = float(np.dot(vector, av))
+            residual = float(np.linalg.norm(av - rho * vector))
+            if residual <= 0.01 * tolerance(rho):
+                certify_smallest(a, rho)
+                return EigPair(value=rho, vector=_signed(vector))
+            reshift = rho - 2.0 * residual
+            if reshift > shift:
+                closer = _cholesky(a, reshift)
+                if closer is not None:
+                    shift, factor = reshift, closer
+    pair = smallest_eigpair(a)
+    certify_smallest(a, pair.value)
+    return pair
+
+
+def _cholesky(a: SymmetricMatrix, shift: float) -> np.ndarray | None:
+    """The band Cholesky factor of A - shift I, or None when A - shift I is
+    not positive definite."""
     shifted = a.band.copy(order="F")
     shifted[0] -= shift
-    _, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
+    factor, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
     if info < 0:
         raise EigensolverError(f"LAPACK dpbtrf failed: info={info}")
-    return info == 0
+    return factor if info == 0 else None
+
+
+def _positive_definite(a: SymmetricMatrix, shift: float) -> bool:
+    """Whether the band Cholesky of A - shift I succeeds."""
+    return _cholesky(a, shift) is not None
 
 
 def certify_smallest(a: SymmetricMatrix, value: float) -> None:

@@ -5,12 +5,13 @@ is rebuilt at every psi, never linearised, and its smallest eigenvalue is
 taken without an eigenvector (eigen.smallest_eigenvalue, certified by
 inertia).  psi = 0 takes its lowest L-sector energy analytically, under
 the same certificate, and its <L> is that sector's L; only a nonzero
-reported minimiser is solved with its eigenvector (eigen.smallest_eigpair),
-for <L>.  The same sector data prove, with no band solve, that no energy
-within a reach h* of psi = 0 comes within ENERGY_TIE_EPS of it (zero_reach:
-a Schur complement on the psi = 0 state, whose drive couples only to the
-sectors L* +- 1); when h* covers psi_max the psi = 0 solution is returned
-at once, and otherwise the search opens on the one interval [h*, psi_max].
+minimiser is solved with eigenvectors, whose polish (below) takes the
+slope and <L> from them.  The same sector data prove, with no band solve,
+that no energy within a reach h* of psi = 0 comes within ENERGY_TIE_EPS of
+it (zero_reach: a Schur complement on the psi = 0 state, whose drive
+couples only to the sectors L* +- 1); when h* covers psi_max the psi = 0
+solution is returned at once, and otherwise the search opens on the one
+interval [h*, psi_max].
 The spectrum is even in psi, so only psi >= 0 is searched, by branch and
 bound: the energy is z kappa psi^2 plus a concave function of psi, so on
 any interval it lies above a convex quadratic fixed by the two end
@@ -22,12 +23,16 @@ rule (bounded_energy): band Choleskys of its matrix prove its energy above
 the pruning threshold wherever they can, the highest proven level is kept
 as the point's lower bound, and only a point that may beat the threshold
 is solved.  Each split point that becomes a new best and beats psi = 0 is
-polished by Brent's method and the interval it split dropped unbounded,
-which assumes one minimum in that interval; a best at psi_max is left to
-the bounds.  MARGIN covers the rounding of one eigensolve, not the
-eigensolve tolerance (see minimize_over_psi).  Minimisers within
-ENERGY_TIE_EPS of the psi = 0 energy collapse to exactly zero so the
-insulating solution is reported cleanly.
+polished on the slope E'(psi) = z kappa (2 psi - <a + a+>), which
+Hellmann-Feynman gives from the eigenvector: a safeguarded secant finds
+its root, the mean-field self-consistency psi = <a>, each step solved
+warm from the last (eigen.warm_eigpair) and certified.  The interval it
+split is then dropped unbounded, which assumes one minimum in that
+interval; a best at psi_max is left to the bounds.  MARGIN covers the
+rounding of one eigensolve, not the eigensolve tolerance (see
+minimize_over_psi).  Minimisers within ENERGY_TIE_EPS of the psi = 0
+energy collapse to exactly zero so the insulating solution is reported
+cleanly.
 """
 
 from __future__ import annotations
@@ -41,18 +46,21 @@ from functools import lru_cache
 import numpy as np
 
 from .eigen import (
+    EigPair,
     SymmetricMatrix,
     _positive_definite,
     certify_smallest,
     smallest_eigenvalue,
     smallest_eigpair,
     tolerance,
+    warm_eigpair,
 )
 from .operators import (
     ModelParams,
     _psi_free_band,
     build_l_diag,
     build_mean_field,
+    coupling_elements,
 )
 
 REFINE_TOL = 1e-6
@@ -64,9 +72,6 @@ SPLIT_EDGE = 0.05
 # so a rounding error on that scale (about 1e139 at the limit) still squares
 # to a finite number in the residual norm of smallest_eigpair.
 DRIVE_LIMIT = math.sqrt(sys.float_info.max)
-
-# Brent's golden-section step, the fraction (3 - sqrt 5)/2 of a bracket
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -155,58 +160,90 @@ def expected_L(vector: np.ndarray, l: int) -> float:
     return float(np.dot(vector * vector, build_l_diag(l, len(vector) // 2 - 1)))
 
 
-def _brent(f, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """Minimise f on the open interval (a, b) by Brent's bounded parabolic
-    interpolation with golden-section steps (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 5), to xatol plus
-    sqrt(eps) |x|; returns the best evaluated (x, f(x)).  f is never
-    evaluated at a or b."""
-    sqrt_eps = math.sqrt(sys.float_info.epsilon)
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return x, fx
-        golden = True
-        if abs(e) > tol1:
-            # the parabola through (x, fx), (w, fw), (v, fv)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = math.copysign(tol1, xm - x)
-                golden = False
-        if golden:
-            e = (a if x >= xm else b) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+def _field_expectation(vector: np.ndarray) -> float:
+    """<a + a+> in a unit-norm state of the l-photon basis: the drive keeps
+    the atom, so it joins |s,n> to |s,n+1>, two columns on, with amplitude
+    sqrt(n + 1)."""
+    amp = coupling_elements(1, len(vector) // 2 - 1)
+    return 2.0 * float(np.dot(amp, vector[0:-2:2] * vector[2::2]
+                              + vector[1:-2:2] * vector[3::2]))
+
+
+def _slope_point(params: ModelParams, psi: float, n_max: int,
+                 previous: tuple[float, EigPair] | None = None
+                 ) -> tuple[EigPair, float]:
+    """The ground pair at psi and the slope E'(psi) = z kappa (2 psi -
+    <a + a+>) it gives by Hellmann-Feynman.
+
+    Without previous the band is solved cold (smallest_eigpair).  With
+    previous = (psi', pair'), the certified pair at a nearby psi', the
+    solve is warm (eigen.warm_eigpair) from that pair's vector, shifted
+    below the spectrum by Weyl's inequality: H(psi) - H(psi') = c (psi^2 -
+    psi'^2) - c (psi - psi') X with c = z kappa and ||X|| <= 2 sqrt(n_max),
+    and pair'.value lies within tolerance of its smallest eigenvalue.
+    """
+    c = params.z * params.kappa
+    a = build_mean_field(params, psi, n_max)
+    if previous is None:
+        pair = smallest_eigpair(a)
+    else:
+        near, known = previous
+        shift = (known.value - c * abs(psi * psi - near * near)
+                 - 2.0 * c * math.sqrt(n_max) * abs(psi - near)
+                 - tolerance(known.value))
+        pair = warm_eigpair(a, shift, known.vector)
+    return pair, c * (2.0 * psi - _field_expectation(pair.vector))
+
+
+def _polish(params: ModelParams, n_max: int, a: float, b: float,
+            p: float) -> tuple[float, EigPair]:
+    """The stationary point of E on (a, b) found from the split point p by a
+    safeguarded secant on the slope E' (_slope_point); returns the best
+    evaluated (psi, pair), p included.
+
+    p is solved cold, and the sign of E'(p) keeps the side of (a, b) that
+    holds the minimum, assuming E has one minimum there.  The first step
+    is Newton's with the largest curvature E'' can have, 2 z kappa (g is
+    concave), so it never passes the root; later steps are secants through
+    the last two points, each solved warm from the one before.  A step that
+    leaves the bracket, or is longer than half the step before last, is
+    replaced by bisection, so the bracket or the steps shrink geometrically.
+    The polish stops once a step or the bracket is below REFINE_TOL/4, or
+    the slope is exactly zero.
+    """
+    c = params.z * params.kappa
+    xtol = REFINE_TOL / 4.0
+    pair, slope = _slope_point(params, p, n_max)
+    best_psi, best = p, pair
+    lo, hi = (a, p) if slope > 0.0 else (p, b)
+    x, x_old, s_old = p, None, None
+    older = last = hi - lo
+    while slope != 0.0 and hi - lo >= xtol:
+        if x_old is None:
+            step = -slope / (2.0 * c)
+        elif slope != s_old:
+            step = -slope * (x - x_old) / (slope - s_old)
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            step = math.inf
+        # Newton's step only bounds the distance to the root from below:
+        # it neither ends the polish nor sets the length later steps halve
+        final = x_old is not None
+        if not lo < x + step < hi or abs(step) > 0.5 * older:
+            step, final = 0.5 * (lo + hi) - x, True
+        if final:
+            older, last = last, abs(step)
+        x_old, s_old = x, slope
+        x += step
+        pair, slope = _slope_point(params, x, n_max, (x_old, pair))
+        if pair.value < best.value:
+            best_psi, best = x, pair
+        if slope > 0.0:
+            hi = x
+        else:
+            lo = x
+        if final and abs(step) < xtol:
+            break
+    return best_psi, best
 
 
 def solution_at(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolution:
@@ -222,6 +259,11 @@ def solution_at(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolutio
 
 def _band_solution(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolution:
     pair = smallest_eigpair(build_mean_field(params, psi, n_max))
+    return _pair_solution(params, psi, n_max, pair)
+
+
+def _pair_solution(params: ModelParams, psi: float, n_max: int,
+                   pair: EigPair) -> MeanFieldSolution:
     return MeanFieldSolution(
         psi_star=float(psi),
         energy=pair.value,
@@ -400,10 +442,14 @@ def minimize_over_psi(params: ModelParams,
     incumbent, becomes the first one only when solved.
 
     A split point that becomes the incumbent and beats E(0) by more than
-    ENERGY_TIE_EPS is polished once, by Brent's method (_brent) to
-    REFINE_TOL/4 inside the interval it split, and that interval is then
-    dropped without a bound: that assumes E is unimodal there, and a
-    second, lower minimum inside it is not excluded.  The first interval to
+    ENERGY_TIE_EPS is polished once (_polish) inside the interval it split:
+    a safeguarded secant on the slope E', from the split point's vector
+    solve, with warm certified solves after it, to REFINE_TOL/4.  The best
+    evaluated point, with the <L> of its own vector, becomes the incumbent
+    and is the solution returned, so psi_star is not solved again.  The
+    interval is then dropped without a bound: that assumes E is unimodal
+    there, so that its one stationary point is its minimum, and a second,
+    lower minimum inside it is not excluded.  The first interval to
     split is all of [h*, psi_max].  An incumbent at psi_max is not
     polished: its interval stays on the heap, where a steep fall into the
     edge is pruned at once.  Minima in other intervals are still bounded,
@@ -412,7 +458,10 @@ def minimize_over_psi(params: ModelParams,
 
     The proof is only as tight as MARGIN, an absolute 1e-10 that covers
     the rounding of one dsbevx call or band Cholesky (about eps * ||A||),
-    and as the unimodality of each polished interval.  MARGIN does not cover
+    and as the unimodality of each polished interval.  A polished psi_star
+    is fixed by the root of the slope, to within REFINE_TOL where E'' is
+    not small, and |E'(psi_star)| <= 2 z kappa REFINE_TOL, since E'' <=
+    2 z kappa.  MARGIN does not cover
     the inertia certificate's d = eigen.tolerance(E) of each sampled value,
     which is larger than MARGIN whenever |E| > 1: every sampled energy is
     certified to within d, but the bound that prunes is not widened by it.
@@ -450,6 +499,9 @@ def minimize_over_psi(params: ModelParams,
     e_max, exact = bounded_energy(params, psi_max, n_max, tie, width)
     if exact and e_max < tie:
         best_psi, best_e = psi_max, e_max
+    # the incumbent's solution, once polished; None while it is psi = 0 or
+    # the unpolished psi_max
+    best_sol: MeanFieldSolution | None = None
     e_reach = zero.energy
     if reach > 0.0:
         e_reach, _ = bounded_energy(params, reach, n_max,
@@ -475,12 +527,11 @@ def minimize_over_psi(params: ModelParams,
         e, exact = bounded_energy(params, p, n_max, threshold,
                                   max(p - a, b - p))
         if exact and e < best_e:
-            best_psi, best_e = p, e
+            best_psi, best_e, best_sol = p, e, None
             if e < tie:
-                p, e = _brent(lambda x: energy_at_psi(params, x, n_max),
-                              a, b, REFINE_TOL / 4.0)
-                if e < best_e:
-                    best_psi, best_e = p, e
+                psi, pair = _polish(params, n_max, a, b, p)
+                best_sol = _pair_solution(params, psi, n_max, pair)
+                best_psi, best_e = psi, pair.value
                 continue
         push(a, p, ea, e)
         push(p, b, e, eb)
@@ -489,9 +540,11 @@ def minimize_over_psi(params: ModelParams,
         # flat or insulating landscape: report the symmetric solution exactly
         return zero
 
+    if best_sol is None:
+        best_sol = solution_at(params, best_psi, n_max)
     if best_psi >= psi_max - 2.0 * REFINE_TOL:
         raise BracketExhausted(
             f"energy minimum sits at psi_max={psi_max:g}; raise n_max",
-            solution_at(params, best_psi, n_max),
+            best_sol,
         )
-    return solution_at(params, best_psi, n_max)
+    return best_sol

@@ -14,6 +14,8 @@ from jchm.eigen import (
     certify_smallest,
     smallest_eigenvalue,
     smallest_eigpair,
+    tolerance,
+    warm_eigpair,
 )
 from jchm.operators import ModelParams, build_mean_field
 
@@ -251,3 +253,54 @@ def test_certificate_bound_below_rounding_fails(monkeypatch):
     monkeypatch.setattr(eigen, "TOL", 1e-20)
     with pytest.raises(EigensolverError, match=r"^residual bound 1e-20 \* max"):
         smallest_eigenvalue(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(l=st.integers(1, 4), n_extra=st.integers(2, 40),
+       omega=st.floats(0.2, 4.0), mu=st.floats(0.0, 1.5),
+       kappa=st.floats(0.0, 1.0), psi=st.floats(0.0, 3.0),
+       move=st.floats(-0.5, 0.5))
+def test_warm_eigpair_matches_the_cold_solve(l, n_extra, omega, mu, kappa,
+                                             psi, move):
+    # from the certified pair at a previous psi up to 0.5 away, shifted
+    # below the spectrum by Weyl's inequality (||a + a+|| <= 2 sqrt(n_max)),
+    # the warm solve returns the smallest eigenvalue to the certificate's
+    # tolerance, a residual 100 times below it, and smallest_eigpair's sign
+    params = ModelParams(l=l, omega=omega, Omega=omega, mu=mu, kappa=kappa)
+    n_max = l + n_extra
+    c = params.z * kappa
+    near = psi + move
+    previous = build_mean_field(params, near, n_max)
+    known = smallest_eigpair(previous)
+    certify_smallest(previous, known.value)
+    shift = (known.value - c * abs(psi * psi - near * near)
+             - 2.0 * c * math.sqrt(n_max) * abs(psi - near)
+             - tolerance(known.value))
+    h = build_mean_field(params, psi, n_max)
+    pair = warm_eigpair(h, shift, known.vector)
+    energy = smallest_eigenvalue(h)
+    assert abs(pair.value - energy) <= tolerance(energy)
+    assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+    residual = np.linalg.norm(h.dense() @ pair.vector - pair.value * pair.vector)
+    assert residual <= 0.01 * tolerance(pair.value)
+    assert pair.vector[int(np.argmax(np.abs(pair.vector)))] > 0
+
+
+def test_warm_eigpair_refuses_a_shift_above_the_spectrum(monkeypatch):
+    # a shift above the smallest eigenvalue fails its Cholesky: no inverse
+    # iteration runs, and the cold solve's pair is returned, certified
+    h = generic_band()
+    cold = smallest_eigpair(h)
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return smallest_eigpair(a)
+
+    monkeypatch.setattr(eigen, "smallest_eigpair", counted)
+    monkeypatch.setattr(eigen, "dpbtrs", None)      # no step may run
+    start = np.ones(len(h)) / math.sqrt(len(h))
+    pair = warm_eigpair(h, cold.value + 1e-6, start)
+    assert calls == [len(h)]
+    assert pair.value == cold.value
+    assert np.array_equal(pair.vector, cold.vector)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from jchm import groundstate
-from jchm.eigen import smallest_eigenvalue, smallest_eigpair, tolerance
+from jchm import eigen, groundstate
+from jchm.eigen import EigPair, smallest_eigenvalue, smallest_eigpair, tolerance
 from jchm.groundstate import (
     ENERGY_TIE_EPS,
     MARGIN,
@@ -21,7 +21,7 @@ from jchm.groundstate import (
     solution_at,
 )
 from jchm.operators import ModelParams, build_mean_field
-from jchm.sweep import params_for
+from jchm.sweep import GridSpec, params_for
 
 from conftest import zero_drive_ground_oracle, zero_drive_sector_energies
 
@@ -253,6 +253,57 @@ def test_minimize_superfluid(params, n_max, depth):
                               + ENERGY_TIE_EPS + 1e-9)
 
 
+def slope_at(params: ModelParams, psi: float, n_max: int) -> float:
+    """E'(psi) = z kappa (2 psi - <a + a+>) by Hellmann-Feynman, with the
+    vector from smallest_eigpair and a + a+ written out densely here."""
+    vector = smallest_eigpair(build_mean_field(params, psi, n_max)).vector
+    x = np.diag(np.repeat(np.sqrt(np.arange(1.0, n_max + 1.0)), 2), 2)
+    c = params.z * params.kappa
+    return c * (2.0 * psi - vector @ (x + x.T) @ vector)
+
+
+def stationary(params: ModelParams, n_max: int,
+               sol: MeanFieldSolution) -> bool:
+    """Whether an interior minimiser is a root of the slope to within
+    2 z kappa REFINE_TOL.  g is concave, so E'' <= 2 z kappa everywhere,
+    and a point within REFINE_TOL of the root can miss it by no more."""
+    assert 0.0 < sol.psi_star < math.sqrt(n_max) / 2
+    bound = 2.0 * params.z * params.kappa * REFINE_TOL
+    return abs(slope_at(params, sol.psi_star, n_max)) <= bound
+
+
+def test_interior_superfluid_minima_are_stationary():
+    # every interior superfluid of 300 seeded points in the default windows
+    # (75 per l) is a root of the slope, by the independent vector route
+    rng = np.random.default_rng(2024)
+    interior = 0
+    for l in (1, 2, 3, 4):
+        spec = GridSpec.default(l)
+        n_max = resolve_n_max(l, None)
+        for _ in range(75):
+            params = params_for(l, rng.uniform(spec.x_lo, spec.x_hi),
+                                rng.uniform(spec.y_lo, spec.y_hi))
+            try:
+                sol = minimize_over_psi(params, n_max)
+            except BracketExhausted:
+                continue
+            if sol.psi_star > 0.0:
+                interior += 1
+                assert stationary(params, n_max, sol)
+    assert interior >= 10
+
+
+@pytest.mark.parametrize("l, x, y, n_max", [
+    # two flat minima whose psi_star, fixed by energies alone, moved by
+    # 1.8e-5 and 3.0e-5 when only the order of evaluation changed
+    (2, -2.8125, 0.12, 40),
+    (3, -1.0075, -0.618, 24),
+])
+def test_flat_superfluid_minima_are_stationary(l, x, y, n_max):
+    params = params_for(l, x, y)
+    assert stationary(params, n_max, minimize_over_psi(params, n_max))
+
+
 def test_minimize_monotone_in_truncation():
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
     e_small = minimize_over_psi(params, 30).energy
@@ -303,13 +354,14 @@ def test_minimize_l_expect_lies_within_the_truncation():
 def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                                                        vector_solves):
     # psi = 0 is solved once, from the sector blocks with no band
-    # eigensolve, and returned for an insulator; the branch and bound and
-    # its polish take eigenvalues only, and a superfluid adds one band
-    # vector solve at psi_star.  The deep insulator is proven by zero_reach
-    # over all of [0, psi_max] and builds no band at all; the superfluid,
-    # tested before solving and polished by Brent's method, takes 11 value
-    # solves
-    calls = {"sector": 0, "pair": 0, "value": 0, "build": 0}
+    # eigensolve, and returned for an insulator; the branch and bound takes
+    # eigenvalues only.  The deep insulator is proven by zero_reach over all
+    # of [0, psi_max] and builds no band at all.  The superfluid, tested
+    # before solving, takes 1 value solve; its polish on the slope solves
+    # the split point once with its vector and then warm from the last
+    # pair, 7 evaluations in all, and reports its own best pair, so
+    # psi_star is not solved again
+    calls = {"sector": 0, "pair": 0, "value": 0, "build": 0, "warm": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -319,20 +371,25 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
 
     monkeypatch.setattr(groundstate, "_sector_solution",
                         counted("sector", groundstate._sector_solution))
-    monkeypatch.setattr(groundstate, "smallest_eigpair",
-                        counted("pair", groundstate.smallest_eigpair))
+    # the warm solve falls back to eigen's smallest_eigpair: counted too
+    pair = counted("pair", groundstate.smallest_eigpair)
+    monkeypatch.setattr(groundstate, "smallest_eigpair", pair)
+    monkeypatch.setattr(eigen, "smallest_eigpair", pair)
     monkeypatch.setattr(groundstate, "smallest_eigenvalue",
                         counted("value", groundstate.smallest_eigenvalue))
     monkeypatch.setattr(groundstate, "build_mean_field",
                         counted("build", groundstate.build_mean_field))
+    monkeypatch.setattr(groundstate, "warm_eigpair",
+                        counted("warm", groundstate.warm_eigpair))
     sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa), 40)
     assert (sol.psi_star > 0) == (vector_solves == 2)
     assert calls["sector"] == 1
     assert calls["pair"] == vector_solves - 1
     if vector_solves == 1:
-        assert calls["value"] == calls["build"] == 0
+        assert calls["value"] == calls["build"] == calls["warm"] == 0
     else:
-        assert calls["value"] <= 11
+        assert calls["value"] <= 1
+        assert calls["pair"] + calls["warm"] <= 7
 
 
 def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
@@ -384,18 +441,24 @@ def test_minimize_bounds_a_near_critical_insulator_without_solving(
     assert values == []
 
 
-def synthetic_landscape(monkeypatch, energy) -> list[float]:
-    """Make minimize_over_psi see energy(psi) alone, through every seam it
-    solves or tests by: energy_at_psi, solution_at and the band Cholesky
-    of the rule (bounded_energy), with zero_reach proving nothing.  The
-    real Hamiltonian is never built: build_mean_field hands the rule psi
-    itself, and its Cholesky of A - t I succeeds when energy(psi) > t.
-    Returns the psi of every energy_at_psi call, in order."""
+def synthetic_landscape(monkeypatch, energy, slope) -> list[float]:
+    """Make minimize_over_psi see energy(psi) and its slope alone, through
+    every seam it solves or tests by: energy_at_psi, solution_at, the
+    polish's pair and slope (_slope_point) and the band Cholesky of the
+    rule (bounded_energy), with zero_reach proving nothing.  The real
+    Hamiltonian is never built: build_mean_field hands the rule psi itself,
+    and its Cholesky of A - t I succeeds when energy(psi) > t.  Returns the
+    psi of every energy_at_psi call and polish evaluation, in order."""
     solved = []
 
     def energy_at(params, psi, n_max):
         solved.append(psi)
         return energy(psi)
+
+    def slope_point(params, psi, n_max, previous=None):
+        # a one-site vector: expected_L reads L = 0 from it
+        solved.append(psi)
+        return EigPair(value=energy(psi), vector=np.zeros(4)), slope(psi)
 
     def solution(params, psi, n_max):
         return MeanFieldSolution(psi_star=float(psi), energy=energy(psi),
@@ -406,6 +469,7 @@ def synthetic_landscape(monkeypatch, energy) -> list[float]:
 
     monkeypatch.setattr(groundstate, "energy_at_psi", energy_at)
     monkeypatch.setattr(groundstate, "solution_at", solution)
+    monkeypatch.setattr(groundstate, "_slope_point", slope_point)
     monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: 0.0)
     monkeypatch.setattr(groundstate, "build_mean_field",
                         lambda params, psi, n_max: psi)
@@ -417,11 +481,18 @@ def synthetic_landscape(monkeypatch, energy) -> list[float]:
 
 def crossing(c, *wells):
     """E = min over the (p, e) wells of c (psi - p)^2 + e: c psi^2 plus a
-    minimum of lines, concave in its second term as the true energy is."""
+    minimum of lines, concave in its second term as the true energy is.
+    Returns E and its slope 2 c (psi - p) in the well whose line is lowest."""
+    def line(psi, p, e):
+        return -2 * c * p * psi + c * p * p + e
+
     def energy(psi):
-        return c * psi * psi + min(-2 * c * p * psi + c * p * p + e
-                                   for p, e in wells)
-    return energy
+        return c * psi * psi + min(line(psi, p, e) for p, e in wells)
+
+    def slope(psi):
+        p, _ = min(wells, key=lambda well: line(psi, *well))
+        return 2 * c * (psi - p)
+    return energy, slope
 
 
 def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
@@ -438,8 +509,8 @@ def test_minimize_finds_a_minimum_narrower_than_a_scan_step(monkeypatch):
     psi2 = 40.37 * step                  # narrow global minimum
     e2 = e1 - c * (0.25 * step) ** 2
 
-    energy = crossing(c, (psi1, e1), (psi2, e2))
-    synthetic_landscape(monkeypatch, energy)
+    energy, slope = crossing(c, (psi1, e1), (psi2, e2))
+    synthetic_landscape(monkeypatch, energy, slope)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(psi2, abs=REFINE_TOL)
     assert sol.energy == pytest.approx(e2, abs=1e-12)
@@ -459,8 +530,8 @@ def test_minimize_leaves_an_edge_minimum_to_the_bounds(monkeypatch):
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
     c = params.z * params.kappa
     psi_max = math.sqrt(40) / 2
-    energy = crossing(c, (0.3 * psi_max, -0.5), (1.2 * psi_max, -1.5))
-    solved = synthetic_landscape(monkeypatch, energy)
+    energy, slope = crossing(c, (0.3 * psi_max, -0.5), (1.2 * psi_max, -1.5))
+    solved = synthetic_landscape(monkeypatch, energy, slope)
     with pytest.raises(BracketExhausted) as exc:
         minimize_over_psi(params, 40)
     assert solved == [psi_max]
@@ -477,8 +548,8 @@ def test_minimize_bounds_find_a_well_below_an_edge_incumbent(monkeypatch):
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
     c = params.z * params.kappa
     psi_max = math.sqrt(40) / 2
-    energy = crossing(c, (0.8 * psi_max, -1.05), (1.2 * psi_max, -1.2))
-    synthetic_landscape(monkeypatch, energy)
+    energy, slope = crossing(c, (0.8 * psi_max, -1.05), (1.2 * psi_max, -1.2))
+    synthetic_landscape(monkeypatch, energy, slope)
     assert energy(psi_max) < min(energy(0.0), energy(psi_max / 2))
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(0.8 * psi_max, abs=REFINE_TOL)
@@ -493,8 +564,8 @@ def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
     c = params.z * params.kappa
     psi_max = math.sqrt(40) / 2
     reach = 0.2 * psi_max
-    energy = crossing(c, (0.0, 0.0), (0.3 * psi_max, -0.01))
-    solved = synthetic_landscape(monkeypatch, energy)
+    energy, slope = crossing(c, (0.0, 0.0), (0.3 * psi_max, -0.01))
+    solved = synthetic_landscape(monkeypatch, energy, slope)
     tested = []
     rule = groundstate.bounded_energy
 
@@ -522,9 +593,9 @@ def test_minimize_never_takes_a_bound_as_the_incumbent(monkeypatch):
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
     c = params.z * params.kappa
     psi_max = math.sqrt(40) / 2
-    energy = crossing(c, (0.75 * psi_max, -1.0),
-                      (0.25 * psi_max, -1.0 - MARGIN / 2))
-    solved = synthetic_landscape(monkeypatch, energy)
+    energy, slope = crossing(c, (0.75 * psi_max, -1.0),
+                             (0.25 * psi_max, -1.0 - MARGIN / 2))
+    solved = synthetic_landscape(monkeypatch, energy, slope)
     bounds = []
     rule = groundstate.bounded_energy
 
