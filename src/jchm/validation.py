@@ -27,11 +27,24 @@ from .analytic import (
     solve_sector_zero,
     strong_coupling_boundary,
 )
-from .groundstate import energy_at_psi
+from .eigen import smallest_eigpair
+from .groundstate import (
+    REFINE_TOL,
+    BracketExhausted,
+    energy_at_psi,
+    minimize_over_psi,
+)
 from .operators import ModelParams, bandwidth, build_l_diag, build_mean_field
-from .sweep import GridSpec, classify_at, refine_boundary, run_grid
+from .sweep import GridSpec, classify_at, params_for, refine_boundary, run_grid
 
 _RNG_SEED = 20240817
+# (l, x, y) of interior superfluid minima held to stationarity: four in the
+# l = 1 and l = 3 windows, and two flat minima, where energies alone fix
+# psi_star only loosely
+_STATIONARY_POINTS = (
+    (1, -0.6, -1.2), (1, -1.0, -0.7), (1, -2.0, -1.0), (3, -0.9, -0.6),
+    (2, -2.8125, 0.12), (3, -1.0075, -0.618),
+)
 
 
 @dataclass
@@ -233,13 +246,16 @@ def _invariant_suite() -> CheckResult:
                 or any(np.any(band[k, dim - k:]) for k in range(1, len(band)))):
             failures.append(f"band layout broken for {params}")
 
-    # L is conserved at psi = 0
+    # L is conserved at psi = 0: L is diagonal, so the entry (j + k, j) of
+    # HL - LH is H[j + k, j] (L[j] - L[j + k]), read off the band
     for _ in range(25):
         params = random_params()
         n_max = int(rng.integers(params.l + 2, 30))
-        h = build_mean_field(params, 0.0, n_max).dense()
-        d = np.diag(build_l_diag(params.l, n_max))
-        comm = np.abs(h @ d - d @ h).max()
+        band = build_mean_field(params, 0.0, n_max).band
+        d = build_l_diag(params.l, n_max)
+        dim = len(d)
+        comm = max(float(np.abs(band[k, :dim - k] * (d[:dim - k] - d[k:])).max())
+                   for k in range(1, len(band)))
         if comm > 1e-12:
             failures.append(f"[H, L] = {comm:g} at psi=0 for {params}")
 
@@ -264,26 +280,29 @@ def _invariant_suite() -> CheckResult:
             failures.append(f"energy rose with n_max for {params}: "
                             f"{e_small:.12g} -> {e_large:.12g}")
 
-    # 2x2 sector eigenvalues against the full matrix and the printed form
-    for l in (1, 2, 3, 4):
-        for L in range(l, 31):
-            for omega in (0.5, 1.0, 2.0, 3.0):
-                spec = SectorSpec(l=l, L=L, omega=omega, Omega=omega, mu=1.0)
-                e_minus = sector_energy(spec, Branch.MINUS)
-                form = resonant_sector_energy(l, L, omega, Branch.MINUS)
-                if abs(e_minus - form) > 1e-12:
-                    failures.append(
-                        f"sector form mismatch {abs(e_minus - form):g} "
-                        f"at l={l}, L={L}, omega={omega}")
-                params = ModelParams.resonant(l, omega)
-                h = build_mean_field(params, 0.0, L).dense()
-                i = [2 * (L - l) + 1, 2 * L]  # |e, L-l> and |g, L>
-                block = h[np.ix_(i, i)]
-                e_block = float(np.linalg.eigvalsh(block)[0])
-                if abs(e_minus - e_block) > 1e-10:
-                    failures.append(
-                        f"sector vs matrix mismatch {abs(e_minus - e_block):g} "
-                        f"at l={l}, L={L}, omega={omega}")
+    # 2x2 sector eigenvalues against the matrix and the printed form: the
+    # block {|e, L-l>, |g, L>} of the band at psi = 0, its diagonal from
+    # row 0 and its coupling from row 2l-1, all blocks in one dense eigvalsh
+    cases = [(l, L, omega) for l in (1, 2, 3, 4) for L in range(l, 31)
+             for omega in (0.5, 1.0, 2.0, 3.0)]
+    blocks = np.empty((len(cases), 2, 2))
+    for block, (l, L, omega) in zip(blocks, cases):
+        band = build_mean_field(ModelParams.resonant(l, omega), 0.0, L).band
+        e, g = 2 * (L - l) + 1, 2 * L  # |e, L-l> and |g, L>
+        block[0, 0], block[1, 1] = band[0, e], band[0, g]
+        block[0, 1] = block[1, 0] = band[2 * l - 1, e]
+    for (l, L, omega), e_block in zip(cases, np.linalg.eigvalsh(blocks)[:, 0]):
+        spec = SectorSpec(l=l, L=L, omega=omega, Omega=omega, mu=1.0)
+        e_minus = sector_energy(spec, Branch.MINUS)
+        form = resonant_sector_energy(l, L, omega, Branch.MINUS)
+        if abs(e_minus - form) > 1e-12:
+            failures.append(
+                f"sector form mismatch {abs(e_minus - form):g} "
+                f"at l={l}, L={L}, omega={omega}")
+        if abs(e_minus - e_block) > 1e-10:
+            failures.append(
+                f"sector vs matrix mismatch {abs(e_minus - e_block):g} "
+                f"at l={l}, L={L}, omega={omega}")
 
     # large-L behaviour per photon order: bounded per-excitation energy with
     # slope omega - 2 at l=2; root-law runaway above that (quadrupling L
@@ -309,6 +328,29 @@ def _invariant_suite() -> CheckResult:
                 failures.append(
                     f"l={l} per-excitation growth {per_large / per_small:g} "
                     f"!= {growth:g} at omega={omega}")
+
+    # self-consistency psi = <a> at interior superfluid minima: by
+    # Hellmann-Feynman E'(psi*) = z kappa (2 psi* - <a + a+>) = 0, within
+    # 2 z kappa REFINE_TOL since E'' <= 2 z kappa, with <a + a+> from the
+    # drive -z kappa psi (a + a+) the builder puts on the second subdiagonal
+    for l, x, y in _STATIONARY_POINTS:
+        params = params_for(l, x, y)
+        where = f"l={l}, x={x}, y={y}"
+        try:
+            sol = minimize_over_psi(params)
+        except BracketExhausted:
+            sol = None
+        if sol is None or not sol.psi_star > 0.0:
+            failures.append(f"no interior superfluid minimum at {where}")
+            continue
+        psi, c = sol.psi_star, params.z * params.kappa
+        h = build_mean_field(params, psi, sol.n_max_used)
+        v = smallest_eigpair(h).vector
+        field = -2.0 * float(np.dot(h.band[2, :-2], v[:-2] * v[2:])) / (c * psi)
+        slope = c * (2.0 * psi - field)
+        if abs(slope) > 2.0 * c * REFINE_TOL:
+            failures.append(f"stationarity E'(psi*) = {slope:g} at {where}, "
+                            f"psi*={psi:.9g}")
 
     return CheckResult(
         name="invariant-suite", passed=not failures,
