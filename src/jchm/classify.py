@@ -21,7 +21,7 @@ from .groundstate import (
     MeanFieldSolution,
     minimize_over_psi,
     resolve_n_max,
-    solution_at,
+    zero_solution,
 )
 from .operators import ModelParams
 
@@ -124,8 +124,8 @@ def convergence_probe(params: ModelParams, n_max: int | None = None,
     """
     n_max = resolve_n_max(params.l, n_max)
     if zero is None:
-        zero = solution_at(params, 0.0, n_max)
-    fine = solution_at(params, 0.0, 2 * n_max)
+        zero = zero_solution(params, n_max)
+    fine = zero_solution(params, 2 * n_max)
     return ConvergenceReport(
         n_max_sequence=(zero.n_max_used, fine.n_max_used),
         energies=(zero.energy, fine.energy),

@@ -2,23 +2,21 @@
 
 Every matrix the package diagonalises is banded, so a SymmetricMatrix holds
 only its lower band in LAPACK's symmetric-band layout.  Three entry points
-return the lowest eigenvalue of the band, and each checks its answer against
-tolerance(lambda) = TOL * max(1, |lambda|):
+return the lowest eigenvalue of the band under one contract: the value is
+certified by inertia to lie within d = tolerance(lambda) = TOL * max(1,
+|lambda|) of the smallest eigenvalue (certify_smallest: the band Cholesky
+dpbtrf of A - (lambda - d) I must succeed and that of A - (lambda + d) I
+must fail), and a returned eigenvector has a fixed sign:
 
-- smallest_eigpair makes one LAPACK dsbevx call and returns the eigenvector
-  too, with a fixed sign, and checks its residual ||A v - lambda v|| with
+- smallest_eigpair makes one LAPACK dsbevx call for the value and the
+  eigenvector, and also checks the residual ||A v - lambda v|| <= d with
   the band mat-vec dsbmv;
-- smallest_eigenvalue makes the same call for the value alone and
-  certifies it by inertia: the band Cholesky dpbtrf of A - (lambda - d) I
-  must succeed and that of A - (lambda + d) I must fail, d =
-  tolerance(lambda), which proves that the smallest eigenvalue lies within
-  d of lambda (certify_smallest);
+- smallest_eigenvalue makes the same call for the value alone;
 - warm_eigpair starts from a nearby eigenvector and a shift below the
   spectrum, and refines the pair by shifted inverse iteration on the band
-  Cholesky factor (dpbtrs) to a residual of tolerance(lambda)/100; its value
-  is certified like smallest_eigenvalue's, and it falls back to
-  smallest_eigpair, then certified, when the shift is not below the
-  spectrum or the iteration does not converge.
+  Cholesky factor (dpbtrs) to a residual of d/100; it falls back to
+  smallest_eigpair when the shift is not below the spectrum or the
+  iteration does not converge.
 
 TOL, read at call time, never reaches dsbevx (it keeps its own abstol): it
 sets how loose these checks are and how close two psi = 0 sector energies
@@ -101,10 +99,9 @@ def smallest_eigpair(a: SymmetricMatrix) -> EigPair:
     """Algebraically smallest eigenvalue and eigenvector of a symmetric matrix.
 
     The eigenvector sign is fixed so its largest-magnitude component is
-    positive (ties resolved toward the lowest index), and the residual
-    ||A v - lambda v|| must not exceed tolerance(lambda).  The residual
-    does not prove that lambda is the smallest eigenvalue; certify_smallest
-    does.
+    positive (ties resolved toward the lowest index), the residual
+    ||A v - lambda v|| must not exceed tolerance(lambda), and lambda is
+    certified the smallest eigenvalue by certify_smallest.
     """
     value, z = _lowest(a, compute_v=1)
     vector = _signed(z[:, 0] / np.linalg.norm(z[:, 0]))
@@ -114,6 +111,7 @@ def smallest_eigpair(a: SymmetricMatrix) -> EigPair:
         raise EigensolverError(
             f"residual {residual:.3e} exceeds {TOL:g} * max(1, |{value:.6g}|)"
         )
+    certify_smallest(a, value)
     return EigPair(value=value, vector=vector)
 
 
@@ -128,8 +126,7 @@ def smallest_eigenvalue(a: SymmetricMatrix) -> float:
     eigenvector.
 
     The same dsbevx call as smallest_eigpair with no vector asked for, so on
-    the same input it returns the same float.  The value is certified by
-    certify_smallest in place of a residual check.
+    the same input it returns the same float, certified the same way.
     """
     value, _ = _lowest(a, compute_v=0)
     certify_smallest(a, value)
@@ -152,7 +149,7 @@ def warm_eigpair(a: SymmetricMatrix, shift: float,
     certify_smallest, and the vector is signed as in smallest_eigpair.
     When the first Cholesky fails, so that shift is no lower bound, or
     _WARM_STEPS steps do not converge, smallest_eigpair solves the band
-    cold and its value is certified the same way.
+    cold.
     """
     factor = _cholesky(a, shift)
     if factor is not None:
@@ -173,9 +170,7 @@ def warm_eigpair(a: SymmetricMatrix, shift: float,
                 closer = _cholesky(a, reshift)
                 if closer is not None:
                     shift, factor = reshift, closer
-    pair = smallest_eigpair(a)
-    certify_smallest(a, pair.value)
-    return pair
+    return smallest_eigpair(a)
 
 
 def _cholesky(a: SymmetricMatrix, shift: float) -> np.ndarray | None:

@@ -1,17 +1,17 @@
 """Ground energy as a function of the order parameter and its minimisation.
 
 The drive amplitude psi is treated variationally: the full mean-field matrix
-is rebuilt at every psi, never linearised, and its smallest eigenvalue is
-taken without an eigenvector (eigen.smallest_eigenvalue, certified by
-inertia).  psi = 0 takes its lowest L-sector energy analytically, under
-the same certificate, and its <L> is that sector's L; only a nonzero
-minimiser is solved with eigenvectors, whose polish (below) takes the
-slope and <L> from them.  The same sector data prove, with no band solve,
-that no energy within a reach h* of psi = 0 comes within ENERGY_TIE_EPS of
-it (zero_reach: a Schur complement on the psi = 0 state, whose drive
-couples only to the sectors L* +- 1); when h* covers psi_max the psi = 0
-solution is returned at once, and otherwise the search opens on the one
-interval [h*, psi_max].
+is rebuilt at every psi, never linearised, and a psi that is solved is
+solved once, for its certified ground pair (eigen.smallest_eigpair): the
+value bounds the search, and when the point becomes the answer its vector
+gives <L>, and the polish (below) its slope.  psi = 0 takes its lowest
+L-sector energy analytically (zero_solution), under the same inertia
+certificate, and its <L> is that sector's L.  The same sector data prove,
+with no band solve, that no energy within a reach h* of psi = 0 comes
+within ENERGY_TIE_EPS of it (zero_reach: a Schur complement on the psi = 0
+state, whose drive couples only to the sectors L* +- 1); when h* covers
+psi_max the psi = 0 solution is returned at once, and otherwise the search
+opens on the one interval [h*, psi_max].
 The spectrum is even in psi, so only psi >= 0 is searched, by branch and
 bound: the energy is z kappa psi^2 plus a concave function of psi, so on
 any interval it lies above a convex quadratic fixed by the two end
@@ -25,14 +25,14 @@ as the point's lower bound, and only a point that may beat the threshold
 is solved.  Each split point that becomes a new best and beats psi = 0 is
 polished on the slope E'(psi) = z kappa (2 psi - <a + a+>), which
 Hellmann-Feynman gives from the eigenvector: a safeguarded secant finds
-its root, the mean-field self-consistency psi = <a>, each step solved
-warm from the last (eigen.warm_eigpair) and certified.  The interval it
-split is then dropped unbounded, which assumes one minimum in that
-interval; a best at psi_max is left to the bounds.  MARGIN covers the
-rounding of one eigensolve, not the eigensolve tolerance (see
-minimize_over_psi).  Minimisers within ENERGY_TIE_EPS of the psi = 0
-energy collapse to exactly zero so the insulating solution is reported
-cleanly.
+its root, the mean-field self-consistency psi = <a>, from the split
+point's pair, each later step solved warm from the last
+(eigen.warm_eigpair) and certified.  The interval it split is then
+dropped unbounded, which assumes one minimum in that interval; a best at
+psi_max is left to the bounds.  MARGIN covers the rounding of one
+eigensolve, not the eigensolve tolerance (see minimize_over_psi).
+Minimisers within ENERGY_TIE_EPS of the psi = 0 energy collapse to
+exactly zero so the insulating solution is reported cleanly.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .eigen import (
     SymmetricMatrix,
     _positive_definite,
     certify_smallest,
-    smallest_eigenvalue,
     smallest_eigpair,
     tolerance,
     warm_eigpair,
@@ -112,17 +111,19 @@ class BracketExhausted(RuntimeError):
         self.solution = solution
 
 
-def energy_at_psi(params: ModelParams, psi: float, n_max: int) -> float:
-    """Smallest eigenvalue of the mean-field Hamiltonian at fixed psi, without
-    its eigenvector."""
-    return smallest_eigenvalue(build_mean_field(params, psi, n_max))
+def energy_at_psi(params: ModelParams, psi: float, n_max: int) -> EigPair:
+    """The certified ground pair of the mean-field Hamiltonian at fixed psi
+    (eigen.smallest_eigpair)."""
+    return smallest_eigpair(build_mean_field(params, psi, n_max))
 
 
 def bounded_energy(params: ModelParams, psi: float, n_max: int,
-                   threshold: float, width: float) -> tuple[float, bool]:
-    """The energy at psi as the psi search needs it: (E, True) with E
-    bitwise energy_at_psi(params, psi, n_max) when E <= threshold, and
-    otherwise (b, False) with threshold <= b < E a lower bound.
+                   threshold: float, width: float
+                   ) -> tuple[float, EigPair | None]:
+    """The energy at psi as the psi search needs it: (E, pair) with pair
+    bitwise energy_at_psi(params, psi, n_max) and E its value when E <=
+    threshold, and otherwise (b, None) with threshold <= b < E a lower
+    bound.
 
     width is that of the widest interval psi ends.  A = build_mean_field
     is built once and tried by band Cholesky of A - r I, which succeeds
@@ -132,8 +133,7 @@ def bounded_energy(params: ModelParams, psi: float, n_max: int,
     1. r = threshold + z kappa width^2/4, the clearance that lets an
        interval of that width, whose other end clears it too, be pruned;
     2. r = threshold: when that fails, E <= threshold, and only then is
-       psi solved, by energy_at_psi, the one entry of every value solve
-       (it builds A again, a few percent of the dsbevx call);
+       psi solved, by energy_at_psi, for its value and vector;
     3. the rungs r = threshold + z kappa (width/2^k)^2/4, k = 1, 2, ...,
        the clearance a descendant of width width/2^k needs, down to width
        REFINE_TOL: the first proven rung is the bound, threshold if none.
@@ -142,16 +142,17 @@ def bounded_energy(params: ModelParams, psi: float, n_max: int,
     a = build_mean_field(params, psi, n_max)
     clearance = threshold + 0.25 * c * width * width
     if _positive_definite(a, clearance):
-        return clearance, False
+        return clearance, None
     if not _positive_definite(a, threshold):
-        return energy_at_psi(params, psi, n_max), True
+        pair = energy_at_psi(params, psi, n_max)
+        return pair.value, pair
     width *= 0.5
     while width >= REFINE_TOL:
         rung = threshold + 0.25 * c * width * width
         if _positive_definite(a, rung):
-            return rung, False
+            return rung, None
         width *= 0.5
-    return threshold, False
+    return threshold, None
 
 
 def expected_L(vector: np.ndarray, l: int) -> float:
@@ -169,51 +170,54 @@ def _field_expectation(vector: np.ndarray) -> float:
                               + vector[1:-2:2] * vector[3::2]))
 
 
-def _slope_point(params: ModelParams, psi: float, n_max: int,
-                 previous: tuple[float, EigPair] | None = None
-                 ) -> tuple[EigPair, float]:
-    """The ground pair at psi and the slope E'(psi) = z kappa (2 psi -
-    <a + a+>) it gives by Hellmann-Feynman.
+def _slope(params: ModelParams, psi: float, pair: EigPair) -> float:
+    """The slope E'(psi) = z kappa (2 psi - <a + a+>) that the ground pair
+    at psi gives by Hellmann-Feynman."""
+    return params.z * params.kappa * (2.0 * psi
+                                      - _field_expectation(pair.vector))
 
-    Without previous the band is solved cold (smallest_eigpair).  With
-    previous = (psi', pair'), the certified pair at a nearby psi', the
-    solve is warm (eigen.warm_eigpair) from that pair's vector, shifted
-    below the spectrum by Weyl's inequality: H(psi) - H(psi') = c (psi^2 -
-    psi'^2) - c (psi - psi') X with c = z kappa and ||X|| <= 2 sqrt(n_max),
-    and pair'.value lies within tolerance of its smallest eigenvalue.
+
+def _slope_point(params: ModelParams, psi: float, n_max: int,
+                 previous: tuple[float, EigPair]) -> tuple[EigPair, float]:
+    """The ground pair at psi and its slope (_slope), solved warm
+    (eigen.warm_eigpair) from previous = (psi', pair'), the certified pair
+    at a nearby psi'.
+
+    The shift lies below the spectrum by Weyl's inequality: H(psi) -
+    H(psi') = c (psi^2 - psi'^2) - c (psi - psi') X with c = z kappa and
+    ||X|| <= 2 sqrt(n_max), and pair'.value lies within tolerance of its
+    smallest eigenvalue.
     """
     c = params.z * params.kappa
-    a = build_mean_field(params, psi, n_max)
-    if previous is None:
-        pair = smallest_eigpair(a)
-    else:
-        near, known = previous
-        shift = (known.value - c * abs(psi * psi - near * near)
-                 - 2.0 * c * math.sqrt(n_max) * abs(psi - near)
-                 - tolerance(known.value))
-        pair = warm_eigpair(a, shift, known.vector)
-    return pair, c * (2.0 * psi - _field_expectation(pair.vector))
+    near, known = previous
+    shift = (known.value - c * abs(psi * psi - near * near)
+             - 2.0 * c * math.sqrt(n_max) * abs(psi - near)
+             - tolerance(known.value))
+    pair = warm_eigpair(build_mean_field(params, psi, n_max), shift,
+                        known.vector)
+    return pair, _slope(params, psi, pair)
 
 
 def _polish(params: ModelParams, n_max: int, a: float, b: float,
-            p: float) -> tuple[float, EigPair]:
-    """The stationary point of E on (a, b) found from the split point p by a
-    safeguarded secant on the slope E' (_slope_point); returns the best
-    evaluated (psi, pair), p included.
+            p: float, pair: EigPair) -> tuple[float, EigPair]:
+    """The stationary point of E on (a, b) found from the split point p, with
+    its ground pair, by a safeguarded secant on the slope E' (_slope);
+    returns the best evaluated (psi, pair), p included.
 
-    p is solved cold, and the sign of E'(p) keeps the side of (a, b) that
-    holds the minimum, assuming E has one minimum there.  The first step
-    is Newton's with the largest curvature E'' can have, 2 z kappa (g is
-    concave), so it never passes the root; later steps are secants through
-    the last two points, each solved warm from the one before.  A step that
-    leaves the bracket, or is longer than half the step before last, is
-    replaced by bisection, so the bracket or the steps shrink geometrically.
+    The sign of E'(p) keeps the side of (a, b) that holds the minimum,
+    assuming E has one minimum there.  The first step is Newton's with the
+    largest curvature E'' can have, 2 z kappa (g is concave), so it never
+    passes the root; later steps are secants through the last two points,
+    each point solved warm from the one before (_slope_point).  A step
+    that leaves the bracket, or is longer than half the step before last,
+    is replaced by bisection, so the bracket or the steps shrink
+    geometrically.
     The polish stops once a step or the bracket is below REFINE_TOL/4, or
     the slope is exactly zero.
     """
     c = params.z * params.kappa
     xtol = REFINE_TOL / 4.0
-    pair, slope = _slope_point(params, p, n_max)
+    slope = _slope(params, p, pair)
     best_psi, best = p, pair
     lo, hi = (a, p) if slope > 0.0 else (p, b)
     x, x_old, s_old = p, None, None
@@ -246,22 +250,6 @@ def _polish(params: ModelParams, n_max: int, a: float, b: float,
     return best_psi, best
 
 
-def solution_at(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolution:
-    """The mean-field ground state at fixed psi.
-
-    psi = 0 is solved from its L-sector blocks (_sector_solution), any
-    other psi by smallest_eigpair on the band.
-    """
-    if psi == 0.0:
-        return _sector_solution(params, n_max)
-    return _band_solution(params, psi, n_max)
-
-
-def _band_solution(params: ModelParams, psi: float, n_max: int) -> MeanFieldSolution:
-    pair = smallest_eigpair(build_mean_field(params, psi, n_max))
-    return _pair_solution(params, psi, n_max, pair)
-
-
 def _pair_solution(params: ModelParams, psi: float, n_max: int,
                    pair: EigPair) -> MeanFieldSolution:
     return MeanFieldSolution(
@@ -274,7 +262,7 @@ def _pair_solution(params: ModelParams, psi: float, n_max: int,
 
 @dataclass(frozen=True)
 class _Sectors:
-    """The psi = 0 spectrum as zero_reach and _sector_solution read it.
+    """The psi = 0 spectrum as zero_reach and zero_solution read it.
 
     energy is E0, the lowest E_L, and L its sector; tied says whether the
     next E_L lies within eigen.tolerance(E0).  second is E1, the
@@ -340,18 +328,20 @@ def _sectors(l: int, omega: float, Omega: float, mu: float,
                     weight=weight)
 
 
-def _sector_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
+def zero_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
     """The psi = 0 ground state, taken from the L-sector blocks (_sectors).
 
     The lowest E_L passes the same inertia certificate (certify_smallest)
-    on the full band as a value solve, and <L> is its L exactly.  When the
+    on the full band as a band solve, and <L> is its L exactly.  When the
     two lowest E_L lie within eigen.tolerance(E), the sectors cannot say
-    which state the band solve picks, and the band is solved.
+    which state the band solve picks, and the band is solved
+    (smallest_eigpair).
     """
     key = (params.l, params.omega, params.Omega, params.mu, n_max)
     sectors = _sectors(*key)
     if sectors.tied:
-        return _band_solution(params, 0.0, n_max)
+        pair = smallest_eigpair(build_mean_field(params, 0.0, n_max))
+        return _pair_solution(params, 0.0, n_max, pair)
 
     certify_smallest(SymmetricMatrix(_psi_free_band(*key)), sectors.energy)
     return MeanFieldSolution(psi_star=0.0, energy=sectors.energy,
@@ -371,7 +361,7 @@ def zero_reach(params: ModelParams, n_max: int) -> float:
     which is positive definite when s <= E1, and the complement is then at
     least E0 - T + c psi^2 (1 - c W / (E_R - s + c psi^2)) > 0 when
     c W <= E_R - s.  So h = (min(E1, E_R - c W) - T) / (2 c sqrt(n_max)).
-    A sector tie (_sector_solution solves the band) is not certified.
+    A sector tie (zero_solution solves the band) is not certified.
     """
     c = params.z * params.kappa
     if c == 0.0:
@@ -435,7 +425,8 @@ def minimize_over_psi(params: ModelParams,
     t = T + z kappa h^2/4, what the chord bound of an interval of width h
     loses at most below its ends, or else above T and the highest rung
     T + z kappa (h/2^k)^2/4 they can, the clearance a descendant of width
-    h/2^k needs.  Only a candidate, E(p) <= T, is solved, by energy_at_psi.
+    h/2^k needs.  Only a candidate, E(p) <= T, is solved, by energy_at_psi,
+    once: the incumbent's solution, <L> included, is built from that pair.
     A chord through lower bounds still bounds E, so a bound stands in for
     E(p) at the children's shared end, but it never becomes the incumbent,
     and psi_max, evaluated against T = E(0) - ENERGY_TIE_EPS before any
@@ -443,13 +434,13 @@ def minimize_over_psi(params: ModelParams,
 
     A split point that becomes the incumbent and beats E(0) by more than
     ENERGY_TIE_EPS is polished once (_polish) inside the interval it split:
-    a safeguarded secant on the slope E', from the split point's vector
-    solve, with warm certified solves after it, to REFINE_TOL/4.  The best
-    evaluated point, with the <L> of its own vector, becomes the incumbent
-    and is the solution returned, so psi_star is not solved again.  The
-    interval is then dropped without a bound: that assumes E is unimodal
-    there, so that its one stationary point is its minimum, and a second,
-    lower minimum inside it is not excluded.  The first interval to
+    a safeguarded secant on the slope E', from the split point's pair, with
+    warm certified solves after it, to REFINE_TOL/4.  The best evaluated
+    point, with the <L> of its own vector, becomes the incumbent and is
+    the solution returned, so no point is solved twice.  The interval is
+    then dropped without a bound: that assumes E is unimodal there, so
+    that its one stationary point is its minimum, and a second, lower
+    minimum inside it is not excluded.  The first interval to
     split is all of [h*, psi_max].  An incumbent at psi_max is not
     polished: its interval stays on the heap, where a steep fall into the
     edge is pruned at once.  Minima in other intervals are still bounded,
@@ -487,64 +478,57 @@ def minimize_over_psi(params: ModelParams,
 
     # psi = 0 is solved once, from the sector blocks: it opens the search
     # and is the answer whenever the minimum ties with it
-    zero = solution_at(params, 0.0, n_max)
+    zero = zero_solution(params, n_max)
     reach = zero_reach(params, n_max)
     if reach >= psi_max:
         return zero
     tie = zero.energy - ENERGY_TIE_EPS
-    best_psi, best_e = 0.0, zero.energy
+    best = zero
     # nothing in [0, reach] reaches tie, so one interval [reach, psi_max]
     # opens the search; psi_max becomes the incumbent only when solved
     width = psi_max - reach
-    e_max, exact = bounded_energy(params, psi_max, n_max, tie, width)
-    if exact and e_max < tie:
-        best_psi, best_e = psi_max, e_max
-    # the incumbent's solution, once polished; None while it is psi = 0 or
-    # the unpolished psi_max
-    best_sol: MeanFieldSolution | None = None
+    e_max, pair = bounded_energy(params, psi_max, n_max, tie, width)
+    if pair is not None and e_max < tie:
+        best = _pair_solution(params, psi_max, n_max, pair)
     e_reach = zero.energy
     if reach > 0.0:
         e_reach, _ = bounded_energy(params, reach, n_max,
-                                    min(best_e - MARGIN, tie), width)
+                                    min(best.energy - MARGIN, tie), width)
 
     heap: list[tuple[float, float, float, float, float, float]] = []
 
     def push(a: float, b: float, ea: float, eb: float) -> None:
         bound, p = _chord_bound(c, a, b, ea, eb)
-        if bound < min(best_e - MARGIN, tie):
+        if bound < min(best.energy - MARGIN, tie):
             heapq.heappush(heap, (bound, a, b, ea, eb, p))
 
     push(reach, psi_max, e_reach, e_max)
     while heap:
         bound, a, b, ea, eb, p = heapq.heappop(heap)
-        threshold = min(best_e - MARGIN, tie)
+        threshold = min(best.energy - MARGIN, tie)
         if bound >= threshold:
             break
         if b - a < REFINE_TOL:
             continue
         if min(p - a, b - p) < SPLIT_EDGE * (b - a):
             p = 0.5 * (a + b)
-        e, exact = bounded_energy(params, p, n_max, threshold,
-                                  max(p - a, b - p))
-        if exact and e < best_e:
-            best_psi, best_e, best_sol = p, e, None
+        e, pair = bounded_energy(params, p, n_max, threshold,
+                                 max(p - a, b - p))
+        if pair is not None and e < best.energy:
             if e < tie:
-                psi, pair = _polish(params, n_max, a, b, p)
-                best_sol = _pair_solution(params, psi, n_max, pair)
-                best_psi, best_e = psi, pair.value
+                psi, pair = _polish(params, n_max, a, b, p, pair)
+                best = _pair_solution(params, psi, n_max, pair)
                 continue
+            best = _pair_solution(params, p, n_max, pair)
         push(a, p, ea, e)
         push(p, b, e, eb)
 
-    if zero.energy <= best_e + ENERGY_TIE_EPS:
+    if zero.energy <= best.energy + ENERGY_TIE_EPS:
         # flat or insulating landscape: report the symmetric solution exactly
         return zero
-
-    if best_sol is None:
-        best_sol = solution_at(params, best_psi, n_max)
-    if best_psi >= psi_max - 2.0 * REFINE_TOL:
+    if best.psi_star >= psi_max - 2.0 * REFINE_TOL:
         raise BracketExhausted(
             f"energy minimum sits at psi_max={psi_max:g}; raise n_max",
-            best_sol,
+            best,
         )
-    return best_sol
+    return best

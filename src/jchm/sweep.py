@@ -178,6 +178,8 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
     # (groundstate._sectors), so each row misses that cache once per
     # truncation level
     tasks = [(spec, n_max, x, y) for y in spec.y_values for x in xs]
+    # no more workers than cells: the pool forks all of them at once
+    jobs = min(jobs, len(tasks))
     if jobs == 1:
         flat = [_evaluate_cell(t) for t in tasks]
     else:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from jchm.classify import (
 )
 from jchm.groundstate import default_n_max, minimize_over_psi
 from jchm.operators import ModelParams
+from jchm.sweep import classify_at
 
 from conftest import sector_eigs
 
@@ -188,7 +190,7 @@ def count_vector_solves(monkeypatch) -> tuple[list[int], list[int]]:
     dims: list[int] = []
     sectors: list[int] = []
     original = eigen.smallest_eigpair
-    sector_solution = groundstate._sector_solution
+    zero_solution = groundstate.zero_solution
 
     def counted(h, *args, **kwargs):
         dims.append(len(h))
@@ -196,11 +198,12 @@ def count_vector_solves(monkeypatch) -> tuple[list[int], list[int]]:
 
     def counted_sector(params, n_max):
         sectors.append(n_max)
-        return sector_solution(params, n_max)
+        return zero_solution(params, n_max)
     for module in (eigen, groundstate, classify):
         if hasattr(module, "smallest_eigpair"):
             monkeypatch.setattr(module, "smallest_eigpair", counted)
-    monkeypatch.setattr(groundstate, "_sector_solution", counted_sector)
+    for module in (groundstate, classify):
+        monkeypatch.setattr(module, "zero_solution", counted_sector)
     return dims, sectors
 
 
@@ -234,3 +237,27 @@ def test_any_nonzero_psi_star_is_superfluid(monkeypatch):
     assert pt.token == "SF" and pt.psi_star == 5e-4
     assert pt.energy == sol.energy and pt.report is None
     assert dims == [] and sectors == []
+
+
+@pytest.mark.parametrize("l, x, y, edge", [
+    (1, -0.5, 0.0, True),      # a minimum against psi_max
+    (1, -0.6, -1.2, False),    # interior minima, polished on the slope
+    (3, -0.9, -0.6, False),
+])
+def test_no_band_is_diagonalised_twice_per_classification(monkeypatch, l,
+                                                          x, y, edge):
+    # the psi search solves a point once, for its certified pair, and
+    # builds the answer from that pair: no dsbevx call of one
+    # classification repeats a band
+    bands = []
+    lowest = eigen._lowest
+
+    def counted(a, compute_v):
+        bands.append((a.band.shape, a.band.tobytes()))
+        return lowest(a, compute_v)
+
+    monkeypatch.setattr(eigen, "_lowest", counted)
+    pt = classify_at(l, x, y)
+    assert pt.token == "SF"
+    assert (pt.psi_star == math.sqrt(pt.n_max_used) / 2) == edge
+    assert bands and len(set(bands)) == len(bands)

@@ -239,6 +239,20 @@ def test_certificate_rejects_a_higher_eigenvalue():
         "an eigenvalue lies below")
 
 
+def test_eigpair_rejects_a_pair_that_is_not_the_lowest(monkeypatch):
+    # dsbevx made to return the second eigenpair: its residual passes, so
+    # only the inertia certificate can tell that it is not the lowest
+    h = generic_band()
+    values, vectors = np.linalg.eigh(h.dense())
+    second = float(values[1])
+    residual = np.linalg.norm(h.dense() @ vectors[:, 1] - second * vectors[:, 1])
+    assert residual <= 0.01 * tolerance(second)
+    monkeypatch.setattr(eigen, "_lowest",
+                        lambda a, compute_v: (second, vectors[:, 1:2]))
+    with pytest.raises(EigensolverError, match="an eigenvalue lies below"):
+        smallest_eigpair(h)
+
+
 def test_certificate_rejects_a_value_below_the_spectrum():
     h = generic_band()
     low = float(np.linalg.eigvalsh(h.dense())[0]) - 1e-6

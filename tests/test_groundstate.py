@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jchm import eigen, groundstate
-from jchm.eigen import EigPair, smallest_eigenvalue, smallest_eigpair, tolerance
+from jchm.eigen import EigPair, smallest_eigpair, tolerance
 from jchm.groundstate import (
     ENERGY_TIE_EPS,
     MARGIN,
@@ -18,7 +18,7 @@ from jchm.groundstate import (
     expected_L,
     minimize_over_psi,
     resolve_n_max,
-    solution_at,
+    zero_solution,
 )
 from jchm.operators import ModelParams, build_mean_field
 from jchm.sweep import GridSpec, params_for
@@ -38,13 +38,13 @@ def test_psi_search_spec_validation():
 
 def test_vacuum_energy_is_zero():
     params = ModelParams.resonant(1, 3.0)
-    assert energy_at_psi(params, 0.0, 30) == pytest.approx(0.0, abs=1e-12)
+    assert energy_at_psi(params, 0.0, 30).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_drive_energy_example():
     # two-photon model at omega = 2: the L=2 sector gives 1 - sqrt(3)
     params = ModelParams.resonant(2, 2.0)
-    assert energy_at_psi(params, 0.0, 40) == pytest.approx(
+    assert energy_at_psi(params, 0.0, 40).value == pytest.approx(
         ONE_MINUS_SQRT3, abs=1e-9)
 
 
@@ -55,7 +55,7 @@ def test_zero_drive_energy_matches_sector_enumeration(l, omega, mu, n_extra):
     # bounded regime: compare the full matrix against the sector oracle
     params = ModelParams(l=l, omega=omega, Omega=omega, mu=mu)
     expected = zero_drive_ground_oracle(l, omega, mu, l + n_extra)
-    got = energy_at_psi(params, 0.0, l + n_extra)
+    got = energy_at_psi(params, 0.0, l + n_extra).value
     assert got == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
 
 
@@ -64,8 +64,8 @@ def test_zero_drive_energy_matches_sector_enumeration(l, omega, mu, n_extra):
        kappa=st.floats(0.0, 1.0))
 def test_energy_even_in_psi(l, omega, psi, kappa):
     params = ModelParams(l=l, omega=omega, Omega=omega, kappa=kappa)
-    plus = energy_at_psi(params, psi, l + 12)
-    minus = energy_at_psi(params, -psi, l + 12)
+    plus = energy_at_psi(params, psi, l + 12).value
+    minus = energy_at_psi(params, -psi, l + 12).value
     assert abs(plus - minus) <= 1e-9
 
 
@@ -77,23 +77,26 @@ def test_energy_even_in_psi(l, omega, psi, kappa):
 def test_bounded_energy_is_sound(l, omega, mu, kappa, psi, n_extra, above,
                                  log_gap, width):
     # the rule solves a point only when its energy is at or below the
-    # threshold, and then returns bitwise what energy_at_psi returns; any
+    # threshold, and then returns bitwise the pair energy_at_psi returns; any
     # other return is a bound at or above the threshold and below the
     # energy, up to the tolerance every eigenvalue check holds to.  The
     # threshold sits a random distance, never within that tolerance,
     # either side of the energy
     params = ModelParams(l=l, omega=omega, Omega=omega, mu=mu, kappa=kappa)
     n_max = l + n_extra
-    energy = energy_at_psi(params, psi, n_max)
+    solved = energy_at_psi(params, psi, n_max)
+    energy = solved.value
     gap = 10.0 ** log_gap * max(1.0, abs(energy))
     assert gap > tolerance(energy)
     threshold = energy - gap if above else energy + gap
-    value, exact = bounded_energy(params, psi, n_max, threshold, width)
+    value, pair = bounded_energy(params, psi, n_max, threshold, width)
     if above:
-        assert not exact
+        assert pair is None
         assert threshold <= value < energy + tolerance(energy)
     else:
-        assert exact and value.hex() == energy.hex()
+        assert pair is not None and value.hex() == energy.hex()
+        assert pair.value.hex() == energy.hex()
+        assert np.array_equal(pair.vector, solved.vector)
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,7 +113,7 @@ def test_sector_solution_matches_the_band_solve(l, omega, delta, mu, z, kappa,
     n_max = min(l + n_extra, 80)
     params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu,
                          kappa=kappa, z=z)
-    sol = solution_at(params, 0.0, n_max)
+    sol = zero_solution(params, n_max)
     pair = smallest_eigpair(build_mean_field(params, 0.0, n_max))
     low = sorted(zero_drive_sector_energies(l, omega, mu, n_max, omega - delta))
     if low[1] - low[0] <= tolerance(low[0]):
@@ -140,7 +143,7 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
         return smallest_eigpair(*args, **kwargs)
 
     monkeypatch.setattr(groundstate, "smallest_eigpair", counted)
-    sol = solution_at(params, 0.0, n_max)
+    sol = zero_solution(params, n_max)
     assert calls == [2 * (n_max + 1)]
     assert sol.energy == pair.value
     assert sol.l_expect == expected_L(pair.vector, 2)
@@ -165,10 +168,10 @@ def test_zero_reach_is_sound(l, omega, delta, mu, z, log_kappa, n_extra,
     n_max = l + n_extra
     reach = groundstate.zero_reach(params, n_max)
     assert reach >= 0.0
-    floor = solution_at(params, 0.0, n_max).energy - ENERGY_TIE_EPS
+    floor = zero_solution(params, n_max).energy - ENERGY_TIE_EPS
     top = min(reach, math.sqrt(n_max))             # at most 2 psi_max
     for f in [1.0] + fractions:
-        assert energy_at_psi(params, f * top, n_max) > floor
+        assert energy_at_psi(params, f * top, n_max).value > floor
 
 
 def test_zero_reach_pins():
@@ -245,11 +248,11 @@ def test_minimize_superfluid(params, n_max, depth):
     psi_max = math.sqrt(n_max) / 2
     sol = minimize_over_psi(params, n_max)
     assert sol.psi_star > 1e-3
-    assert sol.energy < energy_at_psi(params, 0.0, n_max) - depth
+    assert sol.energy < energy_at_psi(params, 0.0, n_max).value - depth
     # the reported energy beats (or ties) every energy of an independent
     # 401-point scan
     for psi in np.linspace(0.0, psi_max, 401):
-        assert sol.energy <= (energy_at_psi(params, psi, n_max)
+        assert sol.energy <= (energy_at_psi(params, psi, n_max).value
                               + ENERGY_TIE_EPS + 1e-9)
 
 
@@ -326,22 +329,31 @@ def test_minimize_reports_bracket_exhaustion():
     assert sol.energy < 0.0 and sol.n_max_used == 30
 
 
+def count_band_solves(monkeypatch) -> list[tuple[int, int]]:
+    """(dimension, compute_v) of every dsbevx call (eigen._lowest) made
+    from here on: compute_v is 1 for a pair solve, 0 for a value alone."""
+    solves = []
+    lowest = eigen._lowest
+
+    def counted(a, compute_v):
+        solves.append((len(a), compute_v))
+        return lowest(a, compute_v)
+
+    monkeypatch.setattr(eigen, "_lowest", counted)
+    return solves
+
+
 def test_minimize_runaway_solves_the_edge_only(monkeypatch):
     # the runaway point of test_minimize_reports_bracket_exhaustion: psi_max
     # is solved first and becomes the incumbent, unpolished, and the steep
     # fall into the edge prunes the one opening interval at once, so the
-    # edge is reported exactly after 1 value solve
-    values = []
-
-    def counted(a):
-        values.append(len(a))
-        return smallest_eigenvalue(a)
-
-    monkeypatch.setattr(groundstate, "smallest_eigenvalue", counted)
+    # edge is reported exactly after 1 band solve, whose pair is the
+    # reported solution
+    solves = count_band_solves(monkeypatch)
     with pytest.raises(BracketExhausted) as exc:
         minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=1.0), 30)
     assert exc.value.solution.psi_star == math.sqrt(30) / 2
-    assert len(values) == 1
+    assert solves == [(2 * (30 + 1), 1)]
 
 
 def test_minimize_l_expect_lies_within_the_truncation():
@@ -354,14 +366,14 @@ def test_minimize_l_expect_lies_within_the_truncation():
 def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                                                        vector_solves):
     # psi = 0 is solved once, from the sector blocks with no band
-    # eigensolve, and returned for an insulator; the branch and bound takes
-    # eigenvalues only.  The deep insulator is proven by zero_reach over all
-    # of [0, psi_max] and builds no band at all.  The superfluid, tested
-    # before solving, takes 1 value solve; its polish on the slope solves
-    # the split point once with its vector and then warm from the last
-    # pair, 7 evaluations in all, and reports its own best pair, so
+    # eigensolve, and returned for an insulator.  The deep insulator is
+    # proven by zero_reach over all of [0, psi_max] and builds no band at
+    # all.  The superfluid, tested before solving, takes no value-only
+    # solve: its split point is solved once, for its pair, from which the
+    # polish on the slope starts, and every later point is solved warm from
+    # the last pair, 7 evaluations in all; it reports its own best pair, so
     # psi_star is not solved again
-    calls = {"sector": 0, "pair": 0, "value": 0, "build": 0, "warm": 0}
+    calls = {"sector": 0, "build": 0, "warm": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -369,27 +381,24 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(groundstate, "_sector_solution",
-                        counted("sector", groundstate._sector_solution))
-    # the warm solve falls back to eigen's smallest_eigpair: counted too
-    pair = counted("pair", groundstate.smallest_eigpair)
-    monkeypatch.setattr(groundstate, "smallest_eigpair", pair)
-    monkeypatch.setattr(eigen, "smallest_eigpair", pair)
-    monkeypatch.setattr(groundstate, "smallest_eigenvalue",
-                        counted("value", groundstate.smallest_eigenvalue))
+    monkeypatch.setattr(groundstate, "zero_solution",
+                        counted("sector", groundstate.zero_solution))
     monkeypatch.setattr(groundstate, "build_mean_field",
                         counted("build", groundstate.build_mean_field))
     monkeypatch.setattr(groundstate, "warm_eigpair",
                         counted("warm", groundstate.warm_eigpair))
+    # every dsbevx call, the warm solve's fallback to it included
+    solves = count_band_solves(monkeypatch)
     sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa), 40)
+    pairs = sum(compute_v for _, compute_v in solves)
     assert (sol.psi_star > 0) == (vector_solves == 2)
     assert calls["sector"] == 1
-    assert calls["pair"] == vector_solves - 1
+    assert pairs == vector_solves - 1
+    assert len(solves) == pairs
     if vector_solves == 1:
-        assert calls["value"] == calls["build"] == calls["warm"] == 0
+        assert calls["build"] == calls["warm"] == 0
     else:
-        assert calls["value"] <= 1
-        assert calls["pair"] + calls["warm"] <= 7
+        assert pairs + calls["warm"] <= 7
 
 
 def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
@@ -397,7 +406,7 @@ def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
     # proves psi = 0 over [0, h*] with 0 < h* < psi_max, so the search
     # opens on [h*, psi_max] and the cascade toward psi = 0 is skipped, and
     # every point the search evaluates is bounded by band Choleskys: no
-    # value solve, and no matrix built below h*
+    # band solve, and no matrix built below h*
     params = ModelParams.resonant(1, 1.7, kappa=10 ** -1.3)
     reach = groundstate.zero_reach(params, 40)
     assert 0.0 < reach < math.sqrt(40) / 2
@@ -407,17 +416,11 @@ def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
         built.append(psi)
         return build_mean_field(params, psi, n_max)
 
-    values = []
-
-    def counted_value(a):
-        values.append(len(a))
-        return smallest_eigenvalue(a)
-
     monkeypatch.setattr(groundstate, "build_mean_field", counted)
-    monkeypatch.setattr(groundstate, "smallest_eigenvalue", counted_value)
+    solves = count_band_solves(monkeypatch)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == 0.0 and sol.l_expect == 1.0
-    assert values == []
+    assert solves == []
     assert min(built) == reach
 
 
@@ -426,56 +429,52 @@ def test_minimize_bounds_a_near_critical_insulator_without_solving(
     # an MI(1) point just inside its lobe edge, where the energy is flattest
     # near psi = 0 and zero_reach proves nothing: the branch and bound
     # splits down toward psi = 0, and every point it evaluates is proven
-    # above the pruning threshold by band Choleskys, so no value solve runs
+    # above the pruning threshold by band Choleskys, so no band solve runs
     params = params_for(1, -1.1328125, -0.7)
     assert groundstate.zero_reach(params, 40) == 0.0
-    values = []
-
-    def counted_value(a):
-        values.append(len(a))
-        return smallest_eigenvalue(a)
-
-    monkeypatch.setattr(groundstate, "smallest_eigenvalue", counted_value)
+    solves = count_band_solves(monkeypatch)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == 0.0 and sol.l_expect == 1.0
-    assert values == []
+    assert solves == []
 
 
 def synthetic_landscape(monkeypatch, energy, slope) -> list[float]:
     """Make minimize_over_psi see energy(psi) and its slope alone, through
-    every seam it solves or tests by: energy_at_psi, solution_at, the
-    polish's pair and slope (_slope_point) and the band Cholesky of the
-    rule (bounded_energy), with zero_reach proving nothing.  The real
-    Hamiltonian is never built: build_mean_field hands the rule psi itself,
-    and its Cholesky of A - t I succeeds when energy(psi) > t.  Returns the
-    psi of every energy_at_psi call and polish evaluation, in order."""
+    every seam it solves or tests by: energy_at_psi, zero_solution, the
+    polish's slope (_slope) and warm steps (_slope_point) and the band
+    Cholesky of the rule (bounded_energy), with zero_reach proving nothing.
+    The real Hamiltonian is never built: build_mean_field hands the rule
+    psi itself, and its Cholesky of A - t I succeeds when energy(psi) > t.
+    Returns the psi of every energy_at_psi call and warm polish step, in
+    order."""
     solved = []
 
-    def energy_at(params, psi, n_max):
-        solved.append(psi)
-        return energy(psi)
-
-    def slope_point(params, psi, n_max, previous=None):
+    def pair_at(psi):
         # a one-site vector: expected_L reads L = 0 from it
         solved.append(psi)
-        return EigPair(value=energy(psi), vector=np.zeros(4)), slope(psi)
+        return EigPair(value=energy(psi), vector=np.zeros(4))
 
-    def solution(params, psi, n_max):
-        return MeanFieldSolution(psi_star=float(psi), energy=energy(psi),
+    def zero(params, n_max):
+        return MeanFieldSolution(psi_star=0.0, energy=energy(0.0),
                                  l_expect=0.0, n_max_used=n_max)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a synthetic landscape solves no matrix")
 
-    monkeypatch.setattr(groundstate, "energy_at_psi", energy_at)
-    monkeypatch.setattr(groundstate, "solution_at", solution)
-    monkeypatch.setattr(groundstate, "_slope_point", slope_point)
+    monkeypatch.setattr(groundstate, "energy_at_psi",
+                        lambda params, psi, n_max: pair_at(psi))
+    monkeypatch.setattr(groundstate, "zero_solution", zero)
+    monkeypatch.setattr(groundstate, "_slope",
+                        lambda params, psi, pair: slope(psi))
+    monkeypatch.setattr(groundstate, "_slope_point",
+                        lambda params, psi, n_max, previous:
+                        (pair_at(psi), slope(psi)))
     monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: 0.0)
     monkeypatch.setattr(groundstate, "build_mean_field",
                         lambda params, psi, n_max: psi)
     monkeypatch.setattr(groundstate, "_positive_definite",
                         lambda psi, t: energy(psi) > t)
-    monkeypatch.setattr(groundstate, "smallest_eigenvalue", no_solve)
+    monkeypatch.setattr(eigen, "_lowest", no_solve)
     return solved
 
 
@@ -600,10 +599,10 @@ def test_minimize_never_takes_a_bound_as_the_incumbent(monkeypatch):
     rule = groundstate.bounded_energy
 
     def recorded(params, psi, n_max, threshold, width):
-        value, exact = rule(params, psi, n_max, threshold, width)
-        if not exact:
+        value, pair = rule(params, psi, n_max, threshold, width)
+        if pair is None:
             bounds.append((psi, value))
-        return value, exact
+        return value, pair
 
     monkeypatch.setattr(groundstate, "bounded_energy", recorded)
     sol = minimize_over_psi(params, 40)

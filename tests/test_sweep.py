@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from jchm import eigen, groundstate
+from jchm import eigen, groundstate, sweep
 from jchm.analytic import Side, strong_coupling_boundary
 from jchm.sweep import (
     GridSpec,
@@ -106,6 +106,34 @@ def test_run_grid_parallel_matches_serial():
         assert pa.token == pb.token
         assert pa.energy == pb.energy
         assert pa.psi_star == pb.psi_star
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (8, 4)])
+def test_run_grid_opens_no_more_workers_than_cells(monkeypatch, jobs,
+                                                   workers):
+    # the pool forks all its workers at the first submit, so a 2x2 grid
+    # asks for at most 4; a stand-in pool records the request and maps
+    # serially, so no process starts
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    spec = GridSpec(l=3, x_lo=-4.0, x_hi=-3.0, nx=2, y_lo=-1.0, y_hi=0.0, ny=2)
+    serial = run_grid(spec, jobs=1)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    assert run_grid(spec, jobs=jobs) == serial
+    assert requested == [workers]
 
 
 def test_run_grid_marks_invalid_rows():
