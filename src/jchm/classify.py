@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .groundstate import (
     BracketExhausted,
-    MeanFieldSolution,
     minimize_over_psi,
     resolve_n_max,
     zero_solution,
@@ -110,21 +109,17 @@ class PhasePoint:
         return "INVALID" if self.note.startswith("invalid") else "INDET"
 
 
-def convergence_probe(params: ModelParams, n_max: int | None = None,
-                      zero: MeanFieldSolution | None = None) -> ConvergenceReport:
+def convergence_probe(params: ModelParams,
+                      n_max: int | None = None) -> ConvergenceReport:
     """Ground energy and <L> at psi = 0 at truncations n_max and 2 n_max,
-    n_max resolved by resolve_n_max.
-
-    zero is the psi = 0 solution at n_max when the caller already has it, as
-    minimize_over_psi returns it for an insulating point; otherwise that
-    level is solved here.  converged: the doubling moved neither the energy
+    n_max resolved by resolve_n_max, each level certified once per key
+    (zero_solution).  converged: the doubling moved neither the energy
     (within TOL_CONV) nor <L> (within 0.01).  pinned_at_truncation: the
     final <L> reaches PIN_FRACTION of the truncation edge, the signature of
     a sector escaping to infinity.
     """
     n_max = resolve_n_max(params.l, n_max)
-    if zero is None:
-        zero = zero_solution(params, n_max)
+    zero = zero_solution(params, n_max)
     fine = zero_solution(params, 2 * n_max)
     return ConvergenceReport(
         n_max_sequence=(zero.n_max_used, fine.n_max_used),
@@ -136,22 +131,24 @@ def convergence_probe(params: ModelParams, n_max: int | None = None,
     )
 
 
-def classify_point(params: ModelParams, n_max: int | None = None) -> PhasePoint:
-    """Classify one parameter point as SF, MI(L) or forbidden.
+def classify_point(params: ModelParams, n_max: int | None = None, *,
+                   at: tuple[float, float] | None = None) -> PhasePoint:
+    """Classify one parameter point as SF, MI(L) or forbidden, reported at
+    the diagram coordinates at = (x, y), by default (log10 kappa,
+    l mu - omega).
 
     The psi minimisation runs at the base truncation n_max; if it returns
     psi_star > 0 the point is superfluid.  Otherwise it has returned the
-    psi = 0 solution itself, which the probe reuses as its base level
-    before solving 2 n_max, and the reported energy, <L> and n_max_used
-    come from the finer level.  A minimisation whose minimum runs into
-    psi_max is still called superfluid: the drive is resolvably nonzero
-    even though its magnitude is truncation-limited.
+    psi = 0 solution, the probe's base level, and the reported energy, <L>
+    and n_max_used come from the probe's finer level.  A minimisation whose
+    minimum runs into psi_max is still called superfluid: the drive is
+    resolvably nonzero even though its magnitude is truncation-limited.
 
     Raises IndeterminatePhaseError when the probe is inconclusive and
     ValueError for an unusable n_max or drive.
     """
-    x = math.log10(params.kappa) if params.kappa > 0 else -math.inf
-    y = params.l * params.mu - params.omega
+    x, y = at or (math.log10(params.kappa) if params.kappa > 0 else -math.inf,
+                  params.l * params.mu - params.omega)
 
     try:
         sol = minimize_over_psi(params, n_max)
@@ -164,7 +161,7 @@ def classify_point(params: ModelParams, n_max: int | None = None) -> PhasePoint:
             n_max_used=sol.n_max_used, converged=True,
         )
 
-    report = convergence_probe(params, n_max, sol)
+    report = convergence_probe(params, n_max)
     energy = report.energies[-1]
     l_expect = report.l_expects[-1]
     n_used = report.n_max_sequence[-1]

@@ -6,12 +6,15 @@ solved once, for its certified ground pair (eigen.smallest_eigpair): the
 value bounds the search, and when the point becomes the answer its vector
 gives <L>, and the polish (below) its slope.  psi = 0 takes its lowest
 L-sector energy analytically (zero_solution), under the same inertia
-certificate, and its <L> is that sector's L.  The same sector data prove,
-with no band solve, that no energy within a reach h* of psi = 0 comes
-within ENERGY_TIE_EPS of it (zero_reach: a Schur complement on the psi = 0
+certificate, and its <L> is that sector's L.  It is certified once per
+key (l, omega, Omega, mu, n_max) and cached (_sectors), so every kappa of
+a grid row shares it, as do the truncation probe's 2 n_max level,
+energy_scan and refine_boundary.  The same sector data prove, with no
+band solve, that no energy within a reach h* of psi = 0 comes within
+ENERGY_TIE_EPS of it (zero_reach: a Schur complement on the psi = 0
 state, whose drive couples only to the sectors L* +- 1); when h* covers
-psi_max the psi = 0 solution is returned at once, and otherwise the search
-opens on the one interval [h*, psi_max].
+psi_max the psi = 0 solution is returned at once, and otherwise the
+search opens on the one interval [h*, psi_max].
 The spectrum is even in psi, so only psi >= 0 is searched, by branch and
 bound: the energy is z kappa psi^2 plus a concave function of psi, so on
 any interval it lies above a convex quadratic fixed by the two end
@@ -42,6 +45,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,30 +254,24 @@ def _polish(params: ModelParams, n_max: int, a: float, b: float,
     return best_psi, best
 
 
-def _pair_solution(params: ModelParams, psi: float, n_max: int,
+def _pair_solution(l: int, psi: float, n_max: int,
                    pair: EigPair) -> MeanFieldSolution:
-    return MeanFieldSolution(
-        psi_star=float(psi),
-        energy=pair.value,
-        l_expect=expected_L(pair.vector, params.l),
-        n_max_used=n_max,
-    )
+    return MeanFieldSolution(psi_star=float(psi), energy=pair.value,
+                             l_expect=expected_L(pair.vector, l),
+                             n_max_used=n_max)
 
 
-@dataclass(frozen=True)
-class _Sectors:
-    """The psi = 0 spectrum as zero_reach and zero_solution read it.
-
-    energy is E0, the lowest E_L, and L its sector; tied says whether the
-    next E_L lies within eigen.tolerance(E0).  second is E1, the
-    second-lowest eigenvalue of the psi-free band: the next E_L or the
-    upper root of block L, whichever is lower.  neighbour is E_R, the
-    lowest E_L of the sectors L - 1 and L + 1, and weight is
-    W = ||(a + a+)|0>||^2 for the lowest state |0>.
+class _Sectors(NamedTuple):
+    """The certified psi = 0 solution of one key, and the spectrum zero_reach
+    reads: tied says whether the next E_L lies within eigen.tolerance(E0)
+    of E0, the lowest E_L; second is E1, the second-lowest eigenvalue of
+    the psi-free band: the next E_L or the upper root of the lowest
+    state's block, whichever is lower; neighbour is E_R, the lowest E_L of
+    the sectors L - 1 and L + 1; weight is W = ||(a + a+)|0>||^2 for the
+    lowest state |0>.
     """
 
-    L: int
-    energy: float
+    solution: MeanFieldSolution
     tied: bool
     second: float
     neighbour: float
@@ -281,28 +279,35 @@ class _Sectors:
 
 
 @lru_cache(maxsize=128)
-def _sectors(l: int, omega: float, Omega: float, mu: float,
-             n_max: int) -> _Sectors:
-    """The psi = 0 sector data of one (l, omega, Omega, mu, n_max), from the
-    block roots of the psi-free band; shared by every kappa.
+def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
+             tol: float) -> _Sectors:
+    """The psi = 0 solution and sector data of one key (l, omega, Omega, mu,
+    n_max), from the block roots of the psi-free band; tol = eigen.TOL, which
+    the certificate reads, keys each proof to the tolerance it holds at.
 
     At psi = 0 the Hamiltonian commutes with L, so each L = 0..n_max + l
     has one candidate energy E_L: the lower root of the 2x2 block
     {|e,L-l>, |g,L>} for l <= L <= n_max, and the single state |g,L> for
     L < l or |e,L-l> for L > n_max, whose partner the truncation drops.
+    The lowest E_L passes the same inertia certificate (certify_smallest)
+    on the full band as a band solve, and <L> is its L exactly.  When the
+    two lowest E_L lie within eigen.tolerance(E0), the sectors cannot say
+    which state the band solve picks, and the band is solved
+    (smallest_eigpair).
     """
     band = _psi_free_band(l, omega, Omega, mu, n_max)
     exc, gnd = band[0, 1::2], band[0, 0::2]     # |e,n>, |g,n>, n = 0..n_max
     k = n_max - l + 1                           # number of 2x2 blocks
     # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..n_max
-    c = band[2 * l - 1, 1:2 * k:2]
     half = 0.5 * (exc[:k] - gnd[l:])
-    root = np.hypot(half, c)
+    root = np.hypot(half, band[2 * l - 1, 1:2 * k:2])
     mid = 0.5 * (exc[:k] + gnd[l:])
     energies = np.concatenate((gnd[:l], mid - root, exc[k:]))
-    L = int(np.argmin(energies))
-    value = float(energies[L])
-    following = float(np.partition(energies, 1)[1])
+    L = int(energies.argmin())
+    values = energies.tolist()
+    value = values[L]
+    following = min(values[:L] + values[L + 1:])
+    tied = following - value <= tolerance(value)
     upper = math.inf                            # block L's upper root
 
     def spread(n: int) -> float:
@@ -317,35 +322,30 @@ def _sectors(l: int, omega: float, Omega: float, mu: float,
     else:
         # the lower root's vector puts weight p on |e,L-l>, 1 - p on |g,L>
         b = L - l
-        p = float((root[b] - half[b]) / (2.0 * root[b]))
+        r = float(root[b])
+        p = (r - float(half[b])) / (2.0 * r)
         weight = p * spread(b) + (1.0 - p) * spread(L)
-        upper = float(mid[b] + root[b])
-    neighbour = min(float(energies[j]) for j in (L - 1, L + 1)
-                    if 0 <= j < len(energies))
-    return _Sectors(L=L, energy=value,
-                    tied=following - value <= tolerance(value),
-                    second=min(following, upper), neighbour=neighbour,
-                    weight=weight)
+        upper = float(mid[b]) + r
+    # E_R over the sectors L - 1 and L + 1 that exist
+    neighbour = min(values[L - 1:L + 2:2] if L else values[1:2])
+    a = SymmetricMatrix(band)
+    if tied:
+        solution = _pair_solution(l, 0.0, n_max, smallest_eigpair(a))
+    else:
+        certify_smallest(a, value)
+        solution = MeanFieldSolution(0.0, value, float(L), n_max)
+    return _Sectors(solution, tied, min(following, upper), neighbour, weight)
+
+
+def _zero_sectors(params: ModelParams, n_max: int) -> _Sectors:
+    # tolerance(1.0) is eigen.TOL, read now, as the certificate reads it
+    return _sectors(params.l, params.omega, params.Omega, params.mu, n_max,
+                    tolerance(1.0))
 
 
 def zero_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
-    """The psi = 0 ground state, taken from the L-sector blocks (_sectors).
-
-    The lowest E_L passes the same inertia certificate (certify_smallest)
-    on the full band as a band solve, and <L> is its L exactly.  When the
-    two lowest E_L lie within eigen.tolerance(E), the sectors cannot say
-    which state the band solve picks, and the band is solved
-    (smallest_eigpair).
-    """
-    key = (params.l, params.omega, params.Omega, params.mu, n_max)
-    sectors = _sectors(*key)
-    if sectors.tied:
-        pair = smallest_eigpair(build_mean_field(params, 0.0, n_max))
-        return _pair_solution(params, 0.0, n_max, pair)
-
-    certify_smallest(SymmetricMatrix(_psi_free_band(*key)), sectors.energy)
-    return MeanFieldSolution(psi_star=0.0, energy=sectors.energy,
-                             l_expect=float(sectors.L), n_max_used=n_max)
+    """The certified psi = 0 ground state at truncation n_max (_sectors)."""
+    return _zero_sectors(params, n_max).solution
 
 
 def zero_reach(params: ModelParams, n_max: int) -> float:
@@ -366,10 +366,10 @@ def zero_reach(params: ModelParams, n_max: int) -> float:
     c = params.z * params.kappa
     if c == 0.0:
         return math.inf
-    sectors = _sectors(params.l, params.omega, params.Omega, params.mu, n_max)
+    sectors = _zero_sectors(params, n_max)
     if sectors.tied:
         return 0.0
-    t = sectors.energy - ENERGY_TIE_EPS
+    t = sectors.solution.energy - ENERGY_TIE_EPS
     room = min(sectors.second, sectors.neighbour - c * sectors.weight) - t
     return max(room / (2.0 * c * math.sqrt(n_max)), 0.0)
 
@@ -489,7 +489,7 @@ def minimize_over_psi(params: ModelParams,
     width = psi_max - reach
     e_max, pair = bounded_energy(params, psi_max, n_max, tie, width)
     if pair is not None and e_max < tie:
-        best = _pair_solution(params, psi_max, n_max, pair)
+        best = _pair_solution(params.l, psi_max, n_max, pair)
     e_reach = zero.energy
     if reach > 0.0:
         e_reach, _ = bounded_energy(params, reach, n_max,
@@ -517,9 +517,9 @@ def minimize_over_psi(params: ModelParams,
         if pair is not None and e < best.energy:
             if e < tie:
                 psi, pair = _polish(params, n_max, a, b, p, pair)
-                best = _pair_solution(params, psi, n_max, pair)
+                best = _pair_solution(params.l, psi, n_max, pair)
                 continue
-            best = _pair_solution(params, p, n_max, pair)
+            best = _pair_solution(params.l, p, n_max, pair)
         push(a, p, ea, e)
         push(p, b, e, eb)
 

@@ -102,10 +102,10 @@ def _mpjc_band(l: int, omega: float, Omega: float, n_max: int) -> np.ndarray:
     if n_max < l:
         # below this no |g,n+l> partner exists and the coupling vanishes
         raise ValueError(f"n_max must be at least l={l}, got n_max={n_max}")
-    n = np.arange(n_max + 1)
+    n = build_l_diag(l, n_max)[0::2]           # L of |g,n> is n = 0..n_max
     band = np.zeros((bandwidth(l) + 1, 2 * (n_max + 1)), order="F")
     band[0, 0::2] = omega * n                  # |g,n>
-    band[0, 1::2] = Omega + omega * n          # |e,n>
+    band[0, 1::2] = Omega + band[0, 0::2]      # |e,n>
     # <e,n| sigma+ a^l |g,n+l> joins columns 2n+1 and 2(n+l)
     last = 2 * (n_max - l) + 1
     band[2 * l - 1, 1:last + 1:2] = coupling_elements(l, n_max)

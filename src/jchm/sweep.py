@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -126,7 +126,7 @@ def classify_at(l: int, x: float, y: float, n_max: int | None = None, *,
                 z: int = 2, mu: float = 1.0, delta: float = 0.0) -> PhasePoint:
     """classify_point at diagram coordinates, reporting the exact (x, y) given."""
     params = params_for(l, x, y, z=z, mu=mu, delta=delta)
-    return replace(classify_point(params, n_max), x=float(x), y=float(y))
+    return classify_point(params, n_max, at=(float(x), float(y)))
 
 
 def _failed_cell(x: float, y: float, note: str) -> PhasePoint:
@@ -174,16 +174,17 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
         raise ValueError(f"jobs must be positive, got {jobs}")
     n_max = resolve_n_max(spec.l, n_max)
     xs = spec.x_values
-    # row by row: the cells of one y share their psi = 0 sector data
-    # (groundstate._sectors), so each row misses that cache once per
-    # truncation level
+    # row by row, and whole rows per pool chunk (about 8 chunks per
+    # worker): the cells of one y share their certified psi = 0 solution
+    # (groundstate._sectors), so a process misses that cache at most once
+    # per row and truncation level
     tasks = [(spec, n_max, x, y) for y in spec.y_values for x in xs]
     # no more workers than cells: the pool forks all of them at once
     jobs = min(jobs, len(tasks))
     if jobs == 1:
         flat = [_evaluate_cell(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (8 * jobs))
+        chunk = spec.nx * max(1, spec.ny // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             flat = list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
     cells = tuple(

@@ -4,12 +4,23 @@ These deliberately avoid the package's own matrix builders: sector blocks are
 written out entry by entry with math.factorial, and reference ground energies
 come from enumerating every conserved-quantity sector of the truncated space
 with numpy's full eigensolver.  Agreement between the package and these
-oracles is then a two-route check, not a tautology.
+oracles is then a two-route check, not a tautology.  The one fixture,
+cold_zero_cache, lets counting tests start from an empty psi = 0 cache.
 """
 
 import math
 
 import numpy as np
+import pytest
+
+from jchm import groundstate
+
+
+@pytest.fixture
+def cold_zero_cache():
+    """An empty psi = 0 cache (groundstate._sectors): a counting test then
+    counts the solves of its own psi = 0 keys, whichever tests ran before."""
+    groundstate._sectors.cache_clear()
 
 
 def sector_matrix(l: int, L: int, omega: float, Omega: float | None = None,

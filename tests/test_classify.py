@@ -186,27 +186,28 @@ def test_probe_and_minimiser_resolve_their_own_settings():
 
 def count_vector_solves(monkeypatch) -> tuple[list[int], list[int]]:
     """Dimensions of the band vector solves (smallest_eigpair) and
-    truncations of the psi = 0 sector solves made from here on."""
+    truncations of the psi = 0 sector solves, each closed by its inertia
+    certificate (groundstate.certify_smallest), made from here on."""
     dims: list[int] = []
     sectors: list[int] = []
     original = eigen.smallest_eigpair
-    zero_solution = groundstate.zero_solution
+    certify = groundstate.certify_smallest
 
     def counted(h, *args, **kwargs):
         dims.append(len(h))
         return original(h, *args, **kwargs)
 
-    def counted_sector(params, n_max):
-        sectors.append(n_max)
-        return zero_solution(params, n_max)
+    def counted_sector(a, value):
+        sectors.append(len(a) // 2 - 1)
+        return certify(a, value)
     for module in (eigen, groundstate, classify):
         if hasattr(module, "smallest_eigpair"):
             monkeypatch.setattr(module, "smallest_eigpair", counted)
-    for module in (groundstate, classify):
-        monkeypatch.setattr(module, "zero_solution", counted_sector)
+    monkeypatch.setattr(groundstate, "certify_smallest", counted_sector)
     return dims, sectors
 
 
+@pytest.mark.usefixtures("cold_zero_cache")
 @pytest.mark.parametrize("params, token", [
     (ModelParams.resonant(2, 3.0, kappa=1e-4), "MI:0"),
     (ModelParams.resonant(2, 2.3, kappa=1e-4), "MI:2"),
@@ -214,9 +215,9 @@ def count_vector_solves(monkeypatch) -> tuple[list[int], list[int]]:
 ])
 def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
                                                       token):
-    # psi = 0 is solved from its sector blocks once at n_max (by the
-    # minimiser) and once at 2 n_max (by the probe), with no band vector
-    # solve
+    # psi = 0 is solved from its sector blocks and certified once at n_max
+    # (by the minimiser, whose entry the probe reads from the cache) and
+    # once at 2 n_max (by the probe), with no band vector solve
     dims, sectors = count_vector_solves(monkeypatch)
     pt = classify_point(params)
     n = default_n_max(params.l)
@@ -225,6 +226,7 @@ def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
     assert sectors == [n, 2 * n]
 
 
+@pytest.mark.usefixtures("cold_zero_cache")
 def test_any_nonzero_psi_star_is_superfluid(monkeypatch):
     # the minimiser returns psi_star > 0 only for a minimum that beats
     # psi = 0 by more than ENERGY_TIE_EPS, so however small psi_star is the
@@ -239,6 +241,7 @@ def test_any_nonzero_psi_star_is_superfluid(monkeypatch):
     assert dims == [] and sectors == []
 
 
+@pytest.mark.usefixtures("cold_zero_cache")
 @pytest.mark.parametrize("l, x, y, edge", [
     (1, -0.5, 0.0, True),      # a minimum against psi_max
     (1, -0.6, -1.2, False),    # interior minima, polished on the slope

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jchm import eigen, groundstate
-from jchm.eigen import EigPair, smallest_eigpair, tolerance
+from jchm.eigen import EigensolverError, EigPair, smallest_eigpair, tolerance
 from jchm.groundstate import (
     ENERGY_TIE_EPS,
     MARGIN,
@@ -128,6 +128,7 @@ def test_sector_solution_matches_the_band_solve(l, omega, delta, mu, z, kappa,
     assert sol.psi_star == 0.0 and sol.n_max_used == n_max
 
 
+@pytest.mark.usefixtures("cold_zero_cache")
 def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     # at l = 2, omega = (3 + sqrt 5)/2 the L = 2 sector ties with the
     # vacuum to rounding: the sectors cannot say which state dsbevx picks,
@@ -148,6 +149,38 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     assert sol.energy == pair.value
     assert sol.l_expect == expected_L(pair.vector, 2)
     assert sol.psi_star == 0.0 and sol.n_max_used == n_max
+
+
+@pytest.mark.usefixtures("cold_zero_cache")
+def test_psi_zero_solution_is_certified_once_per_key(monkeypatch):
+    # every kappa shares the psi = 0 solution of its key, certified once
+    calls = []
+    certify = groundstate.certify_smallest
+
+    def counted(a, value):
+        calls.append(len(a))
+        return certify(a, value)
+
+    monkeypatch.setattr(groundstate, "certify_smallest", counted)
+    first = zero_solution(ModelParams.resonant(2, 2.3, kappa=1e-4), 40)
+    for kappa in (0.0, 1e-2, 0.3):
+        params = ModelParams.resonant(2, 2.3, kappa=kappa)
+        assert zero_solution(params, 40) is first
+        groundstate.zero_reach(params, 40)
+    assert calls == [2 * (40 + 1)]
+    # another truncation is another key
+    zero_solution(ModelParams.resonant(2, 2.3), 80)
+    assert calls == [2 * (40 + 1), 2 * (80 + 1)]
+
+
+def test_psi_zero_certificate_is_keyed_by_the_tolerance(monkeypatch):
+    # a cached certificate holds at the tolerance it was proven at: under
+    # one below rounding the same key is certified afresh, and fails
+    params = ModelParams.resonant(2, 2.3, kappa=1e-4)
+    zero_solution(params, 40)
+    monkeypatch.setattr(eigen, "TOL", 1e-17)
+    with pytest.raises(EigensolverError, match="not certified"):
+        zero_solution(params, 40)
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,6 +376,7 @@ def count_band_solves(monkeypatch) -> list[tuple[int, int]]:
     return solves
 
 
+@pytest.mark.usefixtures("cold_zero_cache")
 def test_minimize_runaway_solves_the_edge_only(monkeypatch):
     # the runaway point of test_minimize_reports_bracket_exhaustion: psi_max
     # is solved first and becomes the incumbent, unpolished, and the steep
@@ -362,6 +396,7 @@ def test_minimize_l_expect_lies_within_the_truncation():
     assert 0.0 <= sol.l_expect <= 30 + 2
 
 
+@pytest.mark.usefixtures("cold_zero_cache")
 @pytest.mark.parametrize("kappa, vector_solves", [(1e-4, 1), (10 ** -0.5, 2)])
 def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                                                        vector_solves):
@@ -401,6 +436,7 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
         assert pairs + calls["warm"] <= 7
 
 
+@pytest.mark.usefixtures("cold_zero_cache")
 def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
     # the MI(1) point of test_minimize_single_occupancy_insulator: zero_reach
     # proves psi = 0 over [0, h*] with 0 < h* < psi_max, so the search
@@ -424,6 +460,7 @@ def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
     assert min(built) == reach
 
 
+@pytest.mark.usefixtures("cold_zero_cache")
 def test_minimize_bounds_a_near_critical_insulator_without_solving(
         monkeypatch):
     # an MI(1) point just inside its lobe edge, where the energy is flattest

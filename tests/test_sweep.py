@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from jchm import eigen, groundstate, sweep
+from jchm.operators import build_mean_field
 from jchm.analytic import Side, strong_coupling_boundary
 from jchm.sweep import (
     GridSpec,
@@ -98,6 +99,61 @@ def test_run_grid_reuses_each_row_of_sector_data():
     assert groundstate._sectors.cache_info().misses <= 2 * spec.ny
 
 
+@pytest.mark.parametrize("l, y", [(1, -0.7), (2, 0.06)])
+def test_psi_zero_cache_is_invisible(monkeypatch, l, y):
+    # one 41-cell row (MI:1 and SF at l = 1, FORBIDDEN and SF at l = 2)
+    # classified from a cleared psi = 0 cache and again from a warm one
+    # gives the same cells, probe reports included; the row certifies its
+    # psi = 0 band once per truncation level, n_max and the probe's 2 n_max,
+    # whichever cell asks first
+    xs = GridSpec.default(l, nx=41).x_values
+    n_max = groundstate.default_n_max(l)
+    params = params_for(l, xs[0], y)
+    levels = [build_mean_field(params, 0.0, n).band.tobytes()
+              for n in (n_max, 2 * n_max)]
+    certified = []
+    certify = eigen.certify_smallest
+
+    def counted(a, value):
+        certified.append(a.band.tobytes())
+        return certify(a, value)
+    for module in (eigen, groundstate):
+        monkeypatch.setattr(module, "certify_smallest", counted)
+
+    groundstate._sectors.cache_clear()
+    cold = [classify_at(l, x, y) for x in xs]
+    assert [certified.count(band) for band in levels] == [1, 1]
+    warm = [classify_at(l, x, y) for x in xs]
+    assert [certified.count(band) for band in levels] == [1, 1]
+    assert [repr(pt) for pt in warm] == [repr(pt) for pt in cold]
+    assert warm == cold
+    assert len({pt.token for pt in cold}) == 2
+
+
+def serial_pool(monkeypatch) -> list[dict]:
+    """Replace sweep's process pool with a stand-in that records its
+    max_workers and the chunksize of each map, and maps serially, so no
+    process starts; returns the records, one per pool."""
+    pools: list[dict] = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append({"max_workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            pools[-1]["chunksize"] = chunksize
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
 def test_run_grid_parallel_matches_serial():
     spec = GridSpec(l=1, x_lo=-2.0, x_hi=-0.5, nx=3, y_lo=-1.4, y_hi=-0.6, ny=3)
     serial = run_grid(spec, jobs=1)
@@ -112,28 +168,25 @@ def test_run_grid_parallel_matches_serial():
 def test_run_grid_opens_no_more_workers_than_cells(monkeypatch, jobs,
                                                    workers):
     # the pool forks all its workers at the first submit, so a 2x2 grid
-    # asks for at most 4; a stand-in pool records the request and maps
-    # serially, so no process starts
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
+    # asks for at most 4
     spec = GridSpec(l=3, x_lo=-4.0, x_hi=-3.0, nx=2, y_lo=-1.0, y_hi=0.0, ny=2)
     serial = run_grid(spec, jobs=1)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    pools = serial_pool(monkeypatch)
     assert run_grid(spec, jobs=jobs) == serial
-    assert requested == [workers]
+    assert [pool["max_workers"] for pool in pools] == [workers]
+
+
+@pytest.mark.parametrize("nx, ny, jobs", [(4, 13, 2), (3, 40, 2), (5, 7, 3)])
+def test_run_grid_sends_whole_rows_per_chunk(monkeypatch, nx, ny, jobs):
+    # a chunk of whole rows, about 8 per worker, lets each worker miss the
+    # psi = 0 cache at most once per row and truncation level; the 4x13
+    # grid is a benchmark diagram's shape
+    spec = GridSpec(l=4, x_lo=-4.0, x_hi=-3.0, nx=nx, y_lo=-1.0, y_hi=0.0,
+                    ny=ny)
+    pools = serial_pool(monkeypatch)
+    run_grid(spec, jobs=jobs)
+    (pool,) = pools
+    assert pool["chunksize"] % nx == 0
 
 
 def test_run_grid_marks_invalid_rows():
