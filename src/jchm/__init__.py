@@ -33,7 +33,6 @@ from .classify import (
 from .eigen import (
     EigPair,
     EigensolverError,
-    smallest_eigenvalue,
     smallest_eigpair,
 )
 from .groundstate import (
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "SymmetricMatrix", "build_mpjc", "build_mean_field",
     "build_l_diag", "coupling_elements",
-    "EigPair", "EigensolverError", "smallest_eigpair", "smallest_eigenvalue",
+    "EigPair", "EigensolverError", "smallest_eigpair",
     "MeanFieldSolution", "BracketExhausted",
     "energy_at_psi", "minimize_over_psi", "expected_L",
     "PhaseKind", "PhaseLabel", "ConvergenceReport", "PhasePoint",

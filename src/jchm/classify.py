@@ -72,17 +72,6 @@ class ConvergenceReport:
     pinned_at_truncation: bool
 
 
-class IndeterminatePhaseError(Exception):
-    """The truncation probe neither converged nor pinned; no honest label exists.
-
-    Carries the probe's ConvergenceReport in .report.
-    """
-
-    def __init__(self, message: str, report: ConvergenceReport):
-        super().__init__(message)
-        self.report = report
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     """One classified cell of a phase diagram.
@@ -107,6 +96,18 @@ class PhasePoint:
         if self.label is not None:
             return self.label.token
         return "INVALID" if self.note.startswith("invalid") else "INDET"
+
+
+class IndeterminatePhaseError(Exception):
+    """The truncation probe neither converged nor pinned; no honest label exists.
+
+    Carries the unlabelled (INDET) point in .point: the probe's finer
+    level, its ConvergenceReport, and the note "indeterminate: <message>".
+    """
+
+    def __init__(self, message: str, point: PhasePoint):
+        super().__init__(message)
+        self.point = point
 
 
 def convergence_probe(params: ModelParams,
@@ -144,8 +145,8 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
     minimum runs into psi_max is still called superfluid: the drive is
     resolvably nonzero even though its magnitude is truncation-limited.
 
-    Raises IndeterminatePhaseError when the probe is inconclusive and
-    ValueError for an unusable n_max or drive.
+    Raises IndeterminatePhaseError, carrying the unlabelled point, when the
+    probe is inconclusive, and ValueError for an unusable n_max or drive.
     """
     x, y = at or (math.log10(params.kappa) if params.kappa > 0 else -math.inf,
                   params.l * params.mu - params.omega)
@@ -162,29 +163,30 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
         )
 
     report = convergence_probe(params, n_max)
-    energy = report.energies[-1]
     l_expect = report.l_expects[-1]
-    n_used = report.n_max_sequence[-1]
+
+    def probed(label: PhaseLabel | None, note: str = "") -> PhasePoint:
+        # the probe's finer level, reported at (x, y)
+        return PhasePoint(
+            x=x, y=y, psi_star=0.0, energy=report.energies[-1],
+            l_expect=l_expect, label=label,
+            n_max_used=report.n_max_sequence[-1],
+            converged=report.converged and label is not None, note=note,
+            report=report,
+        )
+
+    def indeterminate(message: str) -> IndeterminatePhaseError:
+        return IndeterminatePhaseError(
+            message, probed(None, f"indeterminate: {message}"))
 
     if report.pinned_at_truncation:
-        return PhasePoint(
-            x=x, y=y, psi_star=0.0, energy=energy, l_expect=l_expect,
-            label=PhaseLabel(PhaseKind.FORBIDDEN), n_max_used=n_used,
-            converged=report.converged, report=report,
-        )
+        return probed(PhaseLabel(PhaseKind.FORBIDDEN))
     if report.converged:
         nearest = round(l_expect)
         if abs(l_expect - nearest) > _L_DRIFT_TOL:
-            raise IndeterminatePhaseError(
+            raise indeterminate(
                 f"<L> = {l_expect:.6g} is not close to an integer "
-                "(degenerate sectors at a lobe boundary?)", report=report,
-            )
-        return PhasePoint(
-            x=x, y=y, psi_star=0.0, energy=energy, l_expect=l_expect,
-            label=PhaseLabel(PhaseKind.MOTT_INSULATOR, int(nearest)),
-            n_max_used=n_used, converged=True, report=report,
-        )
-    raise IndeterminatePhaseError(
-        "truncation probe neither converged nor pinned; increase n_max",
-        report=report,
-    )
+                "(degenerate sectors at a lobe boundary?)")
+        return probed(PhaseLabel(PhaseKind.MOTT_INSULATOR, int(nearest)))
+    raise indeterminate(
+        "truncation probe neither converged nor pinned; increase n_max")

@@ -32,7 +32,6 @@ from .sweep import (
     GridSpec,
     classify_at,
     energy_scan,
-    indeterminate_point,
     refine_boundary,
     run_grid,
 )
@@ -271,7 +270,7 @@ def cmd_point(cfg: _Config) -> int:
     try:
         pt, note = classify_at(l, x, y, n_max, **cfg.model()), None
     except IndeterminatePhaseError as err:
-        pt, note = indeterminate_point(x, y, err), str(err)
+        pt, note = err.point, str(err)
     # the CSV columns as key = value lines, with the phase third
     keys = CSV_HEADER.split(",")
     keys.insert(2, keys.pop(keys.index("phase")))

@@ -1,8 +1,8 @@
-"""Smallest eigenvalue of a real symmetric band matrix, with or without its eigenvector.
+"""Smallest eigenpair of a real symmetric band matrix.
 
 Every matrix the package diagonalises is banded, so a SymmetricMatrix holds
-only its lower band in LAPACK's symmetric-band layout.  Three entry points
-return the lowest eigenvalue of the band under one contract: the value is
+only its lower band in LAPACK's symmetric-band layout.  Two solvers return
+the lowest eigenpair of the band under one contract: the value is
 certified by inertia to lie within d = tolerance(lambda) = TOL * max(1,
 |lambda|) of the smallest eigenvalue (certify_smallest: the band Cholesky
 dpbtrf of A - (lambda - d) I must succeed and that of A - (lambda + d) I
@@ -11,7 +11,6 @@ must fail), and a returned eigenvector has a fixed sign:
 - smallest_eigpair makes one LAPACK dsbevx call for the value and the
   eigenvector, and also checks the residual ||A v - lambda v|| <= d with
   the band mat-vec dsbmv;
-- smallest_eigenvalue makes the same call for the value alone;
 - warm_eigpair starts from a nearby eigenvector and a shift below the
   spectrum, and refines the pair by shifted inverse iteration on the band
   Cholesky factor (dpbtrs) to a residual of d/100; it falls back to
@@ -86,9 +85,9 @@ def tolerance(value: float) -> float:
     return TOL * max(1.0, abs(value))
 
 
-def _lowest(a: SymmetricMatrix, compute_v: int) -> tuple[float, np.ndarray]:
-    """One dsbevx call for the lowest eigenvalue, and its eigenvector if asked."""
-    w, z, m, _, info = dsbevx(a.band, 0.0, 0.0, 1, 1, compute_v=compute_v,
+def _lowest(a: SymmetricMatrix) -> tuple[float, np.ndarray]:
+    """One dsbevx call for the lowest eigenvalue and its eigenvector."""
+    w, z, m, _, info = dsbevx(a.band, 0.0, 0.0, 1, 1, compute_v=1,
                               range=_RANGE_BY_INDEX, lower=1, overwrite_ab=0)
     if info != 0 or m != 1:
         raise EigensolverError(f"LAPACK dsbevx failed: info={info}, found {m} eigenvalues")
@@ -103,7 +102,7 @@ def smallest_eigpair(a: SymmetricMatrix) -> EigPair:
     ||A v - lambda v|| must not exceed tolerance(lambda), and lambda is
     certified the smallest eigenvalue by certify_smallest.
     """
-    value, z = _lowest(a, compute_v=1)
+    value, z = _lowest(a)
     vector = _signed(z[:, 0] / np.linalg.norm(z[:, 0]))
     residual = float(np.linalg.norm(
         dsbmv(a.bandwidth, 1.0, a.band, vector, lower=1) - value * vector))
@@ -119,18 +118,6 @@ def _signed(vector: np.ndarray) -> np.ndarray:
     """vector with its largest-magnitude component (the first, at a tie)
     made positive."""
     return -vector if vector[int(np.argmax(np.abs(vector)))] < 0 else vector
-
-
-def smallest_eigenvalue(a: SymmetricMatrix) -> float:
-    """Algebraically smallest eigenvalue of a symmetric matrix, without its
-    eigenvector.
-
-    The same dsbevx call as smallest_eigpair with no vector asked for, so on
-    the same input it returns the same float, certified the same way.
-    """
-    value, _ = _lowest(a, compute_v=0)
-    certify_smallest(a, value)
-    return value
 
 
 def warm_eigpair(a: SymmetricMatrix, shift: float,

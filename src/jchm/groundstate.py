@@ -1,10 +1,11 @@
 """Ground energy as a function of the order parameter and its minimisation.
 
 The drive amplitude psi is treated variationally: the full mean-field matrix
-is rebuilt at every psi, never linearised, and a psi that is solved is
-solved once, for its certified ground pair (eigen.smallest_eigpair): the
-value bounds the search, and when the point becomes the answer its vector
-gives <L>, and the polish (below) its slope.  psi = 0 takes its lowest
+is built once at every psi the search takes, never linearised, and a psi
+that is solved is solved once, on that band, for its certified ground
+pair (eigen.smallest_eigpair, the one cold solver): the value bounds the
+search, and when the point becomes the answer its vector gives <L>, and
+the polish (below) its slope.  psi = 0 takes its lowest
 L-sector energy analytically (zero_solution), under the same inertia
 certificate, and its <L> is that sector's L.  It is certified once per
 key (l, omega, Omega, mu, n_max) and cached (_sectors), so every kappa of
@@ -22,15 +23,15 @@ energies, or by lower bounds on them.  Intervals whose bound cannot beat
 the best energy by MARGIN, nor the psi = 0 energy by ENERGY_TIE_EPS, are
 pruned; the rest are split until narrower than REFINE_TOL.  Every point
 the search evaluates (psi_max, h* and each split point) goes through one
-rule (bounded_energy): band Choleskys of its matrix prove its energy above
+rule (energy_at_psi): band Choleskys of its matrix prove its energy above
 the pruning threshold wherever they can, the highest proven level is kept
 as the point's lower bound, and only a point that may beat the threshold
-is solved.  Each split point that becomes a new best and beats psi = 0 is
-polished on the slope E'(psi) = z kappa (2 psi - <a + a+>), which
-Hellmann-Feynman gives from the eigenvector: a safeguarded secant finds
-its root, the mean-field self-consistency psi = <a>, from the split
-point's pair, each later step solved warm from the last
-(eigen.warm_eigpair) and certified.  The interval it split is then
+is solved.  Each solved split point that beats psi = 0 is polished on
+the slope E'(psi) = z kappa (2 psi - <a + a+>), which Hellmann-Feynman
+gives from the eigenvector: a safeguarded secant finds its root, the
+mean-field self-consistency psi = <a>, from the split point's pair, each
+later step solved warm from the last (eigen.warm_eigpair) and
+certified.  The interval it split is then
 dropped unbounded, which assumes one minimum in that interval; a best at
 psi_max is left to the bounds.  MARGIN covers the rounding of one
 eigensolve, not the eigensolve tolerance (see minimize_over_psi).
@@ -115,19 +116,13 @@ class BracketExhausted(RuntimeError):
         self.solution = solution
 
 
-def energy_at_psi(params: ModelParams, psi: float, n_max: int) -> EigPair:
-    """The certified ground pair of the mean-field Hamiltonian at fixed psi
-    (eigen.smallest_eigpair)."""
-    return smallest_eigpair(build_mean_field(params, psi, n_max))
-
-
-def bounded_energy(params: ModelParams, psi: float, n_max: int,
-                   threshold: float, width: float
-                   ) -> tuple[float, EigPair | None]:
+def energy_at_psi(params: ModelParams, psi: float, n_max: int,
+                  threshold: float, width: float
+                  ) -> tuple[float, EigPair | None]:
     """The energy at psi as the psi search needs it: (E, pair) with pair
-    bitwise energy_at_psi(params, psi, n_max) and E its value when E <=
-    threshold, and otherwise (b, None) with threshold <= b < E a lower
-    bound.
+    the certified ground pair of the mean-field Hamiltonian at psi
+    (eigen.smallest_eigpair) and E its value when E <= threshold, and
+    otherwise (b, None) with threshold <= b < E a lower bound.
 
     width is that of the widest interval psi ends.  A = build_mean_field
     is built once and tried by band Cholesky of A - r I, which succeeds
@@ -137,7 +132,7 @@ def bounded_energy(params: ModelParams, psi: float, n_max: int,
     1. r = threshold + z kappa width^2/4, the clearance that lets an
        interval of that width, whose other end clears it too, be pruned;
     2. r = threshold: when that fails, E <= threshold, and only then is
-       psi solved, by energy_at_psi, for its value and vector;
+       A solved, for its value and vector;
     3. the rungs r = threshold + z kappa (width/2^k)^2/4, k = 1, 2, ...,
        the clearance a descendant of width width/2^k needs, down to width
        REFINE_TOL: the first proven rung is the bound, threshold if none.
@@ -148,7 +143,7 @@ def bounded_energy(params: ModelParams, psi: float, n_max: int,
     if _positive_definite(a, clearance):
         return clearance, None
     if not _positive_definite(a, threshold):
-        pair = energy_at_psi(params, psi, n_max)
+        pair = smallest_eigpair(a)
         return pair.value, pair
     width *= 0.5
     while width >= REFINE_TOL:
@@ -419,25 +414,29 @@ def minimize_over_psi(params: ModelParams,
     once narrower than REFINE_TOL.
 
     Every evaluated point p, psi_max and h* among them, goes through one
-    rule (bounded_energy) on its matrix A(p), with h the widest interval p
-    ends (the wider child of a split, psi_max - h* at the opening).  Band
-    Choleskys of A(p) - t I prove E(p) above the clearance
+    rule (energy_at_psi), which builds its matrix A(p) once, with h the
+    widest interval p ends (the wider child of a split, psi_max - h* at the
+    opening).  Band Choleskys of A(p) - t I prove E(p) above the clearance
     t = T + z kappa h^2/4, what the chord bound of an interval of width h
     loses at most below its ends, or else above T and the highest rung
     T + z kappa (h/2^k)^2/4 they can, the clearance a descendant of width
-    h/2^k needs.  Only a candidate, E(p) <= T, is solved, by energy_at_psi,
-    once: the incumbent's solution, <L> included, is built from that pair.
-    A chord through lower bounds still bounds E, so a bound stands in for
-    E(p) at the children's shared end, but it never becomes the incumbent,
-    and psi_max, evaluated against T = E(0) - ENERGY_TIE_EPS before any
-    incumbent, becomes the first one only when solved.
+    h/2^k needs.  Only a candidate, E(p) <= T, is solved, once, on that
+    same band: the incumbent's solution, <L> included, is built from that
+    pair.  A chord through lower bounds still bounds E, so a bound stands
+    in for E(p) at the children's shared end, but it never becomes the
+    incumbent, and psi_max, evaluated against T = E(0) - ENERGY_TIE_EPS
+    before any incumbent, becomes the first one only when solved.
 
-    A split point that becomes the incumbent and beats E(0) by more than
-    ENERGY_TIE_EPS is polished once (_polish) inside the interval it split:
-    a safeguarded secant on the slope E', from the split point's pair, with
-    warm certified solves after it, to REFINE_TOL/4.  The best evaluated
-    point, with the <L> of its own vector, becomes the incumbent and is
-    the solution returned, so no point is solved twice.  The interval is
+    A solved split point lies at or below T up to rounding, so below the
+    incumbent by MARGIN; when it beats E(0) by more than ENERGY_TIE_EPS it
+    is polished once (_polish) inside the interval it split: a safeguarded
+    secant on the slope E', from the split point's pair, with warm
+    certified solves after it, to REFINE_TOL/4.  The best evaluated point,
+    with the <L> of its own vector, becomes the incumbent and is the
+    solution returned, so no point is solved twice.  A solved point within
+    rounding of the tie with E(0) is only split, as the final collapse
+    returns psi = 0 for it anyway, so the incumbent is always psi = 0, the
+    solved psi_max or a polished minimum.  A polished interval is
     then dropped without a bound: that assumes E is unimodal there, so
     that its one stationary point is its minimum, and a second, lower
     minimum inside it is not excluded.  The first interval to
@@ -487,13 +486,13 @@ def minimize_over_psi(params: ModelParams,
     # nothing in [0, reach] reaches tie, so one interval [reach, psi_max]
     # opens the search; psi_max becomes the incumbent only when solved
     width = psi_max - reach
-    e_max, pair = bounded_energy(params, psi_max, n_max, tie, width)
+    e_max, pair = energy_at_psi(params, psi_max, n_max, tie, width)
     if pair is not None and e_max < tie:
         best = _pair_solution(params.l, psi_max, n_max, pair)
     e_reach = zero.energy
     if reach > 0.0:
-        e_reach, _ = bounded_energy(params, reach, n_max,
-                                    min(best.energy - MARGIN, tie), width)
+        e_reach, _ = energy_at_psi(params, reach, n_max,
+                                   min(best.energy - MARGIN, tie), width)
 
     heap: list[tuple[float, float, float, float, float, float]] = []
 
@@ -512,14 +511,12 @@ def minimize_over_psi(params: ModelParams,
             continue
         if min(p - a, b - p) < SPLIT_EDGE * (b - a):
             p = 0.5 * (a + b)
-        e, pair = bounded_energy(params, p, n_max, threshold,
-                                 max(p - a, b - p))
-        if pair is not None and e < best.energy:
-            if e < tie:
-                psi, pair = _polish(params, n_max, a, b, p, pair)
-                best = _pair_solution(params.l, psi, n_max, pair)
-                continue
-            best = _pair_solution(params.l, p, n_max, pair)
+        e, pair = energy_at_psi(params, p, n_max, threshold,
+                                max(p - a, b - p))
+        if pair is not None and e < tie:
+            psi, pair = _polish(params, n_max, a, b, p, pair)
+            best = _pair_solution(params.l, psi, n_max, pair)
+            continue
         push(a, p, ea, e)
         push(p, b, e, eb)
 

@@ -135,19 +135,6 @@ def _failed_cell(x: float, y: float, note: str) -> PhasePoint:
                       n_max_used=0, converged=False, note=note)
 
 
-def indeterminate_point(x: float, y: float,
-                        err: IndeterminatePhaseError) -> PhasePoint:
-    """The unlabelled (INDET) point for an inconclusive truncation probe,
-    carrying the probe's finest level."""
-    report = err.report
-    return PhasePoint(
-        x=float(x), y=float(y), psi_star=0.0, energy=report.energies[-1],
-        l_expect=report.l_expects[-1], label=None,
-        n_max_used=report.n_max_sequence[-1], converged=False,
-        note=f"indeterminate: {err}", report=report,
-    )
-
-
 def _evaluate_cell(task) -> PhasePoint:
     """Worker for one grid cell; never raises, records failures in the cell."""
     spec, n_max, x, y = task
@@ -159,7 +146,7 @@ def _evaluate_cell(task) -> PhasePoint:
     except EigensolverError as err:
         return _failed_cell(x, y, f"indeterminate: eigensolver: {err}")
     except IndeterminatePhaseError as err:
-        return indeterminate_point(x, y, err)
+        return err.point
 
 
 def run_grid(spec: GridSpec, n_max: int | None = None, *,

@@ -5,7 +5,8 @@ written out entry by entry with math.factorial, and reference ground energies
 come from enumerating every conserved-quantity sector of the truncated space
 with numpy's full eigensolver.  Agreement between the package and these
 oracles is then a two-route check, not a tautology.  The one fixture,
-cold_zero_cache, lets counting tests start from an empty psi = 0 cache.
+cold_zero_cache, lets counting tests start from an empty psi = 0 cache, and
+count_band_solves records what they count.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from jchm import groundstate
+from jchm import eigen, groundstate
 
 
 @pytest.fixture
@@ -21,6 +22,21 @@ def cold_zero_cache():
     """An empty psi = 0 cache (groundstate._sectors): a counting test then
     counts the solves of its own psi = 0 keys, whichever tests ran before."""
     groundstate._sectors.cache_clear()
+
+
+def count_band_solves(monkeypatch) -> list[int]:
+    """Dimensions of the band solves made from here on: every dsbevx call
+    (eigen._lowest), through smallest_eigpair or warm_eigpair's fallback to
+    it, from any module."""
+    dims: list[int] = []
+    lowest = eigen._lowest
+
+    def counted(a):
+        dims.append(len(a))
+        return lowest(a)
+
+    monkeypatch.setattr(eigen, "_lowest", counted)
+    return dims
 
 
 def sector_matrix(l: int, L: int, omega: float, Omega: float | None = None,

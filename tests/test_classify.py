@@ -15,7 +15,7 @@ from jchm.groundstate import default_n_max, minimize_over_psi
 from jchm.operators import ModelParams
 from jchm.sweep import classify_at
 
-from conftest import sector_eigs
+from conftest import count_band_solves, sector_eigs
 
 
 def test_default_n_max():
@@ -146,9 +146,10 @@ def test_classify_indeterminate_near_escape():
     params = ModelParams.resonant(1, 1.0646, kappa=1e-4)
     with pytest.raises(IndeterminatePhaseError) as exc:
         classify_point(params)
-    assert exc.value.report is not None
-    assert not exc.value.report.converged
-    assert not exc.value.report.pinned_at_truncation
+    report = exc.value.point.report
+    assert report is not None
+    assert not report.converged
+    assert not report.pinned_at_truncation
 
 
 def test_inconclusive_probe_message_names_n_max():
@@ -184,27 +185,18 @@ def test_probe_and_minimiser_resolve_their_own_settings():
             step(params, 2)
 
 
-def count_vector_solves(monkeypatch) -> tuple[list[int], list[int]]:
-    """Dimensions of the band vector solves (smallest_eigpair) and
-    truncations of the psi = 0 sector solves, each closed by its inertia
+def count_sector_solves(monkeypatch) -> list[int]:
+    """Truncations of the psi = 0 sector solves, each closed by its inertia
     certificate (groundstate.certify_smallest), made from here on."""
-    dims: list[int] = []
     sectors: list[int] = []
-    original = eigen.smallest_eigpair
     certify = groundstate.certify_smallest
 
-    def counted(h, *args, **kwargs):
-        dims.append(len(h))
-        return original(h, *args, **kwargs)
-
-    def counted_sector(a, value):
+    def counted(a, value):
         sectors.append(len(a) // 2 - 1)
         return certify(a, value)
-    for module in (eigen, groundstate, classify):
-        if hasattr(module, "smallest_eigpair"):
-            monkeypatch.setattr(module, "smallest_eigpair", counted)
-    monkeypatch.setattr(groundstate, "certify_smallest", counted_sector)
-    return dims, sectors
+
+    monkeypatch.setattr(groundstate, "certify_smallest", counted)
+    return sectors
 
 
 @pytest.mark.usefixtures("cold_zero_cache")
@@ -218,7 +210,8 @@ def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
     # psi = 0 is solved from its sector blocks and certified once at n_max
     # (by the minimiser, whose entry the probe reads from the cache) and
     # once at 2 n_max (by the probe), with no band vector solve
-    dims, sectors = count_vector_solves(monkeypatch)
+    dims = count_band_solves(monkeypatch)
+    sectors = count_sector_solves(monkeypatch)
     pt = classify_point(params)
     n = default_n_max(params.l)
     assert pt.token == token
@@ -234,7 +227,8 @@ def test_any_nonzero_psi_star_is_superfluid(monkeypatch):
     params = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
     sol = replace(minimize_over_psi(params, 20), psi_star=5e-4)
     monkeypatch.setattr(classify, "minimize_over_psi", lambda *args: sol)
-    dims, sectors = count_vector_solves(monkeypatch)
+    dims = count_band_solves(monkeypatch)
+    sectors = count_sector_solves(monkeypatch)
     pt = classify_point(params, 20)
     assert pt.token == "SF" and pt.psi_star == 5e-4
     assert pt.energy == sol.energy and pt.report is None
@@ -249,18 +243,25 @@ def test_any_nonzero_psi_star_is_superfluid(monkeypatch):
 ])
 def test_no_band_is_diagonalised_twice_per_classification(monkeypatch, l,
                                                           x, y, edge):
-    # the psi search solves a point once, for its certified pair, and
-    # builds the answer from that pair: no dsbevx call of one
-    # classification repeats a band
-    bands = []
-    lowest = eigen._lowest
+    # the psi search builds a point's band once, solves it once, for its
+    # certified pair, and builds the answer from that pair: no build and no
+    # dsbevx call of one classification repeats a band
+    bands, built = [], []
+    lowest, build = eigen._lowest, groundstate.build_mean_field
 
-    def counted(a, compute_v):
+    def counted(a):
         bands.append((a.band.shape, a.band.tobytes()))
-        return lowest(a, compute_v)
+        return lowest(a)
+
+    def counted_build(*args):
+        a = build(*args)
+        built.append((a.band.shape, a.band.tobytes()))
+        return a
 
     monkeypatch.setattr(eigen, "_lowest", counted)
+    monkeypatch.setattr(groundstate, "build_mean_field", counted_build)
     pt = classify_at(l, x, y)
     assert pt.token == "SF"
     assert (pt.psi_star == math.sqrt(pt.n_max_used) / 2) == edge
     assert bands and len(set(bands)) == len(bands)
+    assert built and len(set(built)) == len(built)

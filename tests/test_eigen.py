@@ -12,7 +12,6 @@ from jchm.eigen import (
     EigensolverError,
     SymmetricMatrix,
     certify_smallest,
-    smallest_eigenvalue,
     smallest_eigpair,
     tolerance,
     warm_eigpair,
@@ -197,24 +196,17 @@ def test_band_path_matches_dense_reference(case):
     assert pair.vector[int(np.argmax(np.abs(pair.vector)))] > 0
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=band_case_st)
-def test_eigenvalue_only_matches_eigpair_bitwise(case):
-    # the same dsbevx call without the vector returns the same float, and
-    # passes its inertia certificate wherever the residual check passes
-    l, extra, omega, Omega, mu, kappa, z, psi = case
-    params = ModelParams(l=l, omega=omega, Omega=Omega, mu=mu, kappa=kappa, z=z)
-    h = build_mean_field(params, psi, l + extra)
-    assert smallest_eigenvalue(h) == smallest_eigpair(h).value
-
-
-def test_eigenvalue_only_dense_input():
+def test_eigpair_full_bandwidth_input():
     # a full-bandwidth band, the storage a dense array is solved in
     a = band([2.0, 0.0, 1.0], [-1.0, 3.0, 0.0], [0.5, 0.0, 0.0])
-    assert np.array_equal(
-        a.dense(), np.array([[2.0, -1.0, 0.5], [-1.0, 0.0, 3.0], [0.5, 3.0, 1.0]]))
-    assert smallest_eigenvalue(a) == smallest_eigpair(a).value
-    assert smallest_eigenvalue(band([-4.5])) == -4.5
+    dense = np.array([[2.0, -1.0, 0.5], [-1.0, 0.0, 3.0], [0.5, 3.0, 1.0]])
+    assert np.array_equal(a.dense(), dense)
+    values, vectors = np.linalg.eigh(dense)
+    pair = smallest_eigpair(a)
+    assert pair.value == pytest.approx(values[0], abs=1e-12)
+    assert abs(float(pair.vector @ vectors[:, 0])) == pytest.approx(1.0,
+                                                                   abs=1e-12)
+    assert smallest_eigpair(band([-4.5])).value == -4.5
 
 
 def generic_band():
@@ -225,7 +217,7 @@ def generic_band():
 def test_certificate_accepts_the_smallest_eigenvalue():
     h = generic_band()
     w = np.linalg.eigvalsh(h.dense())
-    certify_smallest(h, smallest_eigenvalue(h))
+    certify_smallest(h, smallest_eigpair(h).value)
     certify_smallest(h, float(w[0]))
 
 
@@ -248,7 +240,7 @@ def test_eigpair_rejects_a_pair_that_is_not_the_lowest(monkeypatch):
     residual = np.linalg.norm(h.dense() @ vectors[:, 1] - second * vectors[:, 1])
     assert residual <= 0.01 * tolerance(second)
     monkeypatch.setattr(eigen, "_lowest",
-                        lambda a, compute_v: (second, vectors[:, 1:2]))
+                        lambda a: (second, vectors[:, 1:2]))
     with pytest.raises(EigensolverError, match="an eigenvalue lies below"):
         smallest_eigpair(h)
 
@@ -264,9 +256,10 @@ def test_certificate_bound_below_rounding_fails(monkeypatch):
     # as for the residual check, no value is certified to 1e-20
     params = ModelParams(l=1, omega=1.1, Omega=0.9, kappa=0.2)
     h = build_mean_field(params, 0.4, 20)
+    value = smallest_eigpair(h).value
     monkeypatch.setattr(eigen, "TOL", 1e-20)
     with pytest.raises(EigensolverError, match=r"^residual bound 1e-20 \* max"):
-        smallest_eigenvalue(h)
+        certify_smallest(h, value)
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,7 +285,7 @@ def test_warm_eigpair_matches_the_cold_solve(l, n_extra, omega, mu, kappa,
              - tolerance(known.value))
     h = build_mean_field(params, psi, n_max)
     pair = warm_eigpair(h, shift, known.vector)
-    energy = smallest_eigenvalue(h)
+    energy = smallest_eigpair(h).value
     assert abs(pair.value - energy) <= tolerance(energy)
     assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
     residual = np.linalg.norm(h.dense() @ pair.vector - pair.value * pair.vector)

@@ -13,7 +13,6 @@ from jchm.groundstate import (
     REFINE_TOL,
     BracketExhausted,
     MeanFieldSolution,
-    bounded_energy,
     energy_at_psi,
     expected_L,
     minimize_over_psi,
@@ -23,7 +22,11 @@ from jchm.groundstate import (
 from jchm.operators import ModelParams, build_mean_field
 from jchm.sweep import GridSpec, params_for
 
-from conftest import zero_drive_ground_oracle, zero_drive_sector_energies
+from conftest import (
+    count_band_solves,
+    zero_drive_ground_oracle,
+    zero_drive_sector_energies,
+)
 
 ONE_MINUS_SQRT3 = -0.7320508075688772
 
@@ -38,14 +41,15 @@ def test_psi_search_spec_validation():
 
 def test_vacuum_energy_is_zero():
     params = ModelParams.resonant(1, 3.0)
-    assert energy_at_psi(params, 0.0, 30).value == pytest.approx(0.0, abs=1e-12)
+    assert smallest_eigpair(build_mean_field(params, 0.0, 30)).value == (
+        pytest.approx(0.0, abs=1e-12))
 
 
 def test_zero_drive_energy_example():
     # two-photon model at omega = 2: the L=2 sector gives 1 - sqrt(3)
     params = ModelParams.resonant(2, 2.0)
-    assert energy_at_psi(params, 0.0, 40).value == pytest.approx(
-        ONE_MINUS_SQRT3, abs=1e-9)
+    assert smallest_eigpair(build_mean_field(params, 0.0, 40)).value == (
+        pytest.approx(ONE_MINUS_SQRT3, abs=1e-9))
 
 
 @settings(max_examples=50, deadline=None)
@@ -55,7 +59,7 @@ def test_zero_drive_energy_matches_sector_enumeration(l, omega, mu, n_extra):
     # bounded regime: compare the full matrix against the sector oracle
     params = ModelParams(l=l, omega=omega, Omega=omega, mu=mu)
     expected = zero_drive_ground_oracle(l, omega, mu, l + n_extra)
-    got = energy_at_psi(params, 0.0, l + n_extra).value
+    got = smallest_eigpair(build_mean_field(params, 0.0, l + n_extra)).value
     assert got == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
 
 
@@ -64,8 +68,8 @@ def test_zero_drive_energy_matches_sector_enumeration(l, omega, mu, n_extra):
        kappa=st.floats(0.0, 1.0))
 def test_energy_even_in_psi(l, omega, psi, kappa):
     params = ModelParams(l=l, omega=omega, Omega=omega, kappa=kappa)
-    plus = energy_at_psi(params, psi, l + 12).value
-    minus = energy_at_psi(params, -psi, l + 12).value
+    plus = smallest_eigpair(build_mean_field(params, psi, l + 12)).value
+    minus = smallest_eigpair(build_mean_field(params, -psi, l + 12)).value
     assert abs(plus - minus) <= 1e-9
 
 
@@ -76,20 +80,21 @@ def test_energy_even_in_psi(l, omega, psi, kappa):
        log_gap=st.floats(-9.5, 1.0), width=st.floats(0.0, 2.0))
 def test_bounded_energy_is_sound(l, omega, mu, kappa, psi, n_extra, above,
                                  log_gap, width):
-    # the rule solves a point only when its energy is at or below the
-    # threshold, and then returns bitwise the pair energy_at_psi returns; any
+    # the rule (energy_at_psi) solves a point only when its energy is at or
+    # below the threshold, and then returns bitwise the pair smallest_eigpair
+    # returns on the band at psi; any
     # other return is a bound at or above the threshold and below the
     # energy, up to the tolerance every eigenvalue check holds to.  The
     # threshold sits a random distance, never within that tolerance,
     # either side of the energy
     params = ModelParams(l=l, omega=omega, Omega=omega, mu=mu, kappa=kappa)
     n_max = l + n_extra
-    solved = energy_at_psi(params, psi, n_max)
+    solved = smallest_eigpair(build_mean_field(params, psi, n_max))
     energy = solved.value
     gap = 10.0 ** log_gap * max(1.0, abs(energy))
     assert gap > tolerance(energy)
     threshold = energy - gap if above else energy + gap
-    value, pair = bounded_energy(params, psi, n_max, threshold, width)
+    value, pair = energy_at_psi(params, psi, n_max, threshold, width)
     if above:
         assert pair is None
         assert threshold <= value < energy + tolerance(energy)
@@ -204,7 +209,8 @@ def test_zero_reach_is_sound(l, omega, delta, mu, z, log_kappa, n_extra,
     floor = zero_solution(params, n_max).energy - ENERGY_TIE_EPS
     top = min(reach, math.sqrt(n_max))             # at most 2 psi_max
     for f in [1.0] + fractions:
-        assert energy_at_psi(params, f * top, n_max).value > floor
+        pair = smallest_eigpair(build_mean_field(params, f * top, n_max))
+        assert pair.value > floor
 
 
 def test_zero_reach_pins():
@@ -281,12 +287,13 @@ def test_minimize_superfluid(params, n_max, depth):
     psi_max = math.sqrt(n_max) / 2
     sol = minimize_over_psi(params, n_max)
     assert sol.psi_star > 1e-3
-    assert sol.energy < energy_at_psi(params, 0.0, n_max).value - depth
+    assert sol.energy < smallest_eigpair(
+        build_mean_field(params, 0.0, n_max)).value - depth
     # the reported energy beats (or ties) every energy of an independent
     # 401-point scan
     for psi in np.linspace(0.0, psi_max, 401):
-        assert sol.energy <= (energy_at_psi(params, psi, n_max).value
-                              + ENERGY_TIE_EPS + 1e-9)
+        pair = smallest_eigpair(build_mean_field(params, psi, n_max))
+        assert sol.energy <= pair.value + ENERGY_TIE_EPS + 1e-9
 
 
 def slope_at(params: ModelParams, psi: float, n_max: int) -> float:
@@ -362,20 +369,6 @@ def test_minimize_reports_bracket_exhaustion():
     assert sol.energy < 0.0 and sol.n_max_used == 30
 
 
-def count_band_solves(monkeypatch) -> list[tuple[int, int]]:
-    """(dimension, compute_v) of every dsbevx call (eigen._lowest) made
-    from here on: compute_v is 1 for a pair solve, 0 for a value alone."""
-    solves = []
-    lowest = eigen._lowest
-
-    def counted(a, compute_v):
-        solves.append((len(a), compute_v))
-        return lowest(a, compute_v)
-
-    monkeypatch.setattr(eigen, "_lowest", counted)
-    return solves
-
-
 @pytest.mark.usefixtures("cold_zero_cache")
 def test_minimize_runaway_solves_the_edge_only(monkeypatch):
     # the runaway point of test_minimize_reports_bracket_exhaustion: psi_max
@@ -387,7 +380,7 @@ def test_minimize_runaway_solves_the_edge_only(monkeypatch):
     with pytest.raises(BracketExhausted) as exc:
         minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=1.0), 30)
     assert exc.value.solution.psi_star == math.sqrt(30) / 2
-    assert solves == [(2 * (30 + 1), 1)]
+    assert solves == [2 * (30 + 1)]
 
 
 def test_minimize_l_expect_lies_within_the_truncation():
@@ -403,8 +396,8 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     # psi = 0 is solved once, from the sector blocks with no band
     # eigensolve, and returned for an insulator.  The deep insulator is
     # proven by zero_reach over all of [0, psi_max] and builds no band at
-    # all.  The superfluid, tested before solving, takes no value-only
-    # solve: its split point is solved once, for its pair, from which the
+    # all.  The superfluid, tested before solving, takes one cold solve:
+    # its split point is solved once, for its pair, from which the
     # polish on the slope starts, and every later point is solved warm from
     # the last pair, 7 evaluations in all; it reports its own best pair, so
     # psi_star is not solved again
@@ -425,15 +418,13 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     # every dsbevx call, the warm solve's fallback to it included
     solves = count_band_solves(monkeypatch)
     sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa), 40)
-    pairs = sum(compute_v for _, compute_v in solves)
     assert (sol.psi_star > 0) == (vector_solves == 2)
     assert calls["sector"] == 1
-    assert pairs == vector_solves - 1
-    assert len(solves) == pairs
+    assert len(solves) == vector_solves - 1
     if vector_solves == 1:
         assert calls["build"] == calls["warm"] == 0
     else:
-        assert pairs + calls["warm"] <= 7
+        assert len(solves) + calls["warm"] <= 7
 
 
 @pytest.mark.usefixtures("cold_zero_cache")
@@ -477,13 +468,13 @@ def test_minimize_bounds_a_near_critical_insulator_without_solving(
 
 def synthetic_landscape(monkeypatch, energy, slope) -> list[float]:
     """Make minimize_over_psi see energy(psi) and its slope alone, through
-    every seam it solves or tests by: energy_at_psi, zero_solution, the
-    polish's slope (_slope) and warm steps (_slope_point) and the band
-    Cholesky of the rule (bounded_energy), with zero_reach proving nothing.
-    The real Hamiltonian is never built: build_mean_field hands the rule
-    psi itself, and its Cholesky of A - t I succeeds when energy(psi) > t.
-    Returns the psi of every energy_at_psi call and warm polish step, in
-    order."""
+    every seam it solves or tests by: the cold solve (smallest_eigpair),
+    zero_solution, the polish's slope (_slope) and warm steps (_slope_point)
+    and the band Cholesky of the rule (energy_at_psi), with zero_reach
+    proving nothing.  The real Hamiltonian is never built: build_mean_field
+    hands the rule psi itself, its Cholesky of A - t I succeeds when
+    energy(psi) > t, and its solve of A is the pair at psi.  Returns the psi
+    of every cold solve and warm polish step, in order."""
     solved = []
 
     def pair_at(psi):
@@ -498,8 +489,7 @@ def synthetic_landscape(monkeypatch, energy, slope) -> list[float]:
     def no_solve(*args, **kwargs):
         raise AssertionError("a synthetic landscape solves no matrix")
 
-    monkeypatch.setattr(groundstate, "energy_at_psi",
-                        lambda params, psi, n_max: pair_at(psi))
+    monkeypatch.setattr(groundstate, "smallest_eigpair", pair_at)
     monkeypatch.setattr(groundstate, "zero_solution", zero)
     monkeypatch.setattr(groundstate, "_slope",
                         lambda params, psi, pair: slope(psi))
@@ -561,7 +551,7 @@ def test_minimize_leaves_an_edge_minimum_to_the_bounds(monkeypatch):
     # a synthetic landscape whose minimum sits at psi_max: a shallow basin
     # at 0.3 psi_max and a deeper well whose vertex lies past the edge.
     # psi_max is solved first and becomes the incumbent, unpolished, so
-    # energy_at_psi runs there only; the heap's tests settle the rest, and
+    # the cold solve runs there only; the heap's tests settle the rest, and
     # the edge is reported exactly
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
     c = params.z * params.kappa
@@ -603,13 +593,13 @@ def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
     energy, slope = crossing(c, (0.0, 0.0), (0.3 * psi_max, -0.01))
     solved = synthetic_landscape(monkeypatch, energy, slope)
     tested = []
-    rule = groundstate.bounded_energy
+    rule = groundstate.energy_at_psi
 
     def recorded(params, psi, n_max, threshold, width):
         tested.append(psi)
         return rule(params, psi, n_max, threshold, width)
 
-    monkeypatch.setattr(groundstate, "bounded_energy", recorded)
+    monkeypatch.setattr(groundstate, "energy_at_psi", recorded)
     monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: reach)
     assert min(energy(psi_max / 2), energy(psi_max)) > energy(0.0)
     sol = minimize_over_psi(params, 40)
@@ -633,7 +623,7 @@ def test_minimize_never_takes_a_bound_as_the_incumbent(monkeypatch):
                              (0.25 * psi_max, -1.0 - MARGIN / 2))
     solved = synthetic_landscape(monkeypatch, energy, slope)
     bounds = []
-    rule = groundstate.bounded_energy
+    rule = groundstate.energy_at_psi
 
     def recorded(params, psi, n_max, threshold, width):
         value, pair = rule(params, psi, n_max, threshold, width)
@@ -641,7 +631,7 @@ def test_minimize_never_takes_a_bound_as_the_incumbent(monkeypatch):
             bounds.append((psi, value))
         return value, pair
 
-    monkeypatch.setattr(groundstate, "bounded_energy", recorded)
+    monkeypatch.setattr(groundstate, "energy_at_psi", recorded)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(0.75 * psi_max, abs=REFINE_TOL)
     assert sol.energy == energy(sol.psi_star)
