@@ -22,7 +22,6 @@ from .analytic import (
     strong_coupling_boundary,
 )
 from .classify import (
-    ConvergenceReport,
     IndeterminatePhaseError,
     PhaseKind,
     PhaseLabel,
@@ -69,7 +68,7 @@ __all__ = [
     "EigPair", "EigensolverError", "smallest_eigpair",
     "MeanFieldSolution", "BracketExhausted",
     "energy_at_psi", "minimize_over_psi", "expected_L",
-    "PhaseKind", "PhaseLabel", "ConvergenceReport", "PhasePoint",
+    "PhaseKind", "PhaseLabel", "PhasePoint",
     "IndeterminatePhaseError", "classify_point",
     "convergence_probe", "default_n_max",
     "Branch", "Side", "SectorSpec", "sector_energy",

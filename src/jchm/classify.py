@@ -1,36 +1,38 @@
-"""Phase assignment for one parameter point, with truncation evidence.
+"""Phase assignment for one parameter point.
 
 A point is superfluid when the minimiser returns a nonzero drive
 amplitude, which it does only for a certified minimum that beats psi = 0
-by more than ENERGY_TIE_EPS.  Otherwise the psi = 0 ground state is
-compared at the base truncation (the minimiser's own solution) and at
-twice it: a ground state whose L expectation chases the truncation edge
-has no converged thermodynamic limit and the point is forbidden; a stable
-integer L is a Mott insulator MI(L).  Anything else is reported as
-indeterminate rather than guessed.
+by more than ENERGY_TIE_EPS.  Otherwise the label is read from the
+certified psi = 0 ground state at twice the minimiser's truncation n
+(convergence_probe): psi = 0 conserves L, so that state lies in one
+sector and <L> is its integer L.  A ground state whose <L> reaches
+PIN_FRACTION of 2 n chases the truncation edge, has no thermodynamic
+limit and is forbidden.  Every block L <= n is the same at n and 2 n, so
+L <= n is exactly the case where n already holds the ground sector: a
+Mott insulator MI(L).  Anything else (n < L below the pin, or an <L>
+more than _L_DRIFT_TOL from an integer, which only a band solve at a
+sector tie gives) is reported as indeterminate rather than guessed.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groundstate import (
     BracketExhausted,
+    MeanFieldSolution,
     minimize_over_psi,
     resolve_n_max,
     zero_solution,
 )
 from .operators import ModelParams
 
-# The labelling rule, read at call time: the truncation probe counts as
-# converged when doubling n_max moves the energy by less than TOL_CONV, and
-# as pinned when the final <L> reaches PIN_FRACTION of its truncation.
-TOL_CONV = 1e-8
+# The labelling rule, read at call time: <L> at 2 n counts as pinned when it
+# reaches PIN_FRACTION of that truncation, and _L_DRIFT_TOL is the widest
+# distance from an integer accepted for an MI label.
 PIN_FRACTION = 0.8
-# <L> drift between the last two truncation levels still counted as converged,
-# and the widest distance from an integer accepted for an MI label.
 _L_DRIFT_TOL = 0.01
 
 
@@ -62,17 +64,6 @@ class PhaseLabel:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
-    """psi = 0 ground-state data at the truncations (n_max, 2 n_max)."""
-
-    n_max_sequence: tuple[int, int]
-    energies: tuple[float, float]
-    l_expects: tuple[float, float]
-    converged: bool
-    pinned_at_truncation: bool
-
-
-@dataclass(frozen=True)
 class PhasePoint:
     """One classified cell of a phase diagram.
 
@@ -87,9 +78,13 @@ class PhasePoint:
     l_expect: float
     label: PhaseLabel | None
     n_max_used: int
-    converged: bool
     note: str = ""
-    report: ConvergenceReport | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        """Labelled, and not forbidden: the CSV column of that name."""
+        return (self.label is not None
+                and self.label.kind is not PhaseKind.FORBIDDEN)
 
     @property
     def token(self) -> str:
@@ -99,37 +94,28 @@ class PhasePoint:
 
 
 class IndeterminatePhaseError(Exception):
-    """The truncation probe neither converged nor pinned; no honest label exists.
+    """The psi = 0 ground state at 2 n_max has no honest label: its L lies
+    above n_max but below the pin, or <L> is not an integer.
 
-    Carries the unlabelled (INDET) point in .point: the probe's finer
-    level, its ConvergenceReport, and the note "indeterminate: <message>".
+    Carries the unlabelled (INDET) point in .point, read at 2 n_max, with
+    the note "indeterminate: <message>".
     """
 
     def __init__(self, message: str, point: PhasePoint):
         super().__init__(message)
         self.point = point
 
+    def __reduce__(self):
+        return type(self), (str(self), self.point)
+
 
 def convergence_probe(params: ModelParams,
-                      n_max: int | None = None) -> ConvergenceReport:
-    """Ground energy and <L> at psi = 0 at truncations n_max and 2 n_max,
-    n_max resolved by resolve_n_max, each level certified once per key
-    (zero_solution).  converged: the doubling moved neither the energy
-    (within TOL_CONV) nor <L> (within 0.01).  pinned_at_truncation: the
-    final <L> reaches PIN_FRACTION of the truncation edge, the signature of
-    a sector escaping to infinity.
+                      n_max: int | None = None) -> MeanFieldSolution:
+    """The certified psi = 0 ground state at twice the truncation n_max
+    (resolve_n_max), the one level the MI and FORBIDDEN labels are read
+    from; each key is certified once (zero_solution).
     """
-    n_max = resolve_n_max(params.l, n_max)
-    zero = zero_solution(params, n_max)
-    fine = zero_solution(params, 2 * n_max)
-    return ConvergenceReport(
-        n_max_sequence=(zero.n_max_used, fine.n_max_used),
-        energies=(zero.energy, fine.energy),
-        l_expects=(zero.l_expect, fine.l_expect),
-        converged=(abs(fine.energy - zero.energy) < TOL_CONV
-                   and abs(fine.l_expect - zero.l_expect) < _L_DRIFT_TOL),
-        pinned_at_truncation=fine.l_expect >= PIN_FRACTION * fine.n_max_used,
-    )
+    return zero_solution(params, 2 * resolve_n_max(params.l, n_max))
 
 
 def classify_point(params: ModelParams, n_max: int | None = None, *,
@@ -138,15 +124,16 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
     the diagram coordinates at = (x, y), by default (log10 kappa,
     l mu - omega).
 
-    The psi minimisation runs at the base truncation n_max; if it returns
-    psi_star > 0 the point is superfluid.  Otherwise it has returned the
-    psi = 0 solution, the probe's base level, and the reported energy, <L>
-    and n_max_used come from the probe's finer level.  A minimisation whose
-    minimum runs into psi_max is still called superfluid: the drive is
-    resolvably nonzero even though its magnitude is truncation-limited.
+    The psi minimisation runs at the base truncation n; if it returns
+    psi_star > 0 the point is superfluid.  A minimisation whose minimum
+    runs into psi_max is still called superfluid: the drive is resolvably
+    nonzero even though its magnitude is truncation-limited.  Otherwise
+    the psi = 0 ground state at 2 n (convergence_probe) is labelled by the
+    rule above, with L the nearest integer to <L>, and its energy, <L> and
+    n_max_used are reported.
 
-    Raises IndeterminatePhaseError, carrying the unlabelled point, when the
-    probe is inconclusive, and ValueError for an unusable n_max or drive.
+    Raises IndeterminatePhaseError, carrying the unlabelled point, for an
+    indeterminate point, and ValueError for an unusable n_max or drive.
     """
     x, y = at or (math.log10(params.kappa) if params.kappa > 0 else -math.inf,
                   params.l * params.mu - params.omega)
@@ -159,34 +146,32 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
         return PhasePoint(
             x=x, y=y, psi_star=sol.psi_star, energy=sol.energy,
             l_expect=sol.l_expect, label=PhaseLabel(PhaseKind.SUPERFLUID),
-            n_max_used=sol.n_max_used, converged=True,
+            n_max_used=sol.n_max_used,
         )
 
-    report = convergence_probe(params, n_max)
-    l_expect = report.l_expects[-1]
+    n = sol.n_max_used
+    fine = convergence_probe(params, n)
+    l_expect = fine.l_expect
+    nearest = round(l_expect)
 
     def probed(label: PhaseLabel | None, note: str = "") -> PhasePoint:
-        # the probe's finer level, reported at (x, y)
+        # the 2 n level, reported at (x, y)
         return PhasePoint(
-            x=x, y=y, psi_star=0.0, energy=report.energies[-1],
-            l_expect=l_expect, label=label,
-            n_max_used=report.n_max_sequence[-1],
-            converged=report.converged and label is not None, note=note,
-            report=report,
+            x=x, y=y, psi_star=0.0, energy=fine.energy, l_expect=l_expect,
+            label=label, n_max_used=fine.n_max_used, note=note,
         )
 
-    def indeterminate(message: str) -> IndeterminatePhaseError:
-        return IndeterminatePhaseError(
-            message, probed(None, f"indeterminate: {message}"))
-
-    if report.pinned_at_truncation:
+    pin = PIN_FRACTION * fine.n_max_used
+    if l_expect >= pin:
         return probed(PhaseLabel(PhaseKind.FORBIDDEN))
-    if report.converged:
-        nearest = round(l_expect)
-        if abs(l_expect - nearest) > _L_DRIFT_TOL:
-            raise indeterminate(
-                f"<L> = {l_expect:.6g} is not close to an integer "
-                "(degenerate sectors at a lobe boundary?)")
-        return probed(PhaseLabel(PhaseKind.MOTT_INSULATOR, int(nearest)))
-    raise indeterminate(
-        "truncation probe neither converged nor pinned; increase n_max")
+    if nearest > n:
+        message = (f"<L> = {l_expect:.6g} at n_max = {fine.n_max_used} lies "
+                   f"above n_max = {n} and below the pin at {pin:g}; "
+                   "increase n_max")
+    elif abs(l_expect - nearest) > _L_DRIFT_TOL:
+        message = (f"<L> = {l_expect:.6g} is not close to an integer "
+                   "(degenerate sectors at a lobe boundary?)")
+    else:
+        return probed(PhaseLabel(PhaseKind.MOTT_INSULATOR, nearest))
+    raise IndeterminatePhaseError(
+        message, probed(None, f"indeterminate: {message}"))

@@ -276,12 +276,6 @@ def cmd_point(cfg: _Config) -> int:
     keys.insert(2, keys.pop(keys.index("phase")))
     columns = _point_columns([pt])
     lines = [f"{key} = {_csv_cell(columns[key][0])}" for key in keys]
-    rep = pt.report
-    if rep is not None:
-        lines.append("probe_n_max = " + " ".join(str(n) for n in rep.n_max_sequence))
-        lines.append("probe_energy = " + " ".join(_fmt(e) for e in rep.energies))
-        lines.append("probe_L_expect = " + " ".join(_fmt(v) for v in rep.l_expects))
-        lines.append(f"probe_pinned = {'true' if rep.pinned_at_truncation else 'false'}")
     if note is not None:
         lines.append(f"note = {note}")
     print("\n".join(lines))

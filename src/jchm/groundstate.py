@@ -9,7 +9,7 @@ the polish (below) its slope.  psi = 0 takes its lowest
 L-sector energy analytically (zero_solution), under the same inertia
 certificate, and its <L> is that sector's L.  It is certified once per
 key (l, omega, Omega, mu, n_max) and cached (_sectors), so every kappa of
-a grid row shares it, as do the truncation probe's 2 n_max level,
+a grid row shares it, as do the 2 n_max level the label is read from,
 energy_scan and refine_boundary.  The same sector data prove, with no
 band solve, that no energy within a reach h* of psi = 0 comes within
 ENERGY_TIE_EPS of it (zero_reach: a Schur complement on the psi = 0
@@ -114,6 +114,9 @@ class BracketExhausted(RuntimeError):
     def __init__(self, message: str, solution: MeanFieldSolution):
         super().__init__(message)
         self.solution = solution
+
+    def __reduce__(self):
+        return type(self), (str(self), self.solution)
 
 
 def energy_at_psi(params: ModelParams, psi: float, n_max: int,
@@ -391,7 +394,7 @@ def minimize_over_psi(params: ModelParams,
     psi_max = sqrt(n_max)/2 keeps the displaced-field photon number
     psi_max^2 a factor 4 inside the truncation.  A drive z kappa psi_max^2
     above DRIVE_LIMIT is rejected with ValueError before any solve, and so
-    is a mu or omega whose rounding on the band at the probe's 2 n_max,
+    is a mu or omega whose rounding on the band at the label's 2 n_max,
     eps max(|omega|, |Omega|, |mu|) (4 n_max + l), exceeds MARGIN: every
     bound below assumes that rounding is far below MARGIN.
 
@@ -468,7 +471,7 @@ def minimize_over_psi(params: ModelParams,
             f"x: kappa = {params.kappa:g} makes the drive z kappa psi_max^2 = "
             f"{c * psi_max ** 2:g} exceed sqrt(float max) = {DRIVE_LIMIT:g}")
     # the band's rounding, eps times its largest diagonal entry, must stay
-    # below MARGIN up to the truncation probe's 2 n_max
+    # below MARGIN up to the 2 n_max the label is read at
     scale = max(abs(params.omega), abs(params.Omega), abs(params.mu))
     if not sys.float_info.epsilon * scale * (4 * n_max + params.l) <= MARGIN:
         raise ValueError(

@@ -132,7 +132,7 @@ def classify_at(l: int, x: float, y: float, n_max: int | None = None, *,
 def _failed_cell(x: float, y: float, note: str) -> PhasePoint:
     return PhasePoint(x=float(x), y=float(y), psi_star=float("nan"),
                       energy=float("nan"), l_expect=float("nan"), label=None,
-                      n_max_used=0, converged=False, note=note)
+                      n_max_used=0, note=note)
 
 
 def _evaluate_cell(task) -> PhasePoint:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -11,11 +12,16 @@ from jchm.classify import (
     classify_point,
     convergence_probe,
 )
-from jchm.groundstate import default_n_max, minimize_over_psi
+from jchm.groundstate import (
+    BracketExhausted,
+    MeanFieldSolution,
+    default_n_max,
+    minimize_over_psi,
+)
 from jchm.operators import ModelParams
 from jchm.sweep import classify_at
 
-from conftest import count_band_solves, sector_eigs
+from conftest import count_band_solves, sector_eigs, zero_drive_sector_energies
 
 
 def test_default_n_max():
@@ -40,36 +46,75 @@ def test_phase_label_invariants():
 
 
 def test_probe_vacuum_converges():
+    # the probe is the certified psi = 0 state at twice the truncation: the
+    # vacuum, held at n_max, so an insulator
     params = ModelParams.resonant(1, 3.0)
-    report = convergence_probe(params, 6)
-    assert report.n_max_sequence == (6, 12)
-    assert report.converged
-    assert not report.pinned_at_truncation
-    assert all(abs(e) < 1e-12 for e in report.energies)
-    assert all(abs(v) < 1e-9 for v in report.l_expects)
+    fine = convergence_probe(params, 6)
+    assert fine == MeanFieldSolution(0.0, fine.energy, 0.0, 12)
+    assert abs(fine.energy) < 1e-12
+    assert classify_point(params, 6).token == "MI:0"
 
 
 def test_probe_detects_unbounded_two_photon_sector():
     # omega < 2 at l=2: energy per excitation approaches omega - 2 < 0, the
     # ground state rides the truncation edge
     params = ModelParams.resonant(2, 1.5)
-    report = convergence_probe(params, 20)
-    assert report.pinned_at_truncation
-    assert not report.converged
-    slope = (report.energies[1] - report.energies[0]) / (40 - 20)
+    coarse, fine = convergence_probe(params, 10), convergence_probe(params, 20)
+    assert fine.n_max_used == 40
+    assert fine.l_expect >= classify.PIN_FRACTION * fine.n_max_used
+    slope = (fine.energy - coarse.energy) / (40 - 20)
     assert slope == pytest.approx(1.5 - 2.0, abs=0.02)
 
 
 def test_probe_detects_superlinear_three_photon_runaway():
     params = ModelParams.resonant(3, 3.0)
-    report = convergence_probe(params, 16)
-    assert report.pinned_at_truncation
-    assert report.l_expects[1] == pytest.approx(32.0, abs=0.5)
+    coarse, fine = convergence_probe(params, 8), convergence_probe(params, 16)
+    assert fine.l_expect >= classify.PIN_FRACTION * fine.n_max_used
+    assert fine.l_expect == pytest.approx(32.0, abs=0.5)
     # the coupling root overwhelms the linear terms: doubling the truncation
     # much more than doubles the depth, unlike the linear single-photon pin
-    ratio = report.energies[1] / report.energies[0]
+    ratio = fine.energy / coarse.energy
     assert ratio > 2.5
-    assert report.energies[1] < -100.0
+    assert fine.energy < -100.0
+
+
+def expected_token(l: int, omega: float, n: int) -> tuple[str, int, float]:
+    """The label rule applied to the independent oracle: the lowest sector
+    L of the psi = 0 problem at 2 n, FORBIDDEN when L reaches PIN_FRACTION
+    of 2 n, INDET when n < L below that, MI:L otherwise; with L and E_L."""
+    energies = zero_drive_sector_energies(l, omega, 1.0, 2 * n)
+    L = min(range(len(energies)), key=energies.__getitem__)
+    if L >= classify.PIN_FRACTION * 2 * n:
+        token = "FORBIDDEN"
+    elif L > n:
+        token = "INDET"
+    else:
+        token = f"MI:{L}"
+    return token, L, energies[L]
+
+
+@pytest.mark.parametrize("l, omega, token", [
+    (1, 2.5, "MI:0"), (1, 1.35, "MI:2"), (1, 1.0646, "INDET"),
+    (1, 1.05, "FORBIDDEN"),
+    (2, 3.0, "MI:0"), (2, 2.3, "MI:2"), (2, 1.8, "FORBIDDEN"),
+    (3, 9.0, "MI:0"), (3, 3.0, "FORBIDDEN"),
+])
+def test_label_is_the_oracle_sector_at_twice_n_max(l, omega, token):
+    # the psi = 0 label, energy and <L> are those of the lowest sector of an
+    # independent enumeration at 2 n_max, under the integer rule
+    n = default_n_max(l)
+    expected, L, energy = expected_token(l, omega, n)
+    assert expected == token
+    try:
+        pt = classify_point(ModelParams.resonant(l, omega, kappa=1e-4))
+    except IndeterminatePhaseError as err:
+        pt = err.point
+        assert pt.note == f"indeterminate: {err}"
+    assert pt.token == token
+    assert pt.psi_star == 0.0 and pt.n_max_used == 2 * n
+    assert pt.l_expect == L
+    assert pt.energy == pytest.approx(energy, abs=1e-9 * max(1.0, abs(energy)))
+    assert pt.converged == token.startswith("MI:")
 
 
 def test_classify_vacuum_insulator():
@@ -79,8 +124,7 @@ def test_classify_vacuum_insulator():
     assert pt.energy == pytest.approx(0.0, abs=1e-12)
     assert pt.l_expect == pytest.approx(0.0, abs=1e-9)
     assert pt.n_max_used == 80
-    assert pt.converged
-    assert pt.report is not None and not pt.report.pinned_at_truncation
+    assert pt.converged and pt.note == ""
 
 
 def test_classify_two_photon_lobes():
@@ -103,20 +147,13 @@ def test_classify_forbidden_high_photon_orders():
         pt = classify_point(ModelParams.resonant(l, float(l), kappa=1e-4))
         assert pt.token == "FORBIDDEN"
         assert pt.psi_star == 0.0
-        assert pt.report is not None and pt.report.pinned_at_truncation
+        assert pt.l_expect >= classify.PIN_FRACTION * pt.n_max_used
+        assert not pt.converged
 
 
 def test_classify_forbidden_two_photon_above_lobes():
     # omega < 2 with small hopping: no convergent ground state
     pt = classify_point(ModelParams.resonant(2, 1.8, kappa=1e-4))
-    assert pt.token == "FORBIDDEN"
-
-
-def test_forbidden_wins_over_loose_convergence(monkeypatch):
-    # an enormous TOL_CONV makes the probe "converged", but a pinned <L>
-    # must still be called forbidden
-    monkeypatch.setattr(classify, "TOL_CONV", 1e6)
-    pt = classify_point(ModelParams.resonant(2, 1.5, kappa=1e-4))
     assert pt.token == "FORBIDDEN"
 
 
@@ -142,20 +179,47 @@ def test_classify_stable_under_truncation_doubling():
 
 def test_classify_indeterminate_near_escape():
     # a single-photon lobe with optimum occupation just below the pin
-    # threshold: level one cannot see it, level two is not yet converged
+    # threshold: its sector lies beyond n_max, so only 2 n_max holds it
     params = ModelParams.resonant(1, 1.0646, kappa=1e-4)
     with pytest.raises(IndeterminatePhaseError) as exc:
         classify_point(params)
-    report = exc.value.point.report
-    assert report is not None
-    assert not report.converged
-    assert not report.pinned_at_truncation
+    pt = exc.value.point
+    assert pt.token == "INDET" and not pt.converged
+    assert 40 < pt.l_expect < classify.PIN_FRACTION * pt.n_max_used
+    assert pt.l_expect == round(pt.l_expect)
 
 
 def test_inconclusive_probe_message_names_n_max():
-    # the probe always runs (n_max, 2 n_max), so the remedy is a larger n_max
-    with pytest.raises(IndeterminatePhaseError, match="increase n_max"):
+    # the rule reads 2 n_max, so the remedy is a larger n_max
+    with pytest.raises(IndeterminatePhaseError,
+                       match=r"^<L> = 60 at n_max = 80 lies above n_max = 40 "
+                             r"and below the pin at 64; increase n_max$"):
         classify_point(ModelParams.resonant(1, 1.0646, kappa=1e-6))
+
+
+def test_non_integer_l_expect_is_indeterminate(monkeypatch):
+    # only a band solve at a sector tie returns a non-integer <L>: no MI(L)
+    # is guessed for it
+    params = ModelParams.resonant(2, 2.3, kappa=1e-4)
+    tied = MeanFieldSolution(0.0, -1.0, 2.5, 80)
+    monkeypatch.setattr(classify, "convergence_probe", lambda *args: tied)
+    with pytest.raises(IndeterminatePhaseError,
+                       match=r"^<L> = 2\.5 is not close to an integer "
+                             r"\(degenerate sectors"):
+        classify_point(params)
+
+
+def test_errors_survive_pickling():
+    # both errors carry their data across a process boundary, as a pool
+    # worker's exception would
+    with pytest.raises(IndeterminatePhaseError) as indet:
+        classify_point(ModelParams.resonant(1, 1.0646, kappa=1e-4))
+    with pytest.raises(BracketExhausted) as edge:
+        minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=1.0), 30)
+    for err, attr in ((indet.value, "point"), (edge.value, "solution")):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err) and str(back) == str(err)
+        assert getattr(back, attr) == getattr(err, attr)
 
 
 def test_classify_rejects_small_truncation():
@@ -164,10 +228,9 @@ def test_classify_rejects_small_truncation():
 
 
 def test_classify_custom_schedule_and_coordinates():
-    # the probe schedule follows the base truncation: (n_max, 2 n_max)
+    # the label is read at twice the base truncation
     pt = classify_point(ModelParams.resonant(1, 2.5, kappa=1e-2), 20)
     assert pt.token == "MI:0"
-    assert pt.report.n_max_sequence == (20, 40)
     assert pt.n_max_used == 40
     assert pt.x == pytest.approx(-2.0, abs=1e-12)
     assert pt.y == pytest.approx(1.0 - 2.5, abs=1e-12)
@@ -231,7 +294,7 @@ def test_any_nonzero_psi_star_is_superfluid(monkeypatch):
     sectors = count_sector_solves(monkeypatch)
     pt = classify_point(params, 20)
     assert pt.token == "SF" and pt.psi_star == 5e-4
-    assert pt.energy == sol.energy and pt.report is None
+    assert pt.energy == sol.energy and pt.n_max_used == 20
     assert dims == [] and sectors == []
 
 

@@ -22,7 +22,7 @@ def test_point_insulator(capsys):
     assert "phase = MI:2" in out
     assert "psi = 0\n" in out
     assert "converged = true" in out
-    assert "n_max = 80" in out  # finest probe level, twice the base truncation
+    assert "n_max = 80" in out  # the label's level, twice the base truncation
     l_expect = float(next(ln for ln in out.splitlines()
                           if ln.startswith("L_expect")).split("=")[1])
     assert l_expect == pytest.approx(2.0, abs=1e-9)
@@ -111,12 +111,12 @@ def test_unresolvable_scale_is_invalid_input(capsys, flag, scale):
 
 
 def test_point_indeterminate_exit_code(capsys):
-    # shallow slope puts the occupation optimum between the probe levels
+    # shallow slope puts the occupation optimum between n_max and the pin
     code, out, _ = run_cli(capsys, "point", "--l", "1", "--x", "-6", "--y", "-0.0646")
     assert code == 2
     assert "phase = INDET" in out
-    assert "probe_pinned = false" in out
     assert "note = " in out
+    assert not any(ln.startswith("probe_") for ln in out.splitlines())
 
 
 def test_usage_errors_exit_invalid(capsys):
@@ -210,6 +210,20 @@ def test_diagram_csv_file(tmp_path, capsys):
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
     assert out_file.read_bytes() == first
+
+
+def test_converged_column_is_mi_or_sf(tmp_path, capsys):
+    # converged is true exactly for MI:* and SF cells, on a grid that holds
+    # MI, SF, FORBIDDEN and INVALID ones (y = 1.2 leaves omega < 0)
+    out_file = tmp_path / "grid.csv"
+    code, _, _ = run_cli(capsys, "diagram", "--l", "1", "--x-range=-4:-0.5:2",
+                         "--y-range=-1.2:1.2:3", "--out", str(out_file))
+    assert code == 3
+    rows = [ln.split(",") for ln in out_file.read_text().splitlines()[1:]]
+    assert {r[5] for r in rows} == {"MI:0", "SF", "FORBIDDEN", "INVALID"}
+    for r in rows:
+        assert r[7] == ("true" if r[5] == "SF" or r[5].startswith("MI:")
+                        else "false")
 
 
 def test_diagram_stdout_default(capsys):
@@ -395,7 +409,7 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "point", "--config", str(cfg))
     assert code == 0
     assert "phase = MI:0" in out
-    assert "n_max = 18" in out  # probe doubles the configured truncation
+    assert "n_max = 18" in out  # the label doubles the configured truncation
 
 
 def test_flag_overrides_config(tmp_path, capsys):

@@ -103,8 +103,8 @@ def test_run_grid_reuses_each_row_of_sector_data():
 def test_psi_zero_cache_is_invisible(monkeypatch, l, y):
     # one 41-cell row (MI:1 and SF at l = 1, FORBIDDEN and SF at l = 2)
     # classified from a cleared psi = 0 cache and again from a warm one
-    # gives the same cells, probe reports included; the row certifies its
-    # psi = 0 band once per truncation level, n_max and the probe's 2 n_max,
+    # gives the same cells; the row certifies its psi = 0 band once per
+    # truncation level, n_max and the 2 n_max the label is read at,
     # whichever cell asks first
     xs = GridSpec.default(l, nx=41).x_values
     n_max = groundstate.default_n_max(l)
