@@ -35,7 +35,6 @@ from .eigen import (
     smallest_eigpair,
 )
 from .groundstate import (
-    BracketExhausted,
     MeanFieldSolution,
     default_n_max,
     energy_at_psi,
@@ -66,7 +65,7 @@ __all__ = [
     "ModelParams", "SymmetricMatrix", "build_mpjc", "build_mean_field",
     "build_l_diag", "coupling_elements",
     "EigPair", "EigensolverError", "smallest_eigpair",
-    "MeanFieldSolution", "BracketExhausted",
+    "MeanFieldSolution",
     "energy_at_psi", "minimize_over_psi", "expected_L",
     "PhaseKind", "PhaseLabel", "PhasePoint",
     "IndeterminatePhaseError", "classify_point",

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .groundstate import (
-    BracketExhausted,
     MeanFieldSolution,
     minimize_over_psi,
     resolve_n_max,
@@ -125,12 +124,12 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
     l mu - omega).
 
     The psi minimisation runs at the base truncation n; if it returns
-    psi_star > 0 the point is superfluid.  A minimisation whose minimum
-    runs into psi_max is still called superfluid: the drive is resolvably
-    nonzero even though its magnitude is truncation-limited.  Otherwise
-    the psi = 0 ground state at 2 n (convergence_probe) is labelled by the
-    rule above, with L the nearest integer to <L>, and its energy, <L> and
-    n_max_used are reported.
+    psi_star > 0 the point is superfluid.  A minimum at psi_max
+    (MeanFieldSolution.at_psi_max) is still called superfluid: the drive
+    is resolvably nonzero even though its magnitude is truncation-limited.
+    Otherwise the psi = 0 ground state at 2 n (convergence_probe) is
+    labelled by the rule above, with L the nearest integer to <L>, and its
+    energy, <L> and n_max_used are reported.
 
     Raises IndeterminatePhaseError, carrying the unlabelled point, for an
     indeterminate point, and ValueError for an unusable n_max or drive.
@@ -138,10 +137,7 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
     x, y = at or (math.log10(params.kappa) if params.kappa > 0 else -math.inf,
                   params.l * params.mu - params.omega)
 
-    try:
-        sol = minimize_over_psi(params, n_max)
-    except BracketExhausted as err:
-        sol = err.solution
+    sol = minimize_over_psi(params, n_max)
     if sol.psi_star > 0.0:
         return PhasePoint(
             x=x, y=y, psi_star=sol.psi_star, energy=sol.energy,

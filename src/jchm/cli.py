@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .classify import IndeterminatePhaseError, PhasePoint
 from .eigen import EigensolverError
-from .groundstate import BracketExhausted, resolve_n_max
+from .groundstate import resolve_n_max
 from .sweep import (
     GridSpec,
     classify_at,
@@ -204,6 +204,15 @@ def _parse_range(text, name: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _x_samples(text) -> tuple[float, float, int, list[float]]:
+    """An x-range "lo:hi:n" as (lo, hi, n) and its n evenly spaced x; an
+    infinite bound would make the samples NaN, so it is rejected."""
+    lo, hi, n = _parse_range(text, "x-range")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"x-range: bounds must be finite, got {lo}:{hi}")
+    return lo, hi, n, [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
 def _parse_bracket(text, name: str) -> tuple[float, float]:
     parts = _split(text, name, "lo:hi")
     try:
@@ -362,9 +371,8 @@ def cmd_scan(cfg: _Config) -> int:
     x_range = cfg["x_range"]
     if x_range is None:
         raise ValueError("x-range: required for scan")
-    lo, hi, n = _parse_range(x_range, "x-range")
+    lo, hi, n, xs = _x_samples(x_range)
     spec_echo = cfg.echo(n_max=n_max, y=y, x_range=[lo, hi, n])
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     rows = energy_scan(l, y, xs, n_max, **cfg.model())
     columns = {"x_log10_kappa": [r[0] for r in rows],
                "y_lmu_minus_omega": [y] * len(rows),
@@ -378,8 +386,12 @@ def cmd_analytic(cfg: _Config) -> int:
     out = cfg["out"]
     fmt = cfg["format"]
     x_range = cfg["x_range"]
-    lo, hi, n = _parse_range(x_range, "x-range") if x_range is not None else (-4.0, -0.2, 20)
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    lo, hi, n, xs = _x_samples(x_range if x_range is not None else "-4:-0.2:20")
+    try:
+        kappas = [10.0 ** x for x in xs]
+    except OverflowError:
+        raise ValueError(f"x-range: kappa = 10**x must be finite, "
+                         f"got hi = {hi}") from None
 
     columns: dict[str, list] = {key: [] for key in (
         "quantity", "l", "L", "partner_or_side", "x_log10_kappa", "kappa",
@@ -417,8 +429,7 @@ def cmd_analytic(cfg: _Config) -> int:
                         (1, Side.LOWER), (2, Side.LOWER)]:
             add("strong_coupling", L=L, partner_or_side=side.value,
                 kappa=_fmt(0.0), value=_fmt(strong_coupling_boundary(L, side, 0.0)))
-            for x in xs:
-                kap = 10.0 ** x
+            for x, kap in zip(xs, kappas):
                 add("strong_coupling", L=L, partner_or_side=side.value,
                     x_log10_kappa=_fmt(x), kappa=_fmt(kap),
                     value=_fmt(strong_coupling_boundary(L, side, kap)))
@@ -500,9 +511,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(_Config(args))
     except ValueError as err:
         print(f"invalid parameter: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except BracketExhausted as err:
-        print(f"invalid parameter: n_max: {err}", file=sys.stderr)
         return EXIT_INVALID
     except IndeterminatePhaseError as err:
         print(f"indeterminate: {err}", file=sys.stderr)

@@ -36,7 +36,9 @@ dropped unbounded, which assumes one minimum in that interval; a best at
 psi_max is left to the bounds.  MARGIN covers the rounding of one
 eigensolve, not the eigensolve tolerance (see minimize_over_psi).
 Minimisers within ENERGY_TIE_EPS of the psi = 0 energy collapse to
-exactly zero so the insulating solution is reported cleanly.
+exactly zero so the insulating solution is reported cleanly.  A minimum
+against psi_max is returned like any other, flagged at_psi_max: the
+truncation, not the physics, bounds it, and the caller decides.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ class MeanFieldSolution:
     l_expect: float
     n_max_used: int
 
+    @property
+    def at_psi_max(self) -> bool:
+        """The minimum sits against psi_max = sqrt(n_max_used)/2, within
+        2 REFINE_TOL: n_max is too small to hold it."""
+        return (self.psi_star
+                >= math.sqrt(self.n_max_used) / 2.0 - 2.0 * REFINE_TOL)
+
 
 def default_n_max(l: int) -> int:
     """Default base truncation: the coupling grows as n^(l/2), so the
@@ -103,20 +112,6 @@ def resolve_n_max(l: int, n_max: int | None) -> int:
     if n_max < l + 2:
         raise ValueError(f"n_max: must be at least l + 2 = {l + 2}, got {n_max}")
     return n_max
-
-
-class BracketExhausted(RuntimeError):
-    """The energy minimum sits at psi_max = sqrt(n_max)/2; n_max is too small.
-
-    Carries the best solution found at the interval edge in .solution.
-    """
-
-    def __init__(self, message: str, solution: MeanFieldSolution):
-        super().__init__(message)
-        self.solution = solution
-
-    def __reduce__(self):
-        return type(self), (str(self), self.solution)
 
 
 def energy_at_psi(params: ModelParams, psi: float, n_max: int,
@@ -460,8 +455,9 @@ def minimize_over_psi(params: ModelParams,
     certified to within d, but the bound that prunes is not widened by it.
 
     Ties with the psi = 0 energy within ENERGY_TIE_EPS report psi_star = 0.
-    If the minimum sits against psi_max, n_max is too small to hold it and
-    BracketExhausted is raised with the edge solution attached.
+    A minimum against psi_max is returned like any other, with at_psi_max
+    set: n_max is too small to hold it, and each caller decides what that
+    means (classify_point calls it SF, energy_scan rejects it).
     """
     n_max = resolve_n_max(params.l, n_max)
     psi_max = math.sqrt(n_max) / 2.0
@@ -526,9 +522,4 @@ def minimize_over_psi(params: ModelParams,
     if zero.energy <= best.energy + ENERGY_TIE_EPS:
         # flat or insulating landscape: report the symmetric solution exactly
         return zero
-    if best.psi_star >= psi_max - 2.0 * REFINE_TOL:
-        raise BracketExhausted(
-            f"energy minimum sits at psi_max={psi_max:g}; raise n_max",
-            best,
-        )
     return best

@@ -219,12 +219,17 @@ def energy_scan(l: int, y: float, x_points: Sequence[float],
     """Minimised ground energy along a horizontal cut of the diagram.
 
     Returns (x, energy, psi_star) per requested x.  Exposes the kink where
-    the minimiser leaves psi = 0 at the insulator-superfluid boundary.
+    the minimiser leaves psi = 0 at the insulator-superfluid boundary.  A
+    minimum at psi_max (MeanFieldSolution.at_psi_max) has no energy this
+    truncation can hold, so it raises ValueError, which names n_max.
     """
     n_max = resolve_n_max(l, n_max)
     out: list[tuple[float, float, float]] = []
     for x in x_points:
         params = params_for(l, x, y, z=z, mu=mu, delta=delta)
         sol = minimize_over_psi(params, n_max)
+        if sol.at_psi_max:
+            raise ValueError(f"n_max: energy minimum sits at "
+                             f"psi_max={math.sqrt(n_max) / 2.0:g}; raise n_max")
         out.append((float(x), sol.energy, sol.psi_star))
     return out

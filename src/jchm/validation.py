@@ -28,7 +28,7 @@ from .analytic import (
     strong_coupling_boundary,
 )
 from .eigen import smallest_eigpair
-from .groundstate import REFINE_TOL, BracketExhausted, minimize_over_psi
+from .groundstate import REFINE_TOL, minimize_over_psi
 from .operators import ModelParams, bandwidth, build_l_diag, build_mean_field
 from .sweep import GridSpec, classify_at, params_for, refine_boundary, run_grid
 
@@ -333,11 +333,8 @@ def _invariant_suite() -> CheckResult:
     for l, x, y in _STATIONARY_POINTS:
         params = params_for(l, x, y)
         where = f"l={l}, x={x}, y={y}"
-        try:
-            sol = minimize_over_psi(params)
-        except BracketExhausted:
-            sol = None
-        if sol is None or not sol.psi_star > 0.0:
+        sol = minimize_over_psi(params)
+        if sol.at_psi_max or not sol.psi_star > 0.0:
             failures.append(f"no interior superfluid minimum at {where}")
             continue
         psi, c = sol.psi_star, params.z * params.kappa

@@ -466,10 +466,16 @@ def test_config_value_errors_name_the_key(tmp_path, capsys, monkeypatch,
 
 
 def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
-    # NaN and infinities are rejected, naming the setting, before any cell is
-    # classified; x = -inf is zero hopping and stays valid
+    # NaN and infinities are rejected, naming the setting, before any cell,
+    # scan row or analytic row is computed; x = -inf is zero hopping and
+    # stays valid, and an analytic x past 10**x's float range is rejected
+    # like an infinite one
     monkeypatch.setattr(sweep, "classify_point",
                         lambda *a, **k: pytest.fail("a cell was classified"))
+    monkeypatch.setattr(sweep, "minimize_over_psi",
+                        lambda *a, **k: pytest.fail("a scan row was computed"))
+    monkeypatch.setattr(cli, "solve_sector_zero",
+                        lambda *a, **k: pytest.fail("an analytic row was computed"))
     for argv, message in [
         (["point", "--l", "1", "--x", "nan", "--y", "-1"], "x: "),
         (["point", "--l", "1", "--x=inf", "--y", "-1"], "x: "),
@@ -478,6 +484,16 @@ def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
          "omega must be finite"),
         (["diagram", "--l", "1", "--x-range=-inf:-1:3", "--y-range=-1:-0.5:2"],
          "grid ranges must be finite"),
+        (["scan", "--l", "1", "--y=-1.2", "--x-range=-3:inf:3"],
+         "x-range: bounds must be finite"),
+        (["scan", "--l", "1", "--y=-1.2", "--x-range=-inf:-1:3"],
+         "x-range: bounds must be finite"),
+        (["analytic", "--l", "1", "--x-range=-inf:-1:3"],
+         "x-range: bounds must be finite"),
+        (["analytic", "--l", "1", "--x-range=-3:inf:3"],
+         "x-range: bounds must be finite"),
+        (["analytic", "--l", "1", "--x-range=-3:400:3"],
+         "x-range: kappa = 10**x must be finite"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""

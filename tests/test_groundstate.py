@@ -11,7 +11,6 @@ from jchm.groundstate import (
     ENERGY_TIE_EPS,
     MARGIN,
     REFINE_TOL,
-    BracketExhausted,
     MeanFieldSolution,
     energy_at_psi,
     expected_L,
@@ -326,11 +325,8 @@ def test_interior_superfluid_minima_are_stationary():
         for _ in range(75):
             params = params_for(l, rng.uniform(spec.x_lo, spec.x_hi),
                                 rng.uniform(spec.y_lo, spec.y_hi))
-            try:
-                sol = minimize_over_psi(params, n_max)
-            except BracketExhausted:
-                continue
-            if sol.psi_star > 0.0:
+            sol = minimize_over_psi(params, n_max)
+            if sol.psi_star > 0.0 and not sol.at_psi_max:
                 interior += 1
                 assert stationary(params, n_max, sol)
     assert interior >= 10
@@ -357,14 +353,11 @@ def test_minimize_monotone_in_truncation():
 def test_minimize_reports_bracket_exhaustion():
     # z kappa = 2 exceeds the large-L slope omega - 1 = 1.2, so the energy
     # falls without bound as psi grows: the minimum sits at the edge
-    # psi_max = sqrt(n_max)/2 of every truncation and must be reported,
-    # carrying the edge solution
+    # psi_max = sqrt(n_max)/2 of every truncation and must be reported as
+    # the edge solution, flagged at_psi_max
     params = ModelParams.resonant(1, 2.2, kappa=1.0)
-    with pytest.raises(BracketExhausted,
-                       match=r"^energy minimum sits at psi_max=2\.73861; "
-                             r"raise n_max$") as exc:
-        minimize_over_psi(params, 30)
-    sol = exc.value.solution
+    sol = minimize_over_psi(params, 30)
+    assert sol.at_psi_max
     assert sol.psi_star == pytest.approx(math.sqrt(30) / 2, abs=2e-6)
     assert sol.energy < 0.0 and sol.n_max_used == 30
 
@@ -377,10 +370,22 @@ def test_minimize_runaway_solves_the_edge_only(monkeypatch):
     # edge is reported exactly after 1 band solve, whose pair is the
     # reported solution
     solves = count_band_solves(monkeypatch)
-    with pytest.raises(BracketExhausted) as exc:
-        minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=1.0), 30)
-    assert exc.value.solution.psi_star == math.sqrt(30) / 2
+    sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=1.0), 30)
+    assert sol.at_psi_max and sol.psi_star == math.sqrt(30) / 2
     assert solves == [2 * (30 + 1)]
+
+
+def test_at_psi_max_is_the_edge_test_of_the_search():
+    # psi_star within 2 REFINE_TOL of psi_max = sqrt(n_max_used)/2, by the
+    # same float arithmetic, and never at psi = 0
+    edge = math.sqrt(30) / 2.0 - 2.0 * REFINE_TOL
+
+    def at(psi):
+        return MeanFieldSolution(psi, -1.0, 0.0, 30).at_psi_max
+
+    assert at(edge)
+    assert not at(math.nextafter(edge, 0.0))
+    assert not at(0.0)
 
 
 def test_minimize_l_expect_lies_within_the_truncation():
@@ -558,10 +563,9 @@ def test_minimize_leaves_an_edge_minimum_to_the_bounds(monkeypatch):
     psi_max = math.sqrt(40) / 2
     energy, slope = crossing(c, (0.3 * psi_max, -0.5), (1.2 * psi_max, -1.5))
     solved = synthetic_landscape(monkeypatch, energy, slope)
-    with pytest.raises(BracketExhausted) as exc:
-        minimize_over_psi(params, 40)
+    sol = minimize_over_psi(params, 40)
     assert solved == [psi_max]
-    sol = exc.value.solution
+    assert sol.at_psi_max
     assert sol.psi_star == psi_max and sol.energy == energy(psi_max)
     assert min(energy(p) for p in np.linspace(0.0, psi_max, 1001)) == (
         energy(psi_max))

@@ -282,3 +282,12 @@ def test_energy_scan_shows_transition():
     x, e, psi = rows[3]
     assert e < -1e-3
     assert psi > 1e-3
+
+
+def test_energy_scan_rejects_a_minimum_at_psi_max():
+    # x = 0, y = -1.2 is the runaway point ModelParams.resonant(1, 2.2,
+    # kappa=1.0): its minimum sits at psi_max, which only n_max moves
+    with pytest.raises(ValueError,
+                       match=r"^n_max: energy minimum sits at "
+                             r"psi_max=2\.73861; raise n_max$"):
+        energy_scan(1, -1.2, [-4.0, 0.0], 30)

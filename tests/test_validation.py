@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -112,19 +113,21 @@ def test_invariant_suite_catches_a_term_that_breaks_L(monkeypatch):
 
 
 @pytest.mark.parametrize("move, message", [
-    (lambda psi: psi + 1e-3, "stationarity E'(psi*) = "),
-    (lambda psi: 0.0, "no interior superfluid minimum "),
-], ids=["off-root", "at-zero"])
+    (lambda sol: sol.psi_star + 1e-3, "stationarity E'(psi*) = "),
+    (lambda sol: 0.0, "no interior superfluid minimum "),
+    (lambda sol: math.sqrt(sol.n_max_used) / 2, "no interior superfluid minimum "),
+], ids=["off-root", "at-zero", "at-psi-max"])
 def test_invariant_suite_catches_a_non_stationary_minimum(monkeypatch, move,
                                                           message):
     # psi_star moved at one of the listed superfluid points: off the root
-    # of the slope, or onto psi = 0, where stationarity would hold vacuously
+    # of the slope, or onto psi = 0, where stationarity would hold
+    # vacuously, or onto psi_max, where no root of the slope is sought
     original = validation.minimize_over_psi
 
     def minimize(params, *args):
         sol = original(params, *args)
         if params == params_for(3, -0.9, -0.6):
-            return dataclasses.replace(sol, psi_star=move(sol.psi_star))
+            return dataclasses.replace(sol, psi_star=move(sol))
         return sol
     monkeypatch.setattr(validation, "minimize_over_psi", minimize)
     res = check_invariants()
