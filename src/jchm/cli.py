@@ -393,6 +393,21 @@ def cmd_analytic(cfg: _Config) -> int:
         raise ValueError(f"x-range: kappa = 10**x must be finite, "
                          f"got hi = {hi}") from None
 
+    # the l = 1 strong-coupling edges are closed forms: evaluated before any
+    # row, so that one past the float range (kappa * weight overflows for a
+    # finite kappa) writes none
+    edges = []
+    if l == 1:
+        for L, side in [(0, Side.UPPER), (1, Side.UPPER), (2, Side.UPPER),
+                        (1, Side.LOWER), (2, Side.LOWER)]:
+            values = [strong_coupling_boundary(L, side, k) for k in kappas]
+            for x, value in zip(xs, values):
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"x-range: the strong-coupling edge must be finite, "
+                        f"got {value} at x = {x}")
+            edges.append((L, side, values))
+
     columns: dict[str, list] = {key: [] for key in (
         "quantity", "l", "L", "partner_or_side", "x_log10_kappa", "kappa",
         "omega", "y_lmu_minus_omega", "value")}
@@ -424,15 +439,12 @@ def cmd_analytic(cfg: _Config) -> int:
     else:
         # slope is omega plus a constant; report the constant
         add("asymptotic_slope", value=f"omega{slope:+g}")
-    if l == 1:
-        for L, side in [(0, Side.UPPER), (1, Side.UPPER), (2, Side.UPPER),
-                        (1, Side.LOWER), (2, Side.LOWER)]:
+    for L, side, values in edges:
+        add("strong_coupling", L=L, partner_or_side=side.value,
+            kappa=_fmt(0.0), value=_fmt(strong_coupling_boundary(L, side, 0.0)))
+        for x, kap, value in zip(xs, kappas, values):
             add("strong_coupling", L=L, partner_or_side=side.value,
-                kappa=_fmt(0.0), value=_fmt(strong_coupling_boundary(L, side, 0.0)))
-            for x, kap in zip(xs, kappas):
-                add("strong_coupling", L=L, partner_or_side=side.value,
-                    x_log10_kappa=_fmt(x), kappa=_fmt(kap),
-                    value=_fmt(strong_coupling_boundary(L, side, kap)))
+                x_log10_kappa=_fmt(x), kappa=_fmt(kap), value=_fmt(value))
 
     spec_echo = {"command": "analytic", "l": l, "x_range": [lo, hi, n],
                  "format": fmt}

@@ -24,6 +24,7 @@ must be to tie (groundstate).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,15 +104,21 @@ def smallest_eigpair(a: SymmetricMatrix) -> EigPair:
     certified the smallest eigenvalue by certify_smallest.
     """
     value, z = _lowest(a)
-    vector = _signed(z[:, 0] / np.linalg.norm(z[:, 0]))
-    residual = float(np.linalg.norm(
-        dsbmv(a.bandwidth, 1.0, a.band, vector, lower=1) - value * vector))
+    vector = _signed(z[:, 0] / _norm(z[:, 0]))
+    residual = _norm(dsbmv(a.bandwidth, 1.0, a.band, vector, lower=1)
+                     - value * vector)
     if residual > tolerance(value):
         raise EigensolverError(
             f"residual {residual:.3e} exceeds {TOL:g} * max(1, |{value:.6g}|)"
         )
     certify_smallest(a, value)
     return EigPair(value=value, vector=vector)
+
+
+def _norm(vector: np.ndarray) -> float:
+    """The 2-norm of a vector, as np.linalg.norm computes it, sqrt(v . v),
+    without its dispatch."""
+    return math.sqrt(vector.dot(vector))
 
 
 def _signed(vector: np.ndarray) -> np.ndarray:
@@ -145,10 +152,10 @@ def warm_eigpair(a: SymmetricMatrix, shift: float,
             x, info = dpbtrs(factor, vector, lower=1)
             if info != 0:
                 raise EigensolverError(f"LAPACK dpbtrs failed: info={info}")
-            vector = x / np.linalg.norm(x)
+            vector = x / _norm(x)
             av = dsbmv(a.bandwidth, 1.0, a.band, vector, lower=1)
             rho = float(np.dot(vector, av))
-            residual = float(np.linalg.norm(av - rho * vector))
+            residual = _norm(av - rho * vector)
             if residual <= 0.01 * tolerance(rho):
                 certify_smallest(a, rho)
                 return EigPair(value=rho, vector=_signed(vector))
@@ -176,22 +183,36 @@ def _positive_definite(a: SymmetricMatrix, shift: float) -> bool:
     return _cholesky(a, shift) is not None
 
 
-def certify_smallest(a: SymmetricMatrix, value: float) -> None:
+def certify_smallest(a: SymmetricMatrix, value: float, *orders: int) -> None:
     """Certify that the smallest eigenvalue of a lies within d = tolerance(value)
-    of value, by inertia.
+    of value, by inertia; given orders, certify it instead for each leading
+    principal submatrix A_m of a whose order m is listed.
 
     A - s I is positive definite, so its Cholesky factorisation succeeds,
     exactly when s lies below every eigenvalue.  Success at s = value - d
     puts the smallest eigenvalue above value - d; failure at s = value + d
     puts one at or below value + d.  In floating point the factorisation
-    decides up to rounding of order eps * ||A||, far below d.  Raises
-    EigensolverError otherwise, for instance when value is a higher
-    eigenvalue.
+    decides up to rounding of order eps * ||A||, far below d.  A_m - s I
+    is positive definite exactly when its leading principal minors are
+    positive (Sylvester's criterion; Golub & Van Loan, Matrix Computations,
+    section 4.2), and those are the first m leading minors of A - s I.  So
+    success for the largest order m proves it for every smaller one, and
+    failure for the smallest proves it for every larger one: one pair of
+    factorisations certifies all the orders.  The first m columns of the
+    band hold the band of A_m, since dpbtrf never reads the slots past the
+    end of a subdiagonal.  Raises EigensolverError otherwise, for instance
+    when value is a higher eigenvalue.
     """
     d = tolerance(value)
-    if not _positive_definite(a, value - d):
+    below = above = a
+    if orders:
+        largest, smallest = max(orders), min(orders)
+        below = above = SymmetricMatrix(a.band[:, :largest])
+        if smallest < largest:
+            above = SymmetricMatrix(a.band[:, :smallest])
+    if not _positive_definite(below, value - d):
         reason = f"an eigenvalue lies below {value - d:.17g}"
-    elif _positive_definite(a, value + d):
+    elif _positive_definite(above, value + d):
         reason = f"no eigenvalue lies below {value + d:.17g}"
     else:
         return

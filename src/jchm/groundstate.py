@@ -7,9 +7,10 @@ pair (eigen.smallest_eigpair, the one cold solver): the value bounds the
 search, and when the point becomes the answer its vector gives <L>, and
 the polish (below) its slope.  psi = 0 takes its lowest
 L-sector energy analytically (zero_solution), under the same inertia
-certificate, and its <L> is that sector's L.  It is certified once per
-key (l, omega, Omega, mu, n_max) and cached (_sectors), so every kappa of
-a grid row shares it, as do the 2 n_max level the label is read from,
+certificate, and its <L> is that sector's L.  One pass per key (l, omega,
+Omega, mu, n_max), over the one band built at 2 n_max, certifies it and
+the 2 n_max level the label is read from (fine_zero_solution), and is
+cached (_sectors), so every kappa of a grid row shares both, as do
 energy_scan and refine_boundary.  The same sector data prove, with no
 band solve, that no energy within a reach h* of psi = 0 comes within
 ENERGY_TIE_EPS of it (zero_reach: a Schur complement on the psi = 0
@@ -48,7 +49,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from .eigen import (
 )
 from .operators import (
     ModelParams,
+    _doubled_psi_free_band,
     _psi_free_band,
     build_l_diag,
     build_mean_field,
@@ -254,14 +256,19 @@ def _pair_solution(l: int, psi: float, n_max: int,
                              n_max_used=n_max)
 
 
-class _Sectors(NamedTuple):
-    """The certified psi = 0 solution of one key, and the spectrum zero_reach
-    reads: tied says whether the next E_L lies within eigen.tolerance(E0)
-    of E0, the lowest E_L; second is E1, the second-lowest eigenvalue of
-    the psi-free band: the next E_L or the upper root of the lowest
-    state's block, whichever is lower; neighbour is E_R, the lowest E_L of
-    the sectors L - 1 and L + 1; weight is W = ||(a + a+)|0>||^2 for the
-    lowest state |0>.
+@dataclass(eq=False)
+class _Sectors:
+    """The psi = 0 data of one key at both truncation levels.
+
+    At n_max: the certified solution, and the spectrum zero_reach reads:
+    tied says whether the next E_L lies within eigen.tolerance(E0) of E0,
+    the lowest E_L; second is E1, the second-lowest eigenvalue of the
+    psi-free band: the next E_L or the upper root of the lowest state's
+    block, whichever is lower; neighbour is E_R, the lowest E_L of the
+    sectors L - 1 and L + 1; weight is W = ||(a + a+)|0>||^2 for the
+    lowest state |0>.  At 2 n_max, the level the label is read from: fine,
+    certified when first read unless one certificate already proved both
+    levels.
     """
 
     solution: MeanFieldSolution
@@ -269,38 +276,61 @@ class _Sectors(NamedTuple):
     second: float
     neighbour: float
     weight: float
+    # the 2 n_max solution, or the function that certifies it
+    _fine: MeanFieldSolution | Callable[[], MeanFieldSolution]
+
+    @property
+    def fine(self) -> MeanFieldSolution:
+        if callable(self._fine):
+            self._fine = self._fine()
+        return self._fine
+
+
+def _lowest_sector(energies: np.ndarray) -> tuple[int, float, float, bool]:
+    """(L, E_L, next, tied) for the lowest sector energy E_L of energies,
+    indexed by L: next is the second-lowest, and tied says whether it lies
+    within eigen.tolerance(E_L) of E_L."""
+    L = int(energies.argmin())
+    value = float(energies[L])
+    following = float(np.sort(energies)[1])
+    return L, value, following, following - value <= tolerance(value)
 
 
 @lru_cache(maxsize=128)
 def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
              tol: float) -> _Sectors:
-    """The psi = 0 solution and sector data of one key (l, omega, Omega, mu,
-    n_max), from the block roots of the psi-free band; tol = eigen.TOL, which
-    the certificate reads, keys each proof to the tolerance it holds at.
+    """The psi = 0 solutions and sector data of one key (l, omega, Omega, mu,
+    n_max), at n_max and at 2 n_max, from the block roots of the psi-free
+    band at 2 n_max alone; tol = eigen.TOL, which the certificates read,
+    keys each proof to the tolerance it holds at.
 
-    At psi = 0 the Hamiltonian commutes with L, so each L = 0..n_max + l
-    has one candidate energy E_L: the lower root of the 2x2 block
-    {|e,L-l>, |g,L>} for l <= L <= n_max, and the single state |g,L> for
-    L < l or |e,L-l> for L > n_max, whose partner the truncation drops.
-    The lowest E_L passes the same inertia certificate (certify_smallest)
-    on the full band as a band solve, and <L> is its L exactly.  When the
-    two lowest E_L lie within eigen.tolerance(E0), the sectors cannot say
-    which state the band solve picks, and the band is solved
-    (smallest_eigpair).
+    At psi = 0 the Hamiltonian commutes with L, so at truncation n each
+    L = 0..n + l has one candidate energy E_L: the lower root of the 2x2
+    block {|e,L-l>, |g,L>} for l <= L <= n, and the single state |g,L> for
+    L < l or |e,L-l> for L > n, whose partner the truncation drops.  The
+    n_max band is the leading principal submatrix of the 2 n_max band, so
+    its blocks L <= n_max are bitwise those of 2 n_max, and its edge states
+    are diagonal entries of it.  At each level the lowest E_L passes the
+    same inertia certificate as a band solve, on that level's leading
+    principal submatrix (certify_smallest), and <L> is its L exactly; when
+    both levels share their lowest sector, one pair of factorisations
+    certifies both, and otherwise the 2 n_max level is certified when first
+    read (_Sectors.fine).  When a level's two lowest E_L lie within
+    eigen.tolerance(E0), the sectors cannot say which state the band solve
+    picks, and that level's band is solved (smallest_eigpair).
     """
-    band = _psi_free_band(l, omega, Omega, mu, n_max)
-    exc, gnd = band[0, 1::2], band[0, 0::2]     # |e,n>, |g,n>, n = 0..n_max
-    k = n_max - l + 1                           # number of 2x2 blocks
-    # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..n_max
-    half = 0.5 * (exc[:k] - gnd[l:])
+    fine_n = 2 * n_max
+    band = _doubled_psi_free_band(l, omega, Omega, mu, n_max)
+    exc, gnd = band[0, 1::2], band[0, 0::2]     # |e,n>, |g,n>, n = 0..2 n_max
+    k = fine_n - l + 1                          # number of 2x2 blocks
+    # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..2 n_max
+    e, g = exc[:k], gnd[l:]
+    half = 0.5 * (e - g)
     root = np.hypot(half, band[2 * l - 1, 1:2 * k:2])
-    mid = 0.5 * (exc[:k] + gnd[l:])
-    energies = np.concatenate((gnd[:l], mid - root, exc[k:]))
-    L = int(energies.argmin())
-    values = energies.tolist()
-    value = values[L]
-    following = min(values[:L] + values[L + 1:])
-    tied = following - value <= tolerance(value)
+    mid = 0.5 * (e + g)
+    fine = np.concatenate((gnd[:l], mid - root, exc[k:]))
+    energies = np.concatenate((fine[:n_max + 1], exc[n_max - l + 1:n_max + 1]))
+    L, value, following, tied = _lowest_sector(energies)
     upper = math.inf                            # block L's upper root
 
     def spread(n: int) -> float:
@@ -320,18 +350,33 @@ def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
         weight = p * spread(b) + (1.0 - p) * spread(L)
         upper = float(mid[b]) + r
     # E_R over the sectors L - 1 and L + 1 that exist
-    neighbour = min(values[L - 1:L + 2:2] if L else values[1:2])
+    neighbour = min(energies[L - 1:L + 2:2].tolist() if L
+                    else energies[1:2].tolist())
     a = SymmetricMatrix(band)
+    # the levels share their lowest sector: one pair certifies both
+    shared = not tied and L <= n_max and int(fine.argmin()) == L
     if tied:
-        solution = _pair_solution(l, 0.0, n_max, smallest_eigpair(a))
+        solution = _pair_solution(l, 0.0, n_max, smallest_eigpair(
+            SymmetricMatrix(_psi_free_band(l, omega, Omega, mu, n_max))))
     else:
-        certify_smallest(a, value)
+        order = 2 * (n_max + 1)                 # the n_max band's dimension
+        certify_smallest(a, value, *((order, len(a)) if shared else (order,)))
         solution = MeanFieldSolution(0.0, value, float(L), n_max)
-    return _Sectors(solution, tied, min(following, upper), neighbour, weight)
+
+    def certified_fine() -> MeanFieldSolution:
+        fine_L, fine_value, _, fine_tied = _lowest_sector(fine)
+        if fine_tied:
+            return _pair_solution(l, 0.0, fine_n, smallest_eigpair(a))
+        if not shared:
+            certify_smallest(a, fine_value)
+        return MeanFieldSolution(0.0, fine_value, float(fine_L), fine_n)
+
+    return _Sectors(solution, tied, min(following, upper), neighbour, weight,
+                    certified_fine)
 
 
 def _zero_sectors(params: ModelParams, n_max: int) -> _Sectors:
-    # tolerance(1.0) is eigen.TOL, read now, as the certificate reads it
+    # tolerance(1.0) is eigen.TOL, read now, as the certificates read it
     return _sectors(params.l, params.omega, params.Omega, params.mu, n_max,
                     tolerance(1.0))
 
@@ -339,6 +384,12 @@ def _zero_sectors(params: ModelParams, n_max: int) -> _Sectors:
 def zero_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
     """The certified psi = 0 ground state at truncation n_max (_sectors)."""
     return _zero_sectors(params, n_max).solution
+
+
+def fine_zero_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
+    """The certified psi = 0 ground state at truncation 2 n_max, read from
+    the same entry as zero_solution(params, n_max) (_sectors)."""
+    return _zero_sectors(params, n_max).fine
 
 
 def zero_reach(params: ModelParams, n_max: int) -> float:
@@ -356,15 +407,23 @@ def zero_reach(params: ModelParams, n_max: int) -> float:
     c W <= E_R - s.  So h = (min(E1, E_R - c W) - T) / (2 c sqrt(n_max)).
     A sector tie (zero_solution solves the band) is not certified.
     """
+    return _psi_zero(params, n_max)[1]
+
+
+def _psi_zero(params: ModelParams,
+              n_max: int) -> tuple[MeanFieldSolution, float]:
+    """The psi = 0 solution at truncation n_max and its reach h*
+    (zero_reach), from one read of the key's entry (_sectors)."""
+    sectors = _zero_sectors(params, n_max)
     c = params.z * params.kappa
     if c == 0.0:
-        return math.inf
-    sectors = _zero_sectors(params, n_max)
+        return sectors.solution, math.inf
     if sectors.tied:
-        return 0.0
+        return sectors.solution, 0.0
     t = sectors.solution.energy - ENERGY_TIE_EPS
     room = min(sectors.second, sectors.neighbour - c * sectors.weight) - t
-    return max(room / (2.0 * c * math.sqrt(n_max)), 0.0)
+    return (sectors.solution,
+            max(room / (2.0 * c * math.sqrt(n_max)), 0.0))
 
 
 def _chord_bound(c: float, a: float, b: float, ea: float,
@@ -476,8 +535,7 @@ def minimize_over_psi(params: ModelParams,
 
     # psi = 0 is solved once, from the sector blocks: it opens the search
     # and is the answer whenever the minimum ties with it
-    zero = zero_solution(params, n_max)
-    reach = zero_reach(params, n_max)
+    zero, reach = _psi_zero(params, n_max)
     if reach >= psi_max:
         return zero
     tie = zero.energy - ENERGY_TIE_EPS

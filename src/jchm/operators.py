@@ -86,6 +86,14 @@ def coupling_elements(l: int, n_max: int) -> np.ndarray:
     return _frozen(np.sqrt(prod))
 
 
+@lru_cache(maxsize=64)
+def _raising(n_max: int) -> np.ndarray:
+    """<n+1| a+ |n> = sqrt(n+1), the l = 1 coupling elements, once for each
+    atomic state: the second off-diagonal of a+ in the basis ordering.
+    Cached, so the result is read-only."""
+    return _frozen(np.repeat(coupling_elements(1, n_max), 2))
+
+
 def bandwidth(l: int) -> int:
     """Band half-width of the l-photon Hamiltonian: the drive sits on the
     second off-diagonal, the l-photon coupling on the (2l-1)-th."""
@@ -126,14 +134,31 @@ def build_l_diag(l: int, n_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
+def _doubled_psi_free_band(l: int, omega: float, Omega: float, mu: float,
+                           n_max: int) -> np.ndarray:
+    """The one-site band minus mu*L at truncation 2 n_max, the level the
+    psi = 0 label is read at, from which the n_max band is cut
+    (_psi_free_band).  Cached, so the result is read-only."""
+    band = _mpjc_band(l, omega, Omega, 2 * n_max)
+    if mu != 0.0:
+        band[0] -= mu * build_l_diag(l, 2 * n_max)
+    return _frozen(band)
+
+
+@lru_cache(maxsize=128)
 def _psi_free_band(l: int, omega: float, Omega: float, mu: float,
                    n_max: int) -> np.ndarray:
-    """The one-site band minus mu*L: every entry of the mean-field band that
-    psi leaves alone, shared by all psi of a point and all kappa of a grid
-    row.  Cached, so the result is read-only."""
-    band = _mpjc_band(l, omega, Omega, n_max)
-    if mu != 0.0:
-        band[0] -= mu * build_l_diag(l, n_max)
+    """The one-site band minus mu*L at truncation n_max: every entry of the
+    mean-field band that psi leaves alone, shared by all psi of a point and
+    all kappa of a grid row.  It is the leading principal submatrix of the
+    band at 2 n_max (_doubled_psi_free_band), cut from it, since the basis
+    is ordered so that only the l-photon coupling crosses the cut; so each
+    key is built once, for both levels.  Cached, so the result is
+    read-only."""
+    doubled = _doubled_psi_free_band(l, omega, Omega, mu, n_max)
+    dim = 2 * (n_max + 1)
+    band = doubled[:, :dim].copy(order="F")
+    band[2 * l - 1, dim - 2 * l + 1:] = 0.0
     return _frozen(band)
 
 
@@ -154,9 +179,6 @@ def build_mean_field(params: ModelParams, psi: float,
     if drive != 0.0:
         band[0] += drive * psi
         # photon raising keeps the atomic state: |s,n> to |s,n+1>, columns
-        # 2n+s on the second off-diagonal; <n+1| a+ |n> = sqrt(n+1) are the
-        # l = 1 coupling elements
-        amp = -drive * coupling_elements(1, n_max)
-        band[2, 0:-2:2] = amp
-        band[2, 1:-2:2] = amp
+        # 2n+s on the second off-diagonal (_raising)
+        band[2, :-2] = -drive * _raising(n_max)
     return SymmetricMatrix(band)

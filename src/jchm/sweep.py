@@ -162,9 +162,10 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
     n_max = resolve_n_max(spec.l, n_max)
     xs = spec.x_values
     # row by row, and whole rows per pool chunk (about 8 chunks per
-    # worker): the cells of one y share their certified psi = 0 solution
+    # worker): the cells of one y share their certified psi = 0 solutions,
+    # at n_max and at the label's 2 n_max, in one entry
     # (groundstate._sectors), so a process misses that cache at most once
-    # per row and truncation level
+    # per row
     tasks = [(spec, n_max, x, y) for y in spec.y_values for x in xs]
     # no more workers than cells: the pool forks all of them at once
     jobs = min(jobs, len(tasks))

@@ -6,7 +6,7 @@ come from enumerating every conserved-quantity sector of the truncated space
 with numpy's full eigensolver.  Agreement between the package and these
 oracles is then a two-route check, not a tautology.  The one fixture,
 cold_zero_cache, lets counting tests start from an empty psi = 0 cache, and
-count_band_solves records what they count.
+the count_* helpers record what they count.
 """
 
 import math
@@ -14,14 +14,58 @@ import math
 import numpy as np
 import pytest
 
-from jchm import eigen, groundstate
+from jchm import eigen, groundstate, operators
 
 
 @pytest.fixture
 def cold_zero_cache():
-    """An empty psi = 0 cache (groundstate._sectors): a counting test then
-    counts the solves of its own psi = 0 keys, whichever tests ran before."""
-    groundstate._sectors.cache_clear()
+    """An empty psi = 0 cache (groundstate._sectors) and psi-free band caches
+    (operators): a counting test then counts the solves and builds of its
+    own psi = 0 keys, whichever tests ran before."""
+    for cache in (groundstate._sectors, operators._psi_free_band,
+                  operators._doubled_psi_free_band):
+        cache.cache_clear()
+
+
+def count_certificates(monkeypatch) -> list[tuple[int, float, tuple]]:
+    """(dimension, value, orders) of every inertia certificate
+    (certify_smallest) that the psi = 0 entries make from here on."""
+    calls: list[tuple[int, float, tuple]] = []
+    certify = eigen.certify_smallest
+
+    def counted(a, value, *orders):
+        calls.append((len(a), value, orders))
+        return certify(a, value, *orders)
+
+    monkeypatch.setattr(groundstate, "certify_smallest", counted)
+    return calls
+
+
+def count_factorisations(monkeypatch) -> list[int]:
+    """Dimensions of the band Choleskys (eigen._cholesky) made from here on."""
+    dims: list[int] = []
+    cholesky = eigen._cholesky
+
+    def counted(a, shift):
+        dims.append(len(a))
+        return cholesky(a, shift)
+
+    monkeypatch.setattr(eigen, "_cholesky", counted)
+    return dims
+
+
+def count_band_builds(monkeypatch) -> list[int]:
+    """Truncations of the one-site bands (operators._mpjc_band) built from
+    here on."""
+    built: list[int] = []
+    build = operators._mpjc_band
+
+    def counted(l, omega, Omega, n_max):
+        built.append(n_max)
+        return build(l, omega, Omega, n_max)
+
+    monkeypatch.setattr(operators, "_mpjc_band", counted)
+    return built
 
 
 def count_band_solves(monkeypatch) -> list[int]:

@@ -20,7 +20,14 @@ from jchm.groundstate import (
 from jchm.operators import ModelParams
 from jchm.sweep import classify_at
 
-from conftest import count_band_solves, sector_eigs, zero_drive_sector_energies
+from conftest import (
+    count_band_builds,
+    count_band_solves,
+    count_certificates,
+    count_factorisations,
+    sector_eigs,
+    zero_drive_sector_energies,
+)
 
 
 def test_default_n_max():
@@ -245,38 +252,37 @@ def test_probe_and_minimiser_resolve_their_own_settings():
             step(params, 2)
 
 
-def count_sector_solves(monkeypatch) -> list[int]:
-    """Truncations of the psi = 0 sector solves, each closed by its inertia
-    certificate (groundstate.certify_smallest), made from here on."""
-    sectors: list[int] = []
-    certify = groundstate.certify_smallest
-
-    def counted(a, value):
-        sectors.append(len(a) // 2 - 1)
-        return certify(a, value)
-
-    monkeypatch.setattr(groundstate, "certify_smallest", counted)
-    return sectors
-
-
 @pytest.mark.usefixtures("cold_zero_cache")
-@pytest.mark.parametrize("params, token", [
-    (ModelParams.resonant(2, 3.0, kappa=1e-4), "MI:0"),
-    (ModelParams.resonant(2, 2.3, kappa=1e-4), "MI:2"),
-    (ModelParams.resonant(3, 3.0, kappa=1e-4), "FORBIDDEN"),
+@pytest.mark.parametrize("params, token, shared", [
+    (ModelParams.resonant(2, 3.0, kappa=1e-4), "MI:0", True),
+    (ModelParams.resonant(2, 2.3, kappa=1e-4), "MI:2", True),
+    (ModelParams.resonant(3, 3.0, kappa=1e-4), "FORBIDDEN", False),
 ])
 def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
-                                                      token):
-    # psi = 0 is solved from its sector blocks and certified once at n_max
-    # (by the minimiser, whose entry the probe reads from the cache) and
-    # once at 2 n_max (by the probe), with no band vector solve
+                                                      token, shared):
+    # psi = 0 is solved from the sector blocks of one band, at 2 n, with no
+    # band vector solve, and both levels are read from the minimiser's
+    # entry: when they share their lowest sector one certificate, one pair
+    # of band Choleskys, proves both; otherwise the n level is certified
+    # on the band's leading part and the 2 n level, when the probe reads
+    # it, on the whole band
     dims = count_band_solves(monkeypatch)
-    sectors = count_sector_solves(monkeypatch)
+    built = count_band_builds(monkeypatch)
+    certified = count_certificates(monkeypatch)
+    factored = count_factorisations(monkeypatch)
     pt = classify_point(params)
     n = default_n_max(params.l)
     assert pt.token == token
-    assert dims == []
-    assert sectors == [n, 2 * n]
+    assert dims == [] and built == [2 * n]
+    whole, part = 2 * (2 * n + 1), 2 * (n + 1)
+    if shared:
+        assert [orders for _, _, orders in certified] == [(part, whole)]
+        assert factored == [whole, part]
+    else:
+        assert [orders for _, _, orders in certified] == [(part,), ()]
+        assert factored == [part, part, whole, whole]
+    assert all(dim == whole for dim, _, _ in certified)
+    assert certified[-1][1] == pt.energy
 
 
 @pytest.mark.usefixtures("cold_zero_cache")
@@ -288,11 +294,11 @@ def test_any_nonzero_psi_star_is_superfluid(monkeypatch):
     sol = replace(minimize_over_psi(params, 20), psi_star=5e-4)
     monkeypatch.setattr(classify, "minimize_over_psi", lambda *args: sol)
     dims = count_band_solves(monkeypatch)
-    sectors = count_sector_solves(monkeypatch)
+    certified = count_certificates(monkeypatch)
     pt = classify_point(params, 20)
     assert pt.token == "SF" and pt.psi_star == 5e-4
     assert pt.energy == sol.energy and pt.n_max_used == 20
-    assert dims == [] and sectors == []
+    assert dims == [] and certified == []
 
 
 @pytest.mark.usefixtures("cold_zero_cache")

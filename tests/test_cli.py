@@ -468,8 +468,8 @@ def test_config_value_errors_name_the_key(tmp_path, capsys, monkeypatch,
 def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
     # NaN and infinities are rejected, naming the setting, before any cell,
     # scan row or analytic row is computed; x = -inf is zero hopping and
-    # stays valid, and an analytic x past 10**x's float range is rejected
-    # like an infinite one
+    # stays valid, and an analytic x past 10**x's float range, or one whose
+    # strong-coupling edge overflows, is rejected like an infinite one
     monkeypatch.setattr(sweep, "classify_point",
                         lambda *a, **k: pytest.fail("a cell was classified"))
     monkeypatch.setattr(sweep, "minimize_over_psi",
@@ -494,6 +494,8 @@ def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
          "x-range: bounds must be finite"),
         (["analytic", "--l", "1", "--x-range=-3:400:3"],
          "x-range: kappa = 10**x must be finite"),
+        (["analytic", "--l", "1", "--x-range=-3:308:3"],
+         "x-range: the strong-coupling edge must be finite"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""

@@ -6,7 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jchm import eigen, groundstate
-from jchm.eigen import EigensolverError, EigPair, smallest_eigpair, tolerance
+from jchm.classify import convergence_probe
+from jchm.eigen import (
+    EigensolverError,
+    EigPair,
+    SymmetricMatrix,
+    smallest_eigpair,
+    tolerance,
+)
 from jchm.groundstate import (
     ENERGY_TIE_EPS,
     MARGIN,
@@ -18,11 +25,19 @@ from jchm.groundstate import (
     resolve_n_max,
     zero_solution,
 )
-from jchm.operators import ModelParams, build_mean_field
+from jchm.operators import (
+    ModelParams,
+    build_l_diag,
+    build_mean_field,
+    build_mpjc,
+)
 from jchm.sweep import GridSpec, params_for
 
 from conftest import (
+    count_band_builds,
     count_band_solves,
+    count_certificates,
+    count_factorisations,
     zero_drive_ground_oracle,
     zero_drive_sector_energies,
 )
@@ -135,12 +150,17 @@ def test_sector_solution_matches_the_band_solve(l, omega, delta, mu, z, kappa,
 @pytest.mark.usefixtures("cold_zero_cache")
 def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     # at l = 2, omega = (3 + sqrt 5)/2 the L = 2 sector ties with the
-    # vacuum to rounding: the sectors cannot say which state dsbevx picks,
-    # so the band is solved and its answer returned unchanged
+    # vacuum to rounding at both levels: the sectors cannot say which state
+    # dsbevx picks, so each level's band is solved and its answer returned
+    # unchanged; the one band built is the 2 n_max band, and the n_max
+    # level is its leading part
     params = ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0)
     n_max = 40
-    pair = smallest_eigpair(build_mean_field(params, 0.0, n_max))
-    assert abs(pair.value) < 1e-14
+    pairs = [smallest_eigpair(build_mean_field(params, 0.0, n))
+             for n in (n_max, 2 * n_max)]
+    assert abs(pairs[0].value) < 1e-14
+    groundstate._sectors.cache_clear()
+    built = count_band_builds(monkeypatch)
     calls = []
 
     def counted(*args, **kwargs):
@@ -150,31 +170,128 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     monkeypatch.setattr(groundstate, "smallest_eigpair", counted)
     sol = zero_solution(params, n_max)
     assert calls == [2 * (n_max + 1)]
-    assert sol.energy == pair.value
-    assert sol.l_expect == expected_L(pair.vector, 2)
-    assert sol.psi_star == 0.0 and sol.n_max_used == n_max
+    fine = groundstate.fine_zero_solution(params, n_max)
+    assert calls == [2 * (n_max + 1), 2 * (2 * n_max + 1)]
+    assert built == []
+    for level, pair, n in ((sol, pairs[0], n_max), (fine, pairs[1], 2 * n_max)):
+        assert level.energy == pair.value
+        assert level.l_expect == expected_L(pair.vector, 2)
+        assert level.psi_star == 0.0 and level.n_max_used == n
 
 
 @pytest.mark.usefixtures("cold_zero_cache")
 def test_psi_zero_solution_is_certified_once_per_key(monkeypatch):
-    # every kappa shares the psi = 0 solution of its key, certified once
-    calls = []
-    certify = groundstate.certify_smallest
-
-    def counted(a, value):
-        calls.append(len(a))
-        return certify(a, value)
-
-    monkeypatch.setattr(groundstate, "certify_smallest", counted)
+    # every kappa shares the psi = 0 entry of its key: one 2 n_max band,
+    # and, as both levels share their lowest sector (MI:2), one pair of
+    # band Choleskys that certifies both
+    built = count_band_builds(monkeypatch)
+    certified = count_certificates(monkeypatch)
+    factored = count_factorisations(monkeypatch)
     first = zero_solution(ModelParams.resonant(2, 2.3, kappa=1e-4), 40)
+    assert first.l_expect == 2.0
+    fine = groundstate.fine_zero_solution(ModelParams.resonant(2, 2.3), 40)
     for kappa in (0.0, 1e-2, 0.3):
         params = ModelParams.resonant(2, 2.3, kappa=kappa)
         assert zero_solution(params, 40) is first
+        assert groundstate.fine_zero_solution(params, 40) is fine
         groundstate.zero_reach(params, 40)
-    assert calls == [2 * (40 + 1)]
+    assert fine == MeanFieldSolution(0.0, first.energy, 2.0, 80)
+    assert built == [80]
+    assert certified == [(162, first.energy, (82, 162))]
+    assert factored == [162, 82]
     # another truncation is another key
     zero_solution(ModelParams.resonant(2, 2.3), 80)
-    assert calls == [2 * (40 + 1), 2 * (80 + 1)]
+    assert built == [80, 160]
+    assert len(certified) == 2 and len(factored) == 4
+
+
+@pytest.mark.usefixtures("cold_zero_cache")
+def test_levels_with_different_lowest_sectors_are_certified_apart(
+        monkeypatch):
+    # at l = 1, omega = 1.0646 the 2 n_max argmin, L = 60, lies above
+    # n_max = 40: each level is certified at its own value, the n_max
+    # level on the leading part of the one 2 n_max band when the key is
+    # first read, the 2 n_max level on the whole band only when first read
+    params = ModelParams.resonant(1, 1.0646, kappa=1e-6)
+    built = count_band_builds(monkeypatch)
+    certified = count_certificates(monkeypatch)
+    sol = zero_solution(params, 40)
+    assert certified == [(162, sol.energy, (82,))]
+    fine = groundstate.fine_zero_solution(params, 40)
+    assert fine.l_expect == 60.0 and sol.l_expect <= 40
+    assert fine.energy < sol.energy
+    assert certified == [(162, sol.energy, (82,)), (162, fine.energy, ())]
+    groundstate.fine_zero_solution(params, 40)
+    assert len(certified) == 2 and built == [80]
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams.resonant(2, 2.3),        # MI:2, levels share the sector
+    ModelParams.resonant(3, 3.0),        # forbidden, levels differ
+])
+def test_planted_wrong_sector_fails_the_certificate(monkeypatch, params):
+    # the n_max level handed its second-lowest sector energy, as a wrong
+    # argmin would, must fail the inertia certificate, not be cached
+    lowest = groundstate._lowest_sector
+    planted = []
+
+    def second(energies):
+        L, value, following, tied = lowest(energies)
+        if planted:
+            return L, value, following, tied
+        planted.append(following)
+        return L, following, following, False
+
+    groundstate._sectors.cache_clear()
+    monkeypatch.setattr(groundstate, "_lowest_sector", second)
+    with pytest.raises(EigensolverError,
+                       match="not certified: an eigenvalue lies below"):
+        zero_solution(params, groundstate.default_n_max(params.l))
+    assert planted and groundstate._sectors.cache_info().currsize == 0
+
+
+def psi_zero_reference(params: ModelParams, n: int) -> MeanFieldSolution:
+    """The certified psi = 0 solution at truncation n from a band of its own,
+    build_mpjc less mu L: its lowest closed-form sector energy certified on
+    that band, or that band's solve at a sector tie."""
+    l = params.l
+    band = build_mpjc(params, n).band
+    if params.mu != 0.0:
+        band[0] -= params.mu * build_l_diag(l, n)
+    exc, gnd = band[0, 1::2], band[0, 0::2]
+    k = n - l + 1
+    half = 0.5 * (exc[:k] - gnd[l:])
+    root = np.hypot(half, band[2 * l - 1, 1:2 * k:2])
+    energies = np.concatenate((gnd[:l], 0.5 * (exc[:k] + gnd[l:]) - root,
+                               exc[k:]))
+    low = sorted(energies.tolist())
+    a = SymmetricMatrix(band)
+    if low[1] - low[0] <= tolerance(low[0]):
+        pair = smallest_eigpair(a)
+        return MeanFieldSolution(0.0, pair.value, expected_L(pair.vector, l), n)
+    eigen.certify_smallest(a, low[0])
+    return MeanFieldSolution(0.0, low[0], float(energies.argmin()), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 4), omega=st.floats(0.2, 4.0),
+       delta=st.floats(-1.0, 1.0), mu=st.floats(0.0, 3.0),
+       n_extra=st.integers(2, 40))
+# the l = 2 sector tie of test_sector_tie_falls_back_to_the_band_solve, and
+# the edge state |e,3> of test_sector_solution_matches_the_band_solve
+@example(l=2, omega=(3.0 + math.sqrt(5.0)) / 2.0, delta=0.0, mu=1.0,
+         n_extra=38)
+@example(l=1, omega=0.2, delta=-1.0, mu=2.75, n_extra=2)
+def test_both_levels_match_a_reference_per_level(l, omega, delta, mu,
+                                                 n_extra):
+    # one entry per key gives, bit for bit, what each level's own band
+    # gives: zero_solution at n and the probe at 2 n
+    assume(omega - delta > 0.0)
+    params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu)
+    n = l + n_extra
+    assert repr(zero_solution(params, n)) == repr(psi_zero_reference(params, n))
+    assert repr(convergence_probe(params, n)) == repr(
+        psi_zero_reference(params, 2 * n))
 
 
 def test_psi_zero_certificate_is_keyed_by_the_tolerance(monkeypatch):
@@ -398,7 +515,7 @@ def test_minimize_l_expect_lies_within_the_truncation():
 @pytest.mark.parametrize("kappa, vector_solves", [(1e-4, 1), (10 ** -0.5, 2)])
 def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                                                        vector_solves):
-    # psi = 0 is solved once, from the sector blocks with no band
+    # psi = 0 is read once, from one entry of sector data with no band
     # eigensolve, and returned for an insulator.  The deep insulator is
     # proven by zero_reach over all of [0, psi_max] and builds no band at
     # all.  The superfluid, tested before solving, takes one cold solve:
@@ -414,8 +531,8 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(groundstate, "zero_solution",
-                        counted("sector", groundstate.zero_solution))
+    monkeypatch.setattr(groundstate, "_zero_sectors",
+                        counted("sector", groundstate._zero_sectors))
     monkeypatch.setattr(groundstate, "build_mean_field",
                         counted("build", groundstate.build_mean_field))
     monkeypatch.setattr(groundstate, "warm_eigpair",
@@ -471,12 +588,13 @@ def test_minimize_bounds_a_near_critical_insulator_without_solving(
     assert solves == []
 
 
-def synthetic_landscape(monkeypatch, energy, slope) -> list[float]:
+def synthetic_landscape(monkeypatch, energy, slope,
+                        reach: float = 0.0) -> list[float]:
     """Make minimize_over_psi see energy(psi) and its slope alone, through
     every seam it solves or tests by: the cold solve (smallest_eigpair),
-    zero_solution, the polish's slope (_slope) and warm steps (_slope_point)
-    and the band Cholesky of the rule (energy_at_psi), with zero_reach
-    proving nothing.  The real Hamiltonian is never built: build_mean_field
+    the psi = 0 solution and its reach (_psi_zero, here proving reach), the
+    polish's slope (_slope) and warm steps (_slope_point) and the band
+    Cholesky of the rule (energy_at_psi).  The real Hamiltonian is never built: build_mean_field
     hands the rule psi itself, its Cholesky of A - t I succeeds when
     energy(psi) > t, and its solve of A is the pair at psi.  Returns the psi
     of every cold solve and warm polish step, in order."""
@@ -489,19 +607,18 @@ def synthetic_landscape(monkeypatch, energy, slope) -> list[float]:
 
     def zero(params, n_max):
         return MeanFieldSolution(psi_star=0.0, energy=energy(0.0),
-                                 l_expect=0.0, n_max_used=n_max)
+                                 l_expect=0.0, n_max_used=n_max), reach
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a synthetic landscape solves no matrix")
 
     monkeypatch.setattr(groundstate, "smallest_eigpair", pair_at)
-    monkeypatch.setattr(groundstate, "zero_solution", zero)
+    monkeypatch.setattr(groundstate, "_psi_zero", zero)
     monkeypatch.setattr(groundstate, "_slope",
                         lambda params, psi, pair: slope(psi))
     monkeypatch.setattr(groundstate, "_slope_point",
                         lambda params, psi, n_max, previous:
                         (pair_at(psi), slope(psi)))
-    monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: 0.0)
     monkeypatch.setattr(groundstate, "build_mean_field",
                         lambda params, psi, n_max: psi)
     monkeypatch.setattr(groundstate, "_positive_definite",
@@ -587,7 +704,7 @@ def test_minimize_bounds_find_a_well_below_an_edge_incumbent(monkeypatch):
 
 
 def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
-    # zero_reach patched to 0.2 psi_max: a well at 0.3 psi_max, below
+    # the reach patched to 0.2 psi_max: a well at 0.3 psi_max, below
     # psi = 0 while psi_max/2 and psi_max lie above it, must still be found,
     # and no energy may be taken inside [0, reach)
     params = ModelParams.resonant(1, 2.2, kappa=0.5)
@@ -595,7 +712,7 @@ def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
     psi_max = math.sqrt(40) / 2
     reach = 0.2 * psi_max
     energy, slope = crossing(c, (0.0, 0.0), (0.3 * psi_max, -0.01))
-    solved = synthetic_landscape(monkeypatch, energy, slope)
+    solved = synthetic_landscape(monkeypatch, energy, slope, reach)
     tested = []
     rule = groundstate.energy_at_psi
 
@@ -604,7 +721,6 @@ def test_minimize_searches_past_a_patched_reach_only(monkeypatch):
         return rule(params, psi, n_max, threshold, width)
 
     monkeypatch.setattr(groundstate, "energy_at_psi", recorded)
-    monkeypatch.setattr(groundstate, "zero_reach", lambda params, n_max: reach)
     assert min(energy(psi_max / 2), energy(psi_max)) > energy(0.0)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == pytest.approx(0.3 * psi_max, abs=REFINE_TOL)

@@ -15,6 +15,8 @@ from jchm.sweep import (
     run_grid,
 )
 
+from conftest import count_band_builds
+
 GOLDEN_Y = -0.6180339887498949  # 2 - (3 + sqrt(5))/2
 
 
@@ -86,45 +88,48 @@ def test_run_grid_deterministic():
 
 
 def test_run_grid_reuses_each_row_of_sector_data():
-    # the cells of one row share omega, so their psi = 0 sector data is
-    # one cache entry per truncation level (n_max and the probe's
-    # 2 n_max): run row by row, a grid misses that cache at most 2 ny
-    # times, however many columns it has and however small the cache.
-    # Column by column, 80 rows need 160 entries, more than the cache
-    # holds, and every cell would miss
-    spec = GridSpec.default(1, nx=3, ny=80)
-    assert 2 * spec.ny > groundstate._sectors.cache_info().maxsize
+    # the cells of one row share omega, so their psi = 0 sector data, at
+    # n_max and at the probe's 2 n_max, is one cache entry: run row by
+    # row, a grid misses that cache at most ny times, however many columns
+    # it has and however small the cache.  Column by column, 130 rows need
+    # more entries than the cache holds, and every cell would miss
+    spec = GridSpec.default(1, nx=3, ny=130)
+    assert spec.ny > groundstate._sectors.cache_info().maxsize
     groundstate._sectors.cache_clear()
     run_grid(spec, jobs=1)
-    assert groundstate._sectors.cache_info().misses <= 2 * spec.ny
+    assert groundstate._sectors.cache_info().misses <= spec.ny
 
 
-@pytest.mark.parametrize("l, y", [(1, -0.7), (2, 0.06)])
-def test_psi_zero_cache_is_invisible(monkeypatch, l, y):
+@pytest.mark.usefixtures("cold_zero_cache")
+@pytest.mark.parametrize("l, y, shared", [(1, -0.7, True), (2, 0.06, False)])
+def test_psi_zero_cache_is_invisible(monkeypatch, l, y, shared):
     # one 41-cell row (MI:1 and SF at l = 1, FORBIDDEN and SF at l = 2)
     # classified from a cleared psi = 0 cache and again from a warm one
-    # gives the same cells; the row certifies its psi = 0 band once per
-    # truncation level, n_max and the 2 n_max the label is read at,
-    # whichever cell asks first
+    # gives the same cells; the row builds one band, at 2 n_max, and
+    # certifies its psi = 0 levels on it once, whichever cell asks first:
+    # with one certificate for both levels when they share their lowest
+    # sector (MI:1), and otherwise one per level, the 2 n_max level's made
+    # when the first FORBIDDEN cell reads it
     xs = GridSpec.default(l, nx=41).x_values
     n_max = groundstate.default_n_max(l)
-    params = params_for(l, xs[0], y)
-    levels = [build_mean_field(params, 0.0, n).band.tobytes()
-              for n in (n_max, 2 * n_max)]
+    doubled = build_mean_field(params_for(l, xs[0], y), 0.0, 2 * n_max)
+    groundstate._sectors.cache_clear()
+    built = count_band_builds(monkeypatch)
     certified = []
     certify = eigen.certify_smallest
 
-    def counted(a, value):
-        certified.append(a.band.tobytes())
-        return certify(a, value)
-    for module in (eigen, groundstate):
-        monkeypatch.setattr(module, "certify_smallest", counted)
+    def counted(a, value, *orders):
+        certified.append((a.band.tobytes(), orders))
+        return certify(a, value, *orders)
+    monkeypatch.setattr(groundstate, "certify_smallest", counted)
 
-    groundstate._sectors.cache_clear()
     cold = [classify_at(l, x, y) for x in xs]
-    assert [certified.count(band) for band in levels] == [1, 1]
+    part, whole = 2 * (n_max + 1), 2 * (2 * n_max + 1)
+    levels = [(part, whole)] if shared else [(part,), ()]
+    assert certified == [(doubled.band.tobytes(), o) for o in levels]
+    assert built == [2 * n_max]
     warm = [classify_at(l, x, y) for x in xs]
-    assert [certified.count(band) for band in levels] == [1, 1]
+    assert len(certified) == len(levels) and built == [2 * n_max]
     assert [repr(pt) for pt in warm] == [repr(pt) for pt in cold]
     assert warm == cold
     assert len({pt.token for pt in cold}) == 2
