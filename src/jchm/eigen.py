@@ -124,7 +124,7 @@ def _norm(vector: np.ndarray) -> float:
 def _signed(vector: np.ndarray) -> np.ndarray:
     """vector with its largest-magnitude component (the first, at a tie)
     made positive."""
-    return -vector if vector[int(np.argmax(np.abs(vector)))] < 0 else vector
+    return -vector if vector[int(np.abs(vector).argmax())] < 0 else vector
 
 
 def warm_eigpair(a: SymmetricMatrix, shift: float,
@@ -171,7 +171,9 @@ def _cholesky(a: SymmetricMatrix, shift: float) -> np.ndarray | None:
     """The band Cholesky factor of A - shift I, or None when A - shift I is
     not positive definite."""
     shifted = a.band.copy(order="F")
-    shifted[0] -= shift
+    # through a view: shifted[0] -= shift would write the row back again
+    diagonal = shifted[0]
+    diagonal -= shift
     factor, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
     if info < 0:
         raise EigensolverError(f"LAPACK dpbtrf failed: info={info}")

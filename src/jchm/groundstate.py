@@ -276,7 +276,9 @@ class _Sectors:
     second: float
     neighbour: float
     weight: float
-    # the 2 n_max solution, or the function that certifies it
+    # the 2 n_max solution once read, until then the function that
+    # certifies it (a plain property: functools.cached_property takes a
+    # lock on every first read before Python 3.12)
     _fine: MeanFieldSolution | Callable[[], MeanFieldSolution]
 
     @property

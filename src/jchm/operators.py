@@ -141,7 +141,8 @@ def _doubled_psi_free_band(l: int, omega: float, Omega: float, mu: float,
     (_psi_free_band).  Cached, so the result is read-only."""
     band = _mpjc_band(l, omega, Omega, 2 * n_max)
     if mu != 0.0:
-        band[0] -= mu * build_l_diag(l, 2 * n_max)
+        diagonal = band[0]                     # in place, through a view
+        diagonal -= mu * build_l_diag(l, 2 * n_max)
     return _frozen(band)
 
 
@@ -177,7 +178,8 @@ def build_mean_field(params: ModelParams, psi: float,
                           n_max).copy(order="F")
     drive = params.z * params.kappa * psi
     if drive != 0.0:
-        band[0] += drive * psi
+        diagonal = band[0]                     # in place, through a view
+        diagonal += drive * psi
         # photon raising keeps the atomic state: |s,n> to |s,n+1>, columns
         # 2n+s on the second off-diagonal (_raising)
         band[2, :-2] = -drive * _raising(n_max)

@@ -253,19 +253,19 @@ def test_probe_and_minimiser_resolve_their_own_settings():
 
 
 @pytest.mark.usefixtures("cold_zero_cache")
-@pytest.mark.parametrize("params, token, shared", [
-    (ModelParams.resonant(2, 3.0, kappa=1e-4), "MI:0", True),
-    (ModelParams.resonant(2, 2.3, kappa=1e-4), "MI:2", True),
-    (ModelParams.resonant(3, 3.0, kappa=1e-4), "FORBIDDEN", False),
+@pytest.mark.parametrize("params, token", [
+    (ModelParams.resonant(2, 3.0, kappa=1e-4), "MI:0"),
+    (ModelParams.resonant(2, 2.3, kappa=1e-4), "MI:2"),
+    (ModelParams.resonant(3, 3.0, kappa=1e-4), "FORBIDDEN"),
 ])
 def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
-                                                      token, shared):
+                                                      token):
     # psi = 0 is solved from the sector blocks of one band, at 2 n, with no
     # band vector solve, and both levels are read from the minimiser's
     # entry: when they share their lowest sector one certificate, one pair
     # of band Choleskys, proves both; otherwise the n level is certified
     # on the band's leading part and the 2 n level, when the probe reads
-    # it, on the whole band
+    # it, on the whole band; an MI(L) point's levels share the sector L
     dims = count_band_solves(monkeypatch)
     built = count_band_builds(monkeypatch)
     certified = count_certificates(monkeypatch)
@@ -275,7 +275,7 @@ def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
     assert pt.token == token
     assert dims == [] and built == [2 * n]
     whole, part = 2 * (2 * n + 1), 2 * (n + 1)
-    if shared:
+    if token.startswith("MI"):
         assert [orders for _, _, orders in certified] == [(part, whole)]
         assert factored == [whole, part]
     else:

@@ -252,6 +252,40 @@ def test_certificate_rejects_a_value_below_the_spectrum():
         certify_smallest(h, low)
 
 
+def cut(h: SymmetricMatrix, m: int) -> SymmetricMatrix:
+    """The band of the leading principal submatrix A_m of h."""
+    rows = h.band[:, :m].copy(order="F")
+    for k in range(1, len(rows)):
+        rows[k, max(m - k, 0):] = 0.0
+    return SymmetricMatrix(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=lower_bands(), data=st.data())
+@example(h=TINY_ENTRIES, data=None)
+def test_certificate_of_leading_submatrices(h, data):
+    # given an order m, the certificate reads the first m columns of h's
+    # band and nothing past the end of A_m's subdiagonals (NaN there is
+    # never read); given orders m and len(h), one value is certified for
+    # both, so a value of A_m alone fails at whichever order it misses
+    m = len(h) if data is None else data.draw(st.integers(1, len(h)))
+    sub = cut(h, m)
+    lowest = smallest_eigpair(sub).value
+    certify_smallest(h, lowest, m)
+    poisoned = sub.band.copy(order="F")
+    for k in range(1, len(poisoned)):
+        poisoned[k, max(m - k, 0):] = np.nan
+    certify_smallest(SymmetricMatrix(poisoned), lowest)
+    whole = smallest_eigpair(h).value
+    if whole < lowest - 2.0 * tolerance(lowest):
+        with pytest.raises(EigensolverError, match="an eigenvalue lies below"):
+            certify_smallest(h, lowest, m, len(h))
+        with pytest.raises(EigensolverError, match="no eigenvalue lies below"):
+            certify_smallest(h, whole, m, len(h))
+    elif whole > lowest - 0.5 * tolerance(lowest):
+        certify_smallest(h, lowest, m, len(h))
+
+
 def test_certificate_bound_below_rounding_fails(monkeypatch):
     # as for the residual check, no value is certified to 1e-20
     params = ModelParams(l=1, omega=1.1, Omega=0.9, kappa=0.2)

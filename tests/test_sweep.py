@@ -101,8 +101,8 @@ def test_run_grid_reuses_each_row_of_sector_data():
 
 
 @pytest.mark.usefixtures("cold_zero_cache")
-@pytest.mark.parametrize("l, y, shared", [(1, -0.7, True), (2, 0.06, False)])
-def test_psi_zero_cache_is_invisible(monkeypatch, l, y, shared):
+@pytest.mark.parametrize("l, y", [(1, -0.7), (2, 0.06)])
+def test_psi_zero_cache_is_invisible(monkeypatch, l, y):
     # one 41-cell row (MI:1 and SF at l = 1, FORBIDDEN and SF at l = 2)
     # classified from a cleared psi = 0 cache and again from a warm one
     # gives the same cells; the row builds one band, at 2 n_max, and
@@ -125,7 +125,7 @@ def test_psi_zero_cache_is_invisible(monkeypatch, l, y, shared):
 
     cold = [classify_at(l, x, y) for x in xs]
     part, whole = 2 * (n_max + 1), 2 * (2 * n_max + 1)
-    levels = [(part, whole)] if shared else [(part,), ()]
+    levels = [(part, whole)] if l == 1 else [(part,), ()]
     assert certified == [(doubled.band.tobytes(), o) for o in levels]
     assert built == [2 * n_max]
     warm = [classify_at(l, x, y) for x in xs]
