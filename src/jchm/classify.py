@@ -5,7 +5,7 @@ amplitude, which it does only for a certified minimum that beats psi = 0
 by more than ENERGY_TIE_EPS.  Otherwise the label is read from the
 certified psi = 0 ground state at twice the minimiser's truncation n
 (convergence_probe), which the minimiser's own psi = 0 cache entry holds
-(groundstate._sectors): psi = 0 conserves L, so that state lies in one
+(groundstate.zero_sectors): psi = 0 conserves L, so that state lies in one
 sector and <L> is its integer L.  A ground state whose <L> reaches
 PIN_FRACTION of 2 n chases the truncation edge, has no thermodynamic
 limit and is forbidden.  Every block L <= n is the same at n and 2 n, so
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from .groundstate import (
     MeanFieldSolution,
-    fine_zero_solution,
     minimize_over_psi,
     resolve_n_max,
+    zero_sectors,
 )
 from .operators import ModelParams
 
@@ -114,9 +114,9 @@ def convergence_probe(params: ModelParams,
     """The certified psi = 0 ground state at twice the truncation n_max
     (resolve_n_max), the one level the MI and FORBIDDEN labels are read
     from: the 2 n_max level of the minimiser's own psi = 0 entry, certified
-    once per key (fine_zero_solution).
+    once per key (groundstate.zero_sectors).
     """
-    return fine_zero_solution(params, resolve_n_max(params.l, n_max))
+    return zero_sectors(params, resolve_n_max(params.l, n_max)).fine
 
 
 def classify_point(params: ModelParams, n_max: int | None = None, *,

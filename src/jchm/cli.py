@@ -90,7 +90,8 @@ _LIMITS = {
     "l": (lambda v: 1 <= v <= 4, "must be between 1 and 4"),
     "z": (lambda v: v >= 1, "must be a positive integer"),
     "jobs": (lambda v: v >= 1, "must be a positive integer"),
-    "boundary_tol": (lambda v: v > 0, "must be positive"),
+    "boundary_tol": (lambda v: 0 < v < math.inf,
+                     "must be positive and finite"),
 }
 
 
@@ -224,9 +225,12 @@ def _parse_bracket(text, name: str) -> tuple[float, float]:
 def _write_text(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as err:
+        raise ValueError(f"out: cannot write {out}: {err}") from err
 
 
 def _json_value(v):

@@ -19,7 +19,7 @@ must fail), and a returned eigenvector has a fixed sign:
 
 certify_smallest also certifies a value for leading principal submatrices
 of a band, from its first columns: the psi = 0 levels n_max and 2 n_max
-share one band that way (groundstate).
+are both certified on one band at 2 n_max that way (groundstate).
 
 TOL, read at call time, never reaches dsbevx (it keeps its own abstol): it
 sets how loose these checks are and how close two psi = 0 sector energies

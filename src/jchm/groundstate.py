@@ -6,14 +6,14 @@ that is solved is solved once, on that band, for its certified ground
 pair (eigen.smallest_eigpair, the one cold solver): the value bounds the
 search, and when the point becomes the answer its vector gives <L>, and
 the polish (below) its slope.  psi = 0 takes its lowest
-L-sector energy analytically (zero_solution), under the same inertia
-certificate, and its <L> is that sector's L.  One pass per key (l, omega,
-Omega, mu, n_max), over the one band built at 2 n_max, certifies it and
-the 2 n_max level the label is read from (fine_zero_solution), and is
-cached (_sectors), so every kappa of a grid row shares both, as do
+L-sector energy analytically, under the same inertia certificate, and
+its <L> is that sector's L.  One pass per key (l, omega, Omega, mu,
+n_max), over one psi-free band assembled at 2 n_max, certifies it and the
+2 n_max level the label is read from, and is cached as one read-only
+entry (zero_sectors), so every kappa of a grid row shares both, as do
 energy_scan and refine_boundary.  The same sector data prove, with no
 band solve, that no energy within a reach h* of psi = 0 comes within
-ENERGY_TIE_EPS of it (zero_reach: a Schur complement on the psi = 0
+ENERGY_TIE_EPS of it (_Sectors.reach: a Schur complement on the psi = 0
 state, whose drive couples only to the sectors L* +- 1); when h* covers
 psi_max the psi = 0 solution is returned at once, and otherwise the
 search opens on the one interval [h*, psi_max].
@@ -49,7 +49,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -64,7 +63,6 @@ from .eigen import (
 )
 from .operators import (
     ModelParams,
-    _doubled_psi_free_band,
     _psi_free_band,
     build_l_diag,
     build_mean_field,
@@ -256,36 +254,49 @@ def _pair_solution(l: int, psi: float, n_max: int,
                              n_max_used=n_max)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class _Sectors:
-    """The psi = 0 data of one key at both truncation levels.
-
-    At n_max: the certified solution, and the spectrum zero_reach reads:
-    tied says whether the next E_L lies within eigen.tolerance(E0) of E0,
-    the lowest E_L; second is E1, the second-lowest eigenvalue of the
-    psi-free band: the next E_L or the upper root of the lowest state's
-    block, whichever is lower; neighbour is E_R, the lowest E_L of the
-    sectors L - 1 and L + 1; weight is W = ||(a + a+)|0>||^2 for the
-    lowest state |0>.  At 2 n_max, the level the label is read from: fine,
-    certified when first read unless one certificate already proved both
-    levels.
+    """The psi = 0 entry of one key: the certified solutions at n_max
+    (solution) and at 2 n_max, the level the label is read from (fine),
+    and the n_max spectrum that reach reads: tied says whether the next
+    E_L lies within eigen.tolerance(E0) of E0, the lowest E_L; second is
+    E1, the second-lowest eigenvalue of the psi-free band: the next E_L or
+    the upper root of the lowest state's block, whichever is lower;
+    neighbour is E_R, the lowest E_L of the sectors L - 1 and L + 1;
+    weight is W = ||(a + a+)|0>||^2 for the lowest state |0>.
     """
 
     solution: MeanFieldSolution
+    fine: MeanFieldSolution
     tied: bool
     second: float
     neighbour: float
     weight: float
-    # the 2 n_max solution once read, until then the function that
-    # certifies it (a plain property: functools.cached_property takes a
-    # lock on every first read before Python 3.12)
-    _fine: MeanFieldSolution | Callable[[], MeanFieldSolution]
 
-    @property
-    def fine(self) -> MeanFieldSolution:
-        if callable(self._fine):
-            self._fine = self._fine()
-        return self._fine
+    def reach(self, c: float) -> float:
+        """Half-width h of an interval [-h, h] on which the energy at
+        truncation n_max and hopping c = z kappa provably exceeds
+        T = E0 - ENERGY_TIE_EPS, E0 the psi = 0 energy; infinite at zero
+        hopping, 0.0 when nothing is proven.
+
+        H(psi) = H0 + c psi^2 - c psi X, X = a + a+, and ||X|| <=
+        2 sqrt(n_max).  Take the Schur complement of H(psi) - T on the
+        lowest psi = 0 state |0>: <0|X|0> = 0, and X|0> lies in the sectors
+        L* +- 1.  For |psi| <= h and s = T + 2 c h sqrt(n_max), the rest of
+        H(psi) - T lies above Q (H0 - s + c psi^2) Q, Q = 1 - |0><0|, which
+        is positive definite when s <= E1, and the complement is then at
+        least E0 - T + c psi^2 (1 - c W / (E_R - s + c psi^2)) > 0 when
+        c W <= E_R - s.  So h = (min(E1, E_R - c W) - T) / (2 c sqrt(n_max)).
+        A sector tie (the band is solved) is not certified.
+        """
+        if c == 0.0:
+            return math.inf
+        if self.tied:
+            return 0.0
+        t = self.solution.energy - ENERGY_TIE_EPS
+        room = min(self.second, self.neighbour - c * self.weight) - t
+        return max(room / (2.0 * c * math.sqrt(self.solution.n_max_used)),
+                   0.0)
 
 
 def _lowest_sector(energies: np.ndarray) -> tuple[int, float, float, bool]:
@@ -301,10 +312,11 @@ def _lowest_sector(energies: np.ndarray) -> tuple[int, float, float, bool]:
 @lru_cache(maxsize=128)
 def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
              tol: float) -> _Sectors:
-    """The psi = 0 solutions and sector data of one key (l, omega, Omega, mu,
-    n_max), at n_max and at 2 n_max, from the block roots of the psi-free
-    band at 2 n_max alone; tol = eigen.TOL, which the certificates read,
-    keys each proof to the tolerance it holds at.
+    """The psi = 0 entry of one key (l, omega, Omega, mu, n_max), both
+    levels certified, from the block roots of one psi-free band at 2 n_max,
+    assembled for this entry alone, as the entry holds all that is read
+    from it; tol = eigen.TOL, which the certificates read, keys each proof
+    to the tolerance it holds at.
 
     At psi = 0 the Hamiltonian commutes with L, so at truncation n each
     L = 0..n + l has one candidate energy E_L: the lower root of the 2x2
@@ -316,13 +328,12 @@ def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
     same inertia certificate as a band solve, on that level's leading
     principal submatrix (certify_smallest), and <L> is its L exactly; when
     both levels share their lowest sector, one pair of factorisations
-    certifies both, and otherwise the 2 n_max level is certified when first
-    read (_Sectors.fine).  When a level's two lowest E_L lie within
+    certifies both.  When a level's two lowest E_L lie within
     eigen.tolerance(E0), the sectors cannot say which state the band solve
     picks, and that level's band is solved (smallest_eigpair).
     """
     fine_n = 2 * n_max
-    band = _doubled_psi_free_band(l, omega, Omega, mu, n_max)
+    band = _psi_free_band.__wrapped__(l, omega, Omega, mu, fine_n)
     exc, gnd = band[0, 1::2], band[0, 0::2]     # |e,n>, |g,n>, n = 0..2 n_max
     k = fine_n - l + 1                          # number of 2x2 blocks
     # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..2 n_max
@@ -354,78 +365,35 @@ def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
     # E_R over the sectors L - 1 and L + 1 that exist
     neighbour = min(energies[L - 1:L + 2:2].tolist() if L
                     else energies[1:2].tolist())
+    fine_L, fine_value, _, fine_tied = _lowest_sector(fine)
     a = SymmetricMatrix(band)
-    # the levels share their lowest sector: one pair certifies both
-    shared = not tied and L <= n_max and int(fine.argmin()) == L
+    order = 2 * (n_max + 1)                     # the n_max band's dimension
+    if not (tied or fine_tied) and fine_L == L <= n_max:
+        certify_smallest(a, value, order, len(a))   # one pair proves both
+    else:
+        if not tied:
+            certify_smallest(a, value, order)
+        if not fine_tied:
+            certify_smallest(a, fine_value)
     if tied:
         solution = _pair_solution(l, 0.0, n_max, smallest_eigpair(
             SymmetricMatrix(_psi_free_band(l, omega, Omega, mu, n_max))))
     else:
-        order = 2 * (n_max + 1)                 # the n_max band's dimension
-        certify_smallest(a, value, *((order, len(a)) if shared else (order,)))
         solution = MeanFieldSolution(0.0, value, float(L), n_max)
-
-    def certified_fine() -> MeanFieldSolution:
-        fine_L, fine_value, _, fine_tied = _lowest_sector(fine)
-        if fine_tied:
-            return _pair_solution(l, 0.0, fine_n, smallest_eigpair(a))
-        if not shared:
-            certify_smallest(a, fine_value)
-        return MeanFieldSolution(0.0, fine_value, float(fine_L), fine_n)
-
-    return _Sectors(solution, tied, min(following, upper), neighbour, weight,
-                    certified_fine)
+    if fine_tied:
+        fine = _pair_solution(l, 0.0, fine_n, smallest_eigpair(a))
+    else:
+        fine = MeanFieldSolution(0.0, fine_value, float(fine_L), fine_n)
+    return _Sectors(solution, fine, tied, min(following, upper), neighbour,
+                    weight)
 
 
-def _zero_sectors(params: ModelParams, n_max: int) -> _Sectors:
+def zero_sectors(params: ModelParams, n_max: int) -> _Sectors:
+    """The psi = 0 entry of params' key at truncation n_max (_sectors),
+    which every kappa shares."""
     # tolerance(1.0) is eigen.TOL, read now, as the certificates read it
     return _sectors(params.l, params.omega, params.Omega, params.mu, n_max,
                     tolerance(1.0))
-
-
-def zero_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
-    """The certified psi = 0 ground state at truncation n_max (_sectors)."""
-    return _zero_sectors(params, n_max).solution
-
-
-def fine_zero_solution(params: ModelParams, n_max: int) -> MeanFieldSolution:
-    """The certified psi = 0 ground state at truncation 2 n_max, read from
-    the same entry as zero_solution(params, n_max) (_sectors)."""
-    return _zero_sectors(params, n_max).fine
-
-
-def zero_reach(params: ModelParams, n_max: int) -> float:
-    """Half-width h of an interval [-h, h] on which the energy at truncation
-    n_max provably exceeds T = E0 - ENERGY_TIE_EPS, E0 the psi = 0 energy;
-    infinite at zero hopping, 0.0 when nothing is proven.
-
-    With c = z kappa, H(psi) = H0 + c psi^2 - c psi X, X = a + a+, and
-    ||X|| <= 2 sqrt(n_max).  Take the Schur complement of H(psi) - T on the
-    lowest psi = 0 state |0>: <0|X|0> = 0, and X|0> lies in the sectors
-    L* +- 1 (_Sectors).  For |psi| <= h and s = T + 2 c h sqrt(n_max), the
-    rest of H(psi) - T lies above Q (H0 - s + c psi^2) Q, Q = 1 - |0><0|,
-    which is positive definite when s <= E1, and the complement is then at
-    least E0 - T + c psi^2 (1 - c W / (E_R - s + c psi^2)) > 0 when
-    c W <= E_R - s.  So h = (min(E1, E_R - c W) - T) / (2 c sqrt(n_max)).
-    A sector tie (zero_solution solves the band) is not certified.
-    """
-    return _psi_zero(params, n_max)[1]
-
-
-def _psi_zero(params: ModelParams,
-              n_max: int) -> tuple[MeanFieldSolution, float]:
-    """The psi = 0 solution at truncation n_max and its reach h*
-    (zero_reach), from one read of the key's entry (_sectors)."""
-    sectors = _zero_sectors(params, n_max)
-    c = params.z * params.kappa
-    if c == 0.0:
-        return sectors.solution, math.inf
-    if sectors.tied:
-        return sectors.solution, 0.0
-    t = sectors.solution.energy - ENERGY_TIE_EPS
-    room = min(sectors.second, sectors.neighbour - c * sectors.weight) - t
-    return (sectors.solution,
-            max(room / (2.0 * c * math.sqrt(n_max)), 0.0))
 
 
 def _chord_bound(c: float, a: float, b: float, ea: float,
@@ -454,9 +422,10 @@ def minimize_over_psi(params: ModelParams,
     eps max(|omega|, |Omega|, |mu|) (4 n_max + l), exceeds MARGIN: every
     bound below assumes that rounding is far below MARGIN.
 
-    psi = 0 is solved first, and zero_reach proves from its sector data
-    that E(psi) > E(0) - ENERGY_TIE_EPS for psi <= h*.  If h* >= psi_max
-    the psi = 0 solution is the answer and nothing else is solved.
+    psi = 0 is read first, from its key's entry (zero_sectors), whose
+    sector data prove that E(psi) > E(0) - ENERGY_TIE_EPS for psi <= h*.
+    If h* >= psi_max the psi = 0 solution is the answer and nothing else
+    is solved.
     Otherwise the search opens on the one interval [h*, psi_max]: psi_max
     is evaluated first, then h* unless it is 0, where E(0) is known, each
     like a split point (below) with width psi_max - h*.
@@ -537,7 +506,8 @@ def minimize_over_psi(params: ModelParams,
 
     # psi = 0 is solved once, from the sector blocks: it opens the search
     # and is the answer whenever the minimum ties with it
-    zero, reach = _psi_zero(params, n_max)
+    sectors = zero_sectors(params, n_max)
+    zero, reach = sectors.solution, sectors.reach(c)
     if reach >= psi_max:
         return zero
     tie = zero.energy - ENERGY_TIE_EPS

@@ -14,7 +14,9 @@ larger one and the l-photon coupling and the hopping drive sit on regular
 bands: the coupling on the (2l-1)-th off-diagonal and the drive on the
 second.  The builders therefore return a SymmetricMatrix (eigen.py): the
 lower band of width max(2, 2l-1), assembled in place with entries bitwise
-equal to the full matrix; .dense() gives the full matrix.
+equal to the full matrix; .dense() gives the full matrix.  Each band is
+assembled at its own truncation, and its entries are bitwise those of the
+leading columns of any larger one, bar the coupling slots the cut drops.
 """
 
 from __future__ import annotations
@@ -134,32 +136,16 @@ def build_l_diag(l: int, n_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _doubled_psi_free_band(l: int, omega: float, Omega: float, mu: float,
-                           n_max: int) -> np.ndarray:
-    """The one-site band minus mu*L at truncation 2 n_max, the level the
-    psi = 0 label is read at, from which the n_max band is cut
-    (_psi_free_band).  Cached, so the result is read-only."""
-    band = _mpjc_band(l, omega, Omega, 2 * n_max)
-    if mu != 0.0:
-        diagonal = band[0]                     # in place, through a view
-        diagonal -= mu * build_l_diag(l, 2 * n_max)
-    return _frozen(band)
-
-
-@lru_cache(maxsize=128)
 def _psi_free_band(l: int, omega: float, Omega: float, mu: float,
                    n_max: int) -> np.ndarray:
     """The one-site band minus mu*L at truncation n_max: every entry of the
     mean-field band that psi leaves alone, shared by all psi of a point and
-    all kappa of a grid row.  It is the leading principal submatrix of the
-    band at 2 n_max (_doubled_psi_free_band), cut from it, since the basis
-    is ordered so that only the l-photon coupling crosses the cut; so each
-    key is built once, for both levels.  Cached, so the result is
-    read-only."""
-    doubled = _doubled_psi_free_band(l, omega, Omega, mu, n_max)
-    dim = 2 * (n_max + 1)
-    band = doubled[:, :dim].copy(order="F")
-    band[2 * l - 1, dim - 2 * l + 1:] = 0.0
+    all kappa of a grid row; __wrapped__ assembles one without caching it.
+    Cached, so the result is read-only."""
+    band = _mpjc_band(l, omega, Omega, n_max)
+    if mu != 0.0:
+        diagonal = band[0]                     # in place, through a view
+        diagonal -= mu * build_l_diag(l, n_max)
     return _frozen(band)
 
 

@@ -162,10 +162,10 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
     n_max = resolve_n_max(spec.l, n_max)
     xs = spec.x_values
     # row by row, and whole rows per pool chunk (about 8 chunks per
-    # worker): the cells of one y share their certified psi = 0 solutions,
-    # at n_max and at the label's 2 n_max, in one entry
-    # (groundstate._sectors), so a process misses that cache at most once
-    # per row
+    # worker): the cells of one y share one psi = 0 entry, both levels
+    # certified when the row's first cell reads it
+    # (groundstate.zero_sectors), so a process misses that cache at most
+    # once per row
     tasks = [(spec, n_max, x, y) for y in spec.y_values for x in xs]
     # no more workers than cells: the pool forks all of them at once
     jobs = min(jobs, len(tasks))
@@ -192,7 +192,12 @@ def refine_boundary(evaluate: Callable[[float], PhasePoint], lo: float,
     token from everything else.  With `pair` given, the bracket ends must
     carry exactly those two tokens (in order), else ValueError.  Bisection
     stops at tol, or earlier once the bracket is down to adjacent floats.
+    An infinite end or tol would stop it at once (the midpoint of -inf and
+    a finite end is -inf), so each must be finite, else ValueError.
     """
+    if not all(map(math.isfinite, (lo, hi, tol))):
+        raise ValueError(f"ends and tol must be finite, got [{lo}, {hi}] "
+                         f"and tol {tol}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     token_lo = evaluate(lo).token

@@ -19,12 +19,12 @@ from jchm import eigen, groundstate, operators
 
 @pytest.fixture
 def cold_zero_cache():
-    """An empty psi = 0 cache (groundstate._sectors) and psi-free band caches
-    (operators): a counting test then counts the solves and builds of its
-    own psi = 0 keys, whichever tests ran before."""
-    for cache in (groundstate._sectors, operators._psi_free_band,
-                  operators._doubled_psi_free_band):
-        cache.cache_clear()
+    """An empty psi = 0 cache (groundstate._sectors) and psi-free band
+    cache (operators._psi_free_band): a counting test then counts the
+    solves and builds of its own psi = 0 keys, whichever tests ran
+    before."""
+    groundstate._sectors.cache_clear()
+    operators._psi_free_band.cache_clear()
 
 
 def count_certificates(monkeypatch) -> list[tuple[int, float, tuple]]:

@@ -262,10 +262,11 @@ def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
                                                       token):
     # psi = 0 is solved from the sector blocks of one band, at 2 n, with no
     # band vector solve, and both levels are read from the minimiser's
-    # entry: when they share their lowest sector one certificate, one pair
-    # of band Choleskys, proves both; otherwise the n level is certified
-    # on the band's leading part and the 2 n level, when the probe reads
-    # it, on the whole band; an MI(L) point's levels share the sector L
+    # entry, certified when it is first read: when they share their lowest
+    # sector one certificate, one pair of band Choleskys, proves both;
+    # otherwise the n level is certified on the band's leading part and
+    # the 2 n level on the whole band; an MI(L) point's levels share the
+    # sector L
     dims = count_band_solves(monkeypatch)
     built = count_band_builds(monkeypatch)
     certified = count_certificates(monkeypatch)

@@ -506,7 +506,7 @@ def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
     assert "phase = MI:1\n" in out
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_boundary_tol_must_be_positive(tmp_path, capsys, monkeypatch, value):
     # rejected under its own key, from the flag and the config file alike,
     # before either bracket end is classified
@@ -519,8 +519,24 @@ def test_boundary_tol_must_be_positive(tmp_path, capsys, monkeypatch, value):
     for source in ([f"--boundary-tol={value}"], ["--config", str(cfg)]):
         code, out, err = run_cli(capsys, *argv, *source)
         assert code == 1 and out == ""
-        assert err == (f"invalid parameter: boundary_tol: must be positive, "
-                       f"got {float(value)}\n")
+        assert err == (f"invalid parameter: boundary_tol: must be positive "
+                       f"and finite, got {float(value)}\n")
+
+
+def test_boundary_rejects_an_infinite_bracket_end(capsys):
+    # the midpoint of -inf and -0.4 is -inf, so the bisection would stop at
+    # once and report boundary = -inf; the most negative finite end finds
+    # the edge
+    argv = ["boundary", "--l", "1", "--axis", "x", "--fixed=-1.2"]
+    code, out, err = run_cli(capsys, *argv, "--bracket=-inf:-0.4")
+    assert code == 1 and out == ""
+    assert err == ("invalid parameter: bracket: ends and tol must be finite, "
+                   "got [-inf, -0.4] and tol 0.001\n")
+    code, out, _ = run_cli(capsys, *argv, "--bracket=-1e308:-0.4")
+    assert code == 0
+    edge = float(next(ln for ln in out.splitlines()
+                      if ln.startswith("boundary")).split("=")[1])
+    assert edge == pytest.approx(-0.7365, abs=1e-3)
 
 
 def test_config_between_must_hold_two_strings(tmp_path, capsys):
@@ -629,6 +645,28 @@ def test_validate_reports_failure(capsys, monkeypatch):
     assert "[FAIL] beta" in out
     assert "off by one" in out
     assert "failed: beta" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagram", "--l", "4", "--x-range=-4:-3:2", "--y-range=-1:0:2"],
+    ["boundary", "--l", "1", "--axis", "x", "--fixed=-1.2",
+     "--bracket=-1.2:-0.4", "--boundary-tol", "0.1"],
+    ["scan", "--l", "1", "--y=-1.2", "--x-range=-3:-2:2"],
+    ["analytic", "--l", "2"],
+    ["validate", "--quick"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, monkeypatch, argv,
+                                         where):
+    # an --out that cannot be opened, a directory or a path under a missing
+    # one, ends in an "invalid parameter:" line and exit 1, as an
+    # unreadable config file does, not in a traceback
+    monkeypatch.setattr(cli, "run_all",
+                        lambda quick, jobs: _fake_results(True))
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "f"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"invalid parameter: out: cannot write {out}: ")
 
 
 def test_module_entrypoint():

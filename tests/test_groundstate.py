@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from jchm.groundstate import (
     expected_L,
     minimize_over_psi,
     resolve_n_max,
-    zero_solution,
+    zero_sectors,
 )
 from jchm.operators import (
     ModelParams,
@@ -43,6 +45,11 @@ from conftest import (
 )
 
 ONE_MINUS_SQRT3 = -0.7320508075688772
+
+
+def zero_reach(params: ModelParams, n_max: int) -> float:
+    """The reach h* that params' psi = 0 entry proves at its hopping."""
+    return zero_sectors(params, n_max).reach(params.z * params.kappa)
 
 
 def test_psi_search_spec_validation():
@@ -132,7 +139,7 @@ def test_sector_solution_matches_the_band_solve(l, omega, delta, mu, z, kappa,
     n_max = min(l + n_extra, 80)
     params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu,
                          kappa=kappa, z=z)
-    sol = zero_solution(params, n_max)
+    sol = zero_sectors(params, n_max).solution
     pair = smallest_eigpair(build_mean_field(params, 0.0, n_max))
     low = sorted(zero_drive_sector_energies(l, omega, mu, n_max, omega - delta))
     if low[1] - low[0] <= tolerance(low[0]):
@@ -151,9 +158,10 @@ def test_sector_solution_matches_the_band_solve(l, omega, delta, mu, z, kappa,
 def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     # at l = 2, omega = (3 + sqrt 5)/2 the L = 2 sector ties with the
     # vacuum to rounding at both levels: the sectors cannot say which state
-    # dsbevx picks, so each level's band is solved and its answer returned
-    # unchanged; the one band built is the 2 n_max band, and the n_max
-    # level is its leading part
+    # dsbevx picks, so each level's band is solved, both when the key is
+    # first read, and its answer returned unchanged; the entry assembles
+    # its own 2 n_max band, and the n_max level is solved on the cached
+    # n_max band
     params = ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0)
     n_max = 40
     pairs = [smallest_eigpair(build_mean_field(params, 0.0, n))
@@ -168,12 +176,11 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
         return smallest_eigpair(*args, **kwargs)
 
     monkeypatch.setattr(groundstate, "smallest_eigpair", counted)
-    sol = zero_solution(params, n_max)
-    assert calls == [2 * (n_max + 1)]
-    fine = groundstate.fine_zero_solution(params, n_max)
+    sectors = zero_sectors(params, n_max)
     assert calls == [2 * (n_max + 1), 2 * (2 * n_max + 1)]
-    assert built == []
-    for level, pair, n in ((sol, pairs[0], n_max), (fine, pairs[1], 2 * n_max)):
+    assert built == [2 * n_max]
+    for level, pair, n in ((sectors.solution, pairs[0], n_max),
+                           (sectors.fine, pairs[1], 2 * n_max)):
         assert level.energy == pair.value
         assert level.l_expect == expected_L(pair.vector, 2)
         assert level.psi_star == 0.0 and level.n_max_used == n
@@ -181,26 +188,28 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
 
 @pytest.mark.usefixtures("cold_zero_cache")
 def test_psi_zero_solution_is_certified_once_per_key(monkeypatch):
-    # every kappa shares the psi = 0 entry of its key: one 2 n_max band,
-    # and, as both levels share their lowest sector (MI:2), one pair of
-    # band Choleskys that certifies both
+    # every kappa shares the psi = 0 entry of its key, read-only: one
+    # 2 n_max band, and, as both levels share their lowest sector (MI:2),
+    # one pair of band Choleskys that certifies both when it is first read
     built = count_band_builds(monkeypatch)
     certified = count_certificates(monkeypatch)
     factored = count_factorisations(monkeypatch)
-    first = zero_solution(ModelParams.resonant(2, 2.3, kappa=1e-4), 40)
+    entry = zero_sectors(ModelParams.resonant(2, 2.3, kappa=1e-4), 40)
+    first, fine = entry.solution, entry.fine
     assert first.l_expect == 2.0
-    fine = groundstate.fine_zero_solution(ModelParams.resonant(2, 2.3), 40)
-    for kappa in (0.0, 1e-2, 0.3):
-        params = ModelParams.resonant(2, 2.3, kappa=kappa)
-        assert zero_solution(params, 40) is first
-        assert groundstate.fine_zero_solution(params, 40) is fine
-        groundstate.zero_reach(params, 40)
-    assert fine == MeanFieldSolution(0.0, first.energy, 2.0, 80)
     assert built == [80]
     assert certified == [(162, first.energy, (82, 162))]
     assert factored == [162, 82]
+    for kappa in (0.0, 1e-2, 0.3):
+        params = ModelParams.resonant(2, 2.3, kappa=kappa)
+        assert zero_sectors(params, 40) is entry
+        zero_reach(params, 40)
+    assert fine == MeanFieldSolution(0.0, first.energy, 2.0, 80)
+    assert built == [80] and len(certified) == 1 and len(factored) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.fine = first
     # another truncation is another key
-    zero_solution(ModelParams.resonant(2, 2.3), 80)
+    zero_sectors(ModelParams.resonant(2, 2.3), 80)
     assert built == [80, 160]
     assert len(certified) == 2 and len(factored) == 4
 
@@ -209,19 +218,18 @@ def test_psi_zero_solution_is_certified_once_per_key(monkeypatch):
 def test_levels_with_different_lowest_sectors_are_certified_apart(
         monkeypatch):
     # at l = 1, omega = 1.0646 the 2 n_max argmin, L = 60, lies above
-    # n_max = 40: each level is certified at its own value, the n_max
-    # level on the leading part of the one 2 n_max band when the key is
-    # first read, the 2 n_max level on the whole band only when first read
+    # n_max = 40: each level is certified at its own value when the key is
+    # first read, the n_max level on the leading part of the one 2 n_max
+    # band and the 2 n_max level on the whole band
     params = ModelParams.resonant(1, 1.0646, kappa=1e-6)
     built = count_band_builds(monkeypatch)
     certified = count_certificates(monkeypatch)
-    sol = zero_solution(params, 40)
-    assert certified == [(162, sol.energy, (82,))]
-    fine = groundstate.fine_zero_solution(params, 40)
+    entry = zero_sectors(params, 40)
+    sol, fine = entry.solution, entry.fine
     assert fine.l_expect == 60.0 and sol.l_expect <= 40
     assert fine.energy < sol.energy
     assert certified == [(162, sol.energy, (82,)), (162, fine.energy, ())]
-    groundstate.fine_zero_solution(params, 40)
+    assert zero_sectors(params, 40) is entry
     assert len(certified) == 2 and built == [80]
 
 
@@ -246,7 +254,7 @@ def test_planted_wrong_sector_fails_the_certificate(monkeypatch, params):
     monkeypatch.setattr(groundstate, "_lowest_sector", second)
     with pytest.raises(EigensolverError,
                        match="not certified: an eigenvalue lies below"):
-        zero_solution(params, groundstate.default_n_max(params.l))
+        zero_sectors(params, groundstate.default_n_max(params.l))
     assert planted and groundstate._sectors.cache_info().currsize == 0
 
 
@@ -285,11 +293,11 @@ def psi_zero_reference(params: ModelParams, n: int) -> MeanFieldSolution:
 def test_both_levels_match_a_reference_per_level(l, omega, delta, mu,
                                                  n_extra):
     # one entry per key gives, bit for bit, what each level's own band
-    # gives: zero_solution at n and the probe at 2 n
+    # gives: the entry's solution at n and the probe at 2 n
     assume(omega - delta > 0.0)
     params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu)
     n = l + n_extra
-    assert repr(zero_solution(params, n)) == repr(psi_zero_reference(params, n))
+    assert repr(zero_sectors(params, n).solution) == repr(psi_zero_reference(params, n))
     assert repr(convergence_probe(params, n)) == repr(
         psi_zero_reference(params, 2 * n))
 
@@ -298,10 +306,10 @@ def test_psi_zero_certificate_is_keyed_by_the_tolerance(monkeypatch):
     # a cached certificate holds at the tolerance it was proven at: under
     # one below rounding the same key is certified afresh, and fails
     params = ModelParams.resonant(2, 2.3, kappa=1e-4)
-    zero_solution(params, 40)
+    zero_sectors(params, 40).solution
     monkeypatch.setattr(eigen, "TOL", 1e-17)
     with pytest.raises(EigensolverError, match="not certified"):
-        zero_solution(params, 40)
+        zero_sectors(params, 40).solution
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,9 +328,9 @@ def test_zero_reach_is_sound(l, omega, delta, mu, z, log_kappa, n_extra,
     params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu,
                          kappa=10.0 ** log_kappa, z=z)
     n_max = l + n_extra
-    reach = groundstate.zero_reach(params, n_max)
+    reach = zero_reach(params, n_max)
     assert reach >= 0.0
-    floor = zero_solution(params, n_max).energy - ENERGY_TIE_EPS
+    floor = zero_sectors(params, n_max).solution.energy - ENERGY_TIE_EPS
     top = min(reach, math.sqrt(n_max))             # at most 2 psi_max
     for f in [1.0] + fractions:
         pair = smallest_eigpair(build_mean_field(params, f * top, n_max))
@@ -332,13 +340,13 @@ def test_zero_reach_is_sound(l, omega, delta, mu, z, log_kappa, n_extra,
 def test_zero_reach_pins():
     psi_max = math.sqrt(40) / 2
     # a deep insulator is proven over all of [0, psi_max]
-    assert groundstate.zero_reach(ModelParams.resonant(1, 2.7, kappa=1e-4),
+    assert zero_reach(ModelParams.resonant(1, 2.7, kappa=1e-4),
                                   40) >= psi_max
     # zero hopping: the energy is E0 at every psi
-    assert groundstate.zero_reach(ModelParams.resonant(1, 2.2), 40) == math.inf
+    assert zero_reach(ModelParams.resonant(1, 2.2), 40) == math.inf
     # a sector tie is not certified (test_sector_tie_falls_back...)
     tied = ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0, kappa=1e-4)
-    assert groundstate.zero_reach(tied, 40) == 0.0
+    assert zero_reach(tied, 40) == 0.0
     # a superfluid whose second-order coefficient a2, from the full sum over
     # a dense eigendecomposition, is negative: nothing is proven
     sf = ModelParams.resonant(1, 2.2, kappa=10 ** -0.5)
@@ -348,7 +356,7 @@ def test_zero_reach_pins():
     amps = vectors.T @ (x + x.T) @ vectors[:, 0]
     a2 = c - c * c * np.sum(amps[1:] ** 2 / (values[1:] - values[0]))
     assert a2 < 0.0
-    assert groundstate.zero_reach(sf, 40) == 0.0
+    assert zero_reach(sf, 40) == 0.0
 
 
 def test_expected_l_examples():
@@ -517,13 +525,13 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                                                        vector_solves):
     # psi = 0 is read once, from one entry of sector data with no band
     # eigensolve, and returned for an insulator.  The deep insulator is
-    # proven by zero_reach over all of [0, psi_max] and builds no band at
-    # all.  The superfluid, tested before solving, takes one cold solve:
+    # proven by its entry's reach over all of [0, psi_max] and builds no
+    # mean-field band at all.  The superfluid, tested before solving, takes one cold solve:
     # its split point is solved once, for its pair, from which the
     # polish on the slope starts, and every later point is solved warm from
     # the last pair, 7 evaluations in all; it reports its own best pair, so
     # psi_star is not solved again
-    calls = {"sector": 0, "build": 0, "warm": 0}
+    calls = {"build": 0, "warm": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -531,8 +539,6 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(groundstate, "_zero_sectors",
-                        counted("sector", groundstate._zero_sectors))
     monkeypatch.setattr(groundstate, "build_mean_field",
                         counted("build", groundstate.build_mean_field))
     monkeypatch.setattr(groundstate, "warm_eigpair",
@@ -541,7 +547,8 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
     solves = count_band_solves(monkeypatch)
     sol = minimize_over_psi(ModelParams.resonant(1, 2.2, kappa=kappa), 40)
     assert (sol.psi_star > 0) == (vector_solves == 2)
-    assert calls["sector"] == 1
+    lookups = groundstate._sectors.cache_info()
+    assert lookups.hits + lookups.misses == 1
     assert len(solves) == vector_solves - 1
     if vector_solves == 1:
         assert calls["build"] == calls["warm"] == 0
@@ -551,13 +558,14 @@ def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
 
 @pytest.mark.usefixtures("cold_zero_cache")
 def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
-    # the MI(1) point of test_minimize_single_occupancy_insulator: zero_reach
-    # proves psi = 0 over [0, h*] with 0 < h* < psi_max, so the search
-    # opens on [h*, psi_max] and the cascade toward psi = 0 is skipped, and
+    # the MI(1) point of test_minimize_single_occupancy_insulator: its
+    # entry's reach proves psi = 0 over [0, h*] with 0 < h* < psi_max, so
+    # the search opens on [h*, psi_max] and the cascade toward psi = 0 is
+    # skipped, and
     # every point the search evaluates is bounded by band Choleskys: no
     # band solve, and no matrix built below h*
     params = ModelParams.resonant(1, 1.7, kappa=10 ** -1.3)
-    reach = groundstate.zero_reach(params, 40)
+    reach = zero_reach(params, 40)
     assert 0.0 < reach < math.sqrt(40) / 2
     built = []
 
@@ -577,11 +585,11 @@ def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
 def test_minimize_bounds_a_near_critical_insulator_without_solving(
         monkeypatch):
     # an MI(1) point just inside its lobe edge, where the energy is flattest
-    # near psi = 0 and zero_reach proves nothing: the branch and bound
+    # near psi = 0 and its entry's reach proves nothing: the branch and bound
     # splits down toward psi = 0, and every point it evaluates is proven
     # above the pruning threshold by band Choleskys, so no band solve runs
     params = params_for(1, -1.1328125, -0.7)
-    assert groundstate.zero_reach(params, 40) == 0.0
+    assert zero_reach(params, 40) == 0.0
     solves = count_band_solves(monkeypatch)
     sol = minimize_over_psi(params, 40)
     assert sol.psi_star == 0.0 and sol.l_expect == 1.0
@@ -592,7 +600,8 @@ def synthetic_landscape(monkeypatch, energy, slope,
                         reach: float = 0.0) -> list[float]:
     """Make minimize_over_psi see energy(psi) and its slope alone, through
     every seam it solves or tests by: the cold solve (smallest_eigpair),
-    the psi = 0 solution and its reach (_psi_zero, here proving reach), the
+    the psi = 0 entry (zero_sectors: its solution, and its reach proving
+    reach), the
     polish's slope (_slope) and warm steps (_slope_point) and the band
     Cholesky of the rule (energy_at_psi).  The real Hamiltonian is never built: build_mean_field
     hands the rule psi itself, its Cholesky of A - t I succeeds when
@@ -606,14 +615,15 @@ def synthetic_landscape(monkeypatch, energy, slope,
         return EigPair(value=energy(psi), vector=np.zeros(4))
 
     def zero(params, n_max):
-        return MeanFieldSolution(psi_star=0.0, energy=energy(0.0),
-                                 l_expect=0.0, n_max_used=n_max), reach
+        solution = MeanFieldSolution(psi_star=0.0, energy=energy(0.0),
+                                     l_expect=0.0, n_max_used=n_max)
+        return SimpleNamespace(solution=solution, reach=lambda c: reach)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a synthetic landscape solves no matrix")
 
     monkeypatch.setattr(groundstate, "smallest_eigpair", pair_at)
-    monkeypatch.setattr(groundstate, "_psi_zero", zero)
+    monkeypatch.setattr(groundstate, "zero_sectors", zero)
     monkeypatch.setattr(groundstate, "_slope",
                         lambda params, psi, pair: slope(psi))
     monkeypatch.setattr(groundstate, "_slope_point",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jchm import operators
 from jchm.operators import (
     ModelParams,
     bandwidth,
@@ -15,7 +16,7 @@ from jchm.operators import (
     coupling_elements,
 )
 
-from conftest import sector_matrix
+from conftest import count_band_builds, sector_matrix
 
 
 params_st = st.builds(
@@ -219,6 +220,34 @@ def test_mean_field_bands_do_not_alias(psi):
     for p in (psi, 0.0, 0.6):
         assert np.array_equal(build_mean_field(params, p, 10).band,
                               reference_mean_field_band(params, p, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=params_st, n=st.integers(4, 40))
+def test_psi_free_band_is_the_leading_part_of_the_doubled_band(params, n):
+    # the psi = 0 entry reads both truncation levels from one band at 2 n:
+    # the band at n equals its leading 2 (n + 1) columns bit for bit, bar
+    # the l-photon coupling slots that cross the cut, which it leaves zero
+    l = params.l
+    key = (l, params.omega, params.Omega, params.mu)
+    small = operators._psi_free_band.__wrapped__(*key, n)
+    cut = operators._psi_free_band.__wrapped__(*key, 2 * n)[:, :2 * (n + 1)]
+    crossing = (2 * l - 1, slice(2 * (n + 1) - 2 * l + 1, None))
+    assert not small[crossing].any() and cut[crossing].any()
+    cut = cut.copy()
+    cut[crossing] = 0.0
+    assert small.shape == cut.shape and small.tobytes() == cut.tobytes()
+
+
+@pytest.mark.usefixtures("cold_zero_cache")
+def test_cold_mean_field_band_is_built_at_its_own_truncation(monkeypatch):
+    # a cold build at n assembles one band, at n, and every psi of the key
+    # then copies it
+    built = count_band_builds(monkeypatch)
+    params = ModelParams(l=2, omega=1.3, Omega=0.9, mu=0.85, kappa=0.3)
+    for psi in (0.0, 0.6, 0.0):
+        build_mean_field(params, psi, 10)
+    assert built == [10]
 
 
 # The truncated atom (x) Fock basis as build_l_diag and build_mpjc lay it out.

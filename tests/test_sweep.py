@@ -105,11 +105,11 @@ def test_run_grid_reuses_each_row_of_sector_data():
 def test_psi_zero_cache_is_invisible(monkeypatch, l, y):
     # one 41-cell row (MI:1 and SF at l = 1, FORBIDDEN and SF at l = 2)
     # classified from a cleared psi = 0 cache and again from a warm one
-    # gives the same cells; the row builds one band, at 2 n_max, and
-    # certifies its psi = 0 levels on it once, whichever cell asks first:
-    # with one certificate for both levels when they share their lowest
-    # sector (MI:1), and otherwise one per level, the 2 n_max level's made
-    # when the first FORBIDDEN cell reads it
+    # gives the same cells; the row's psi = 0 entry assembles one band, at
+    # 2 n_max, and certifies both levels on it when the first cell reads
+    # it: with one certificate for both when they share their lowest
+    # sector (MI:1), and otherwise one per level; the psi search builds
+    # one more, the cached n_max band its SF cells share
     xs = GridSpec.default(l, nx=41).x_values
     n_max = groundstate.default_n_max(l)
     doubled = build_mean_field(params_for(l, xs[0], y), 0.0, 2 * n_max)
@@ -127,9 +127,9 @@ def test_psi_zero_cache_is_invisible(monkeypatch, l, y):
     part, whole = 2 * (n_max + 1), 2 * (2 * n_max + 1)
     levels = [(part, whole)] if l == 1 else [(part,), ()]
     assert certified == [(doubled.band.tobytes(), o) for o in levels]
-    assert built == [2 * n_max]
+    assert built == [2 * n_max, n_max]
     warm = [classify_at(l, x, y) for x in xs]
-    assert len(certified) == len(levels) and built == [2 * n_max]
+    assert len(certified) == len(levels) and built == [2 * n_max, n_max]
     assert [repr(pt) for pt in warm] == [repr(pt) for pt in cold]
     assert warm == cold
     assert len({pt.token for pt in cold}) == 2
@@ -251,6 +251,22 @@ def test_refine_boundary_validation():
                         pair=("MI:0", "SF"))
     with pytest.raises(ValueError, match="tol"):
         refine_boundary(lambda t: classify_at(2, -4.0, t), -1.0, -0.3, tol=0.0)
+
+
+@pytest.mark.parametrize("lo, hi, tol", [
+    (-math.inf, -0.4, 1e-3), (-1.2, math.inf, 1e-3), (math.nan, -0.4, 1e-3),
+    (-1.2, -0.4, math.inf),
+])
+def test_refine_boundary_rejects_non_finite_ends_and_tol(lo, hi, tol):
+    # the midpoint of -inf and a finite end is -inf, so an infinite end
+    # would stop the bisection at once, and an infinite tol would return
+    # the bracket's midpoint unbisected: both are rejected before any
+    # evaluation
+    def evaluate(t):
+        raise AssertionError("a bracket end was evaluated")
+
+    with pytest.raises(ValueError, match=r"^ends and tol must be finite, "):
+        refine_boundary(evaluate, lo, hi, tol=tol)
 
 
 def test_refine_boundary_stops_at_float_spacing():
