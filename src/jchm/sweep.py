@@ -9,6 +9,8 @@ to parallelise over processes.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -21,6 +23,13 @@ from .groundstate import minimize_over_psi, resolve_n_max
 from .operators import ModelParams
 
 BOUNDARY_TOL = 1e-3
+
+# run_grid's worker pool, kept for the whole process: (key, executor), where
+# key is (executor class, worker count).  The lock makes the check and the
+# map one step, so a grid in one thread cannot replace the pool that a grid
+# in another thread is mapping on.
+_pool: tuple[tuple[type, int], ProcessPoolExecutor] | None = None
+_pool_lock = threading.RLock()
 
 
 def params_for(l: int, x: float, y: float, *, z: int = 2, mu: float = 1.0,
@@ -149,6 +158,38 @@ def _evaluate_cell(task) -> PhasePoint:
         return err.point
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def shutdown_pool(cancel_futures: bool = False) -> None:
+    """Shut down run_grid's worker pool, if one is open, and wait for its
+    workers to exit; the next pooled grid forks a fresh pool."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _, pool = _pool
+            _pool = None
+            pool.shutdown(wait=True, cancel_futures=cancel_futures)
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """The open pool when it has this executor class and worker count, else
+    a new one, forked only after the old one has shut down: its manager
+    thread is then joined, and Python 3.12 warns on a fork beside a live
+    thread.  The class is read from this module at each call, so a stand-in
+    swapped in for it (tests, perfbench) gets a pool of its own."""
+    global _pool
+    key = (ProcessPoolExecutor, jobs)
+    if _pool is None or _pool[0] != key:
+        shutdown_pool()
+        _pool = (key, ProcessPoolExecutor(max_workers=jobs))
+    return _pool[1]
+
+
 def run_grid(spec: GridSpec, n_max: int | None = None, *,
              jobs: int = 1) -> PhaseGrid:
     """Classify every cell of the grid at truncation n_max (resolve_n_max).
@@ -156,6 +197,14 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
     Unclassifiable cells are recorded (tokens INVALID / INDET), never fatal;
     an unusable n_max or jobs raises ValueError before any cell runs.  The
     result is independent of `jobs`.
+
+    jobs > 1 runs the cells on one worker pool per process, opened by the
+    first pooled grid and reused by every later grid with the same worker
+    count; a new count replaces it.  Workers never outnumber the grid's
+    cells or the usable cores.  They keep their caches between grids, which
+    no cell's result depends on.  The pool lives until shutdown_pool() or
+    interpreter exit, which joins its workers; a map that raises (a killed
+    worker, an interrupt) shuts it down, so the next grid forks afresh.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
@@ -167,14 +216,20 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
     # (groundstate.zero_sectors), so a process misses that cache at most
     # once per row
     tasks = [(spec, n_max, x, y) for y in spec.y_values for x in xs]
-    # no more workers than cells: the pool forks all of them at once
-    jobs = min(jobs, len(tasks))
+    # the pool forks all its workers at once, and CPU-bound cells gain
+    # nothing from more workers than cores
+    jobs = min(jobs, len(tasks), _usable_cores())
     if jobs == 1:
         flat = [_evaluate_cell(t) for t in tasks]
     else:
         chunk = spec.nx * max(1, spec.ny // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
+        with _pool_lock:
+            pool = _worker_pool(jobs)
+            try:
+                flat = list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
+            except BaseException:
+                shutdown_pool(cancel_futures=True)
+                raise
     cells = tuple(
         tuple(flat[iy * spec.nx + ix] for iy in range(spec.ny))
         for ix in range(spec.nx)

@@ -4,9 +4,10 @@ These deliberately avoid the package's own matrix builders: sector blocks are
 written out entry by entry with math.factorial, and reference ground energies
 come from enumerating every conserved-quantity sector of the truncated space
 with numpy's full eigensolver.  Agreement between the package and these
-oracles is then a two-route check, not a tautology.  The one fixture,
-cold_zero_cache, lets counting tests start from an empty psi = 0 cache, and
-the count_* helpers record what they count.
+oracles is then a two-route check, not a tautology.  The fixture
+cold_zero_cache lets counting tests start from an empty psi = 0 cache, the
+autouse fixture own_pool keeps each test's pooled grids on pools of its own,
+and the count_* helpers record what they count.
 """
 
 import math
@@ -14,7 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from jchm import eigen, groundstate, operators
+from jchm import eigen, groundstate, operators, sweep
+
+
+@pytest.fixture(autouse=True)
+def own_pool():
+    """Shut down run_grid's shared pool after each test: a pool forked
+    under one test's monkeypatches, or a stand-in pool swapped in by one,
+    never serves another test."""
+    yield
+    sweep.shutdown_pool()
 
 
 @pytest.fixture

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -135,25 +140,32 @@ def test_psi_zero_cache_is_invisible(monkeypatch, l, y):
     assert len({pt.token for pt in cold}) == 2
 
 
-def serial_pool(monkeypatch) -> list[dict]:
+def serial_pool(monkeypatch, failures: int = 0) -> list[dict]:
     """Replace sweep's process pool with a stand-in that records its
-    max_workers and the chunksize of each map, and maps serially, so no
-    process starts; returns the records, one per pool."""
+    max_workers, how many earlier stand-ins were still open when it was
+    made, the chunksize of each map and the arguments of its shutdown, and
+    maps serially, so no process starts; its first `failures` maps raise
+    BrokenProcessPool.  Returns the records, one per pool."""
     pools: list[dict] = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            pools.append({"max_workers": max_workers})
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.record = {
+                "max_workers": max_workers,
+                "open_before": sum("shutdown" not in p for p in pools),
+            }
+            pools.append(self.record)
 
         def map(self, fn, *iterables, chunksize=1):
-            pools[-1]["chunksize"] = chunksize
+            nonlocal failures
+            self.record["chunksize"] = chunksize
+            if failures:
+                failures -= 1
+                raise BrokenProcessPool("a worker died")
             return map(fn, *iterables)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.record["shutdown"] = (wait, cancel_futures)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
     return pools
@@ -172,13 +184,107 @@ def test_run_grid_parallel_matches_serial():
 @pytest.mark.parametrize("jobs, workers", [(2, 2), (8, 4)])
 def test_run_grid_opens_no_more_workers_than_cells(monkeypatch, jobs,
                                                    workers):
-    # the pool forks all its workers at the first submit, so a 2x2 grid
-    # asks for at most 4
+    # the pool forks all its workers at the first map, so a 2x2 grid asks
+    # for at most 4, and never for more than the usable cores
     spec = GridSpec(l=3, x_lo=-4.0, x_hi=-3.0, nx=2, y_lo=-1.0, y_hi=0.0, ny=2)
     serial = run_grid(spec, jobs=1)
     pools = serial_pool(monkeypatch)
     assert run_grid(spec, jobs=jobs) == serial
-    assert [pool["max_workers"] for pool in pools] == [workers]
+    assert [pool["max_workers"] for pool in pools] == [
+        min(workers, sweep._usable_cores())]
+
+
+@pytest.mark.parametrize("cores, workers", [(1, []), (3, [3]), (64, [9])])
+def test_run_grid_opens_no_more_workers_than_cores(monkeypatch, cores,
+                                                   workers):
+    # --jobs 100000 must not fork 100000 processes: the pool gets
+    # min(jobs, cells, cores) workers, and one core runs the grid serially
+    spec = GridSpec(l=3, x_lo=-4.0, x_hi=-3.0, nx=3, y_lo=-1.0, y_hi=0.0, ny=3)
+    serial = run_grid(spec, jobs=1)
+    monkeypatch.setattr(sweep, "_usable_cores", lambda: cores)
+    pools = serial_pool(monkeypatch)
+    assert run_grid(spec, jobs=100000) == serial
+    assert [pool["max_workers"] for pool in pools] == workers
+
+
+def test_grids_share_one_pool_per_worker_count(monkeypatch):
+    # two grids at one worker count map on one pool; a new count shuts
+    # that pool down, waiting for its workers, before the next is made,
+    # and the last stays open until shutdown_pool
+    spec = GridSpec(l=3, x_lo=-4.0, x_hi=-3.0, nx=2, y_lo=-1.0, y_hi=0.0, ny=3)
+    serial = run_grid(spec, jobs=1)
+    monkeypatch.setattr(sweep, "_usable_cores", lambda: 8)
+    pools = serial_pool(monkeypatch)
+    assert run_grid(spec, jobs=2) == serial
+    assert run_grid(spec, jobs=2) == serial
+    assert len(pools) == 1 and "shutdown" not in pools[0]
+    assert run_grid(spec, jobs=3) == serial
+    assert [(p["max_workers"], p["open_before"]) for p in pools] == [
+        (2, 0), (3, 0)]
+    assert pools[0]["shutdown"] == (True, False)
+    assert "shutdown" not in pools[1]
+    sweep.shutdown_pool()
+    assert pools[1]["shutdown"] == (True, False)
+    sweep.shutdown_pool()
+    assert len(pools) == 2
+
+
+def test_a_failed_map_drops_the_pool(monkeypatch):
+    # a map that raises (here BrokenProcessPool, as from a killed worker)
+    # shuts its pool down with its queued tasks cancelled and re-raises;
+    # the next grid at the same count forks a fresh pool
+    spec = GridSpec(l=3, x_lo=-4.0, x_hi=-3.0, nx=2, y_lo=-1.0, y_hi=0.0, ny=2)
+    serial = run_grid(spec, jobs=1)
+    monkeypatch.setattr(sweep, "_usable_cores", lambda: 8)
+    pools = serial_pool(monkeypatch, failures=1)
+    with pytest.raises(BrokenProcessPool, match="a worker died"):
+        run_grid(spec, jobs=2)
+    assert pools[0]["shutdown"] == (True, True)
+    assert run_grid(spec, jobs=2) == serial
+    assert [(p["max_workers"], p["open_before"]) for p in pools] == [
+        (2, 0), (2, 0)]
+
+
+def test_no_pool_worker_outlives_its_process():
+    # a process that runs pooled grids and exits, without shutdown_pool,
+    # leaves no worker behind: interpreter exit joins them.  Warnings are
+    # errors there, as Python 3.12 warns on a fork beside a live thread,
+    # and the second class forces a pool replacement before its fork
+    if sweep._usable_cores() < 2:
+        pytest.skip("one usable core: run_grid starts no pool")
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    script = (
+        "import multiprocessing\n"
+        "from jchm import sweep\n"
+        "spec = sweep.GridSpec(l=3, x_lo=-4.0, x_hi=-3.0, nx=2, y_lo=-1.0,\n"
+        "                      y_hi=0.0, ny=2)\n"
+        "serial = sweep.run_grid(spec, jobs=1)\n"
+        "pids = set()\n"
+        "for replace in (False, False, True):\n"
+        "    if replace:\n"
+        "        class Other(sweep.ProcessPoolExecutor):\n"
+        "            pass\n"
+        "        sweep.ProcessPoolExecutor = Other\n"
+        "    assert sweep.run_grid(spec, jobs=2) == serial\n"
+        "    pids |= {p.pid for p in multiprocessing.active_children()}\n"
+        "print(*sorted(pids))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 4  # two pools of two workers
+    alive = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)  # signal 0 only asks whether the pid exists
+        except ProcessLookupError:
+            continue
+        alive.append(pid)
+    assert alive == []
 
 
 @pytest.mark.parametrize("nx, ny, jobs", [(4, 13, 2), (3, 40, 2), (5, 7, 3)])
