@@ -11,12 +11,15 @@ its <L> is that sector's L.  One pass per key (l, omega, Omega, mu,
 n_max), over one psi-free band assembled at 2 n_max, certifies it and the
 2 n_max level the label is read from, and is cached as one read-only
 entry (zero_sectors), so every kappa of a grid row shares both, as do
-energy_scan and refine_boundary.  The same sector data prove, with no
-band solve, that no energy within a reach h* of psi = 0 comes within
-ENERGY_TIE_EPS of it (_Sectors.reach: a Schur complement on the psi = 0
-state, whose drive couples only to the sectors L* +- 1); when h* covers
-psi_max the psi = 0 solution is returned at once, and otherwise the
-search opens on the one interval [h*, psi_max].
+energy_scan and refine_boundary.  The same sector data give each entry
+one hopping threshold c_ins (_Sectors.c_ins: a photon-number bound on
+the drive and a Schur complement on the psi = 0 state, whose drive
+couples only to the sectors L* +- 1), at or below which no energy at any
+psi comes within ENERGY_TIE_EPS of the psi = 0 energy: such a cell
+returns the psi = 0 solution after one comparison.  Above it, the same
+complement with the drive's norm bound proves that much within a reach
+h* of psi = 0 (_Sectors.reach), and the search opens on the one interval
+[h*, psi_max].
 The spectrum is even in psi, so only psi >= 0 is searched, by branch and
 bound: the energy is z kappa psi^2 plus a concave function of psi, so on
 any interval it lies above a convex quadratic fixed by the two end
@@ -63,6 +66,7 @@ from .eigen import (
 )
 from .operators import (
     ModelParams,
+    _frozen,
     _psi_free_band,
     build_l_diag,
     build_mean_field,
@@ -258,16 +262,34 @@ def _pair_solution(l: int, psi: float, n_max: int,
 class _Sectors:
     """The psi = 0 entry of one key: the certified solutions at n_max
     (solution) and at 2 n_max, the level the label is read from (fine),
-    and the n_max spectrum that reach reads: tied says whether the next
+    the hopping threshold c_ins, and the n_max spectrum that reach reads:
+    tied says whether the next
     E_L lies within eigen.tolerance(E0) of E0, the lowest E_L; second is
     E1, the second-lowest eigenvalue of the psi-free band: the next E_L or
     the upper root of the lowest state's block, whichever is lower;
     neighbour is E_R, the lowest E_L of the sectors L - 1 and L + 1;
     weight is W = ||(a + a+)|0>||^2 for the lowest state |0>.
+
+    c_ins is the largest c = z kappa at which the sector data prove
+    E(psi) >= T = E0 - ENERGY_TIE_EPS at every psi and truncation n_max,
+    so that psi = 0 wins every comparison of the search.  With X = a + a+
+    and N = a+a, the truncated a keeps (sqrt(t) a - 1/sqrt(t))+ (sqrt(t) a
+    - 1/sqrt(t)) >= 0, so X <= t N + 1/t, and t = 1/psi gives
+    H(psi) = H0 + c psi^2 - c psi X >= H0 - c N.  With Q = 1 - |0><0| and
+    x = X|0>, which lies in the sectors L* +- 1 with <0|X|0> = 0, a Schur
+    complement on |0> gives E(psi) - T >= (E0 - T) + c psi^2 (1 - c S),
+    S = <x| (Q (H0 - c N - T) Q)^-1 |x>, so (i) Q (H0 - c N - T) Q >= 0 and
+    (ii) c S <= 1 prove it.  H0 - c N keeps L, so both are closed-form
+    per sector (_insulating_hopping), and both fail monotonically as c
+    grows.  T is raised by MARGIN there, which covers the rounding of the
+    sector data (minimize_over_psi keeps it below MARGIN); c_ins is 0 at a
+    sector tie.  N <= n_max turns a reach past psi_max into both
+    conditions, so that reach implies c <= c_ins in exact arithmetic.
     """
 
     solution: MeanFieldSolution
     fine: MeanFieldSolution
+    c_ins: float
     tied: bool
     second: float
     neighbour: float
@@ -309,6 +331,100 @@ def _lowest_sector(energies: np.ndarray) -> tuple[int, float, float, bool]:
     return L, value, following, following - value <= tolerance(value)
 
 
+@lru_cache(maxsize=16)
+def _sector_photons(l: int, n_max: int) -> tuple[np.ndarray, ...]:
+    """(ne, ng, off, mix) over the sectors L = 0..n_max + l of truncation
+    n_max, each a 2x2 block {|e,L-l>, |g,L>}: the photons of |e,L-l> and
+    of |g,L>, 0 for a state the truncation lacks, the coupling off, and
+    2 off sqrt(ne ng).  Cached, so the results are read-only."""
+    size = n_max + l + 1
+    ne = np.maximum(np.arange(size, dtype=np.float64) - l, 0.0)
+    ng = np.arange(size, dtype=np.float64)
+    ng[n_max + 1:] = 0.0
+    off = np.zeros(size)
+    off[l:n_max + 1] = coupling_elements(l, n_max)
+    return tuple(map(_frozen, (ne, ng, off, 2.0 * off * np.sqrt(ne * ng))))
+
+
+def _insulating_hopping(l: int, n_max: int, L: int, lower: np.ndarray,
+                        upper: np.ndarray, exc: np.ndarray, gnd: np.ndarray,
+                        vacuum_e: float, cross: float, floor: float) -> float:
+    """The largest c = z kappa at which the truncation-n_max sector data
+    prove (i) Q (H0 - c N - floor) Q positive semidefinite and (ii)
+    c S <= 1, S = <x| (Q (H0 - c N - floor) Q)^-1 |x>, x = (a + a+)|0>
+    (see _Sectors.c_ins).
+
+    lower holds E_L for L = 0..n_max + l and upper the upper block roots;
+    exc and gnd are the diagonals of |e,n> and |g,n>; |0>, in sector L,
+    has weight vacuum_e on |e,L-l> and cross = u v, the product of its two
+    amplitudes.  Each sector is a 2x2 block {|e,L-l>, |g,L>} of
+    H0 - c N - floor (_sector_photons), a single state's absent partner
+    standing in as entry 1 with no photons and no coupling: its
+    determinant d0 - c s1 + c^2 s2 first vanishes at its smaller root, and
+    in sector L only the partner of |0> is kept.  N only lowers each block,
+    so (i) fails past the least root, limit, and (ii) is solved on
+    [0, limit] by Newton's method (below).
+    """
+    ne, ng, off, mix = _sector_photons(l, n_max)
+    size = len(ne)
+    de, dg, top = np.ones((3, size))
+    np.subtract(exc[:n_max + 1], floor, out=de[l:])
+    np.subtract(gnd[:n_max + 1], floor, out=dg[:n_max + 1])
+    np.subtract(upper[:n_max - l + 1], floor, out=top[l:n_max + 1])
+    d0 = (lower - floor) * top                  # the product of the roots
+    a, b = de * ng, dg * ne
+    s1 = a + b
+    # sector 0, |g,0> alone, holds no photon and never fails
+    roots = 2.0 * d0[1:] / (s1[1:] + np.hypot(a[1:] - b[1:], mix[1:]))
+    if l <= L <= n_max:
+        # the partner of |0> holds photons 1 - vacuum_e on |e,L-l>
+        photons = (1.0 - vacuum_e) * (L - l) + vacuum_e * L
+        roots[L - 1] = float(top[L]) / photons if photons > 0.0 else math.inf
+    elif L:
+        roots[L - 1] = math.inf
+    limit = float(roots.min())
+
+    # (ii): x = (a + a+)|0> in the sectors L -+ 1, each a term
+    # (n0 - c n1) / (d0 - c s1 + c^2 s2) of S
+    vacuum_g, m = 1.0 - vacuum_e, L - l
+    terms = []
+    for j, xe, xg, xeg in (
+            (L - 1, vacuum_e * m, vacuum_g * L,
+             cross * math.sqrt(max(m, 0) * L)),
+            (L + 1, vacuum_e * (m + 1), vacuum_g * (L + 1),
+             cross * math.sqrt(max(m + 1, 0) * (L + 1)))):
+        if not 0 <= j < size:
+            continue
+        if j > n_max:                           # |g,j> is truncated away
+            xg = xeg = 0.0
+        e_j, g_j, off_j, ne_j, ng_j, d0_j, s1_j = (
+            float(v[j]) for v in (de, dg, off, ne, ng, d0, s1))
+        terms.append((g_j * xe - 2.0 * off_j * xeg + e_j * xg,
+                      ng_j * xe + ne_j * xg, d0_j, s1_j, ne_j * ng_j))
+    # R = 1/S = prod d / sum_j n_j prod_{k != j} d_k, so g = R - c is
+    # finite up to limit, concave (1/<x|M^-1|x> is a minimum over y of
+    # <y|M|y>, affine in c) and decreasing: Newton's steps from a c past
+    # its root fall to the root without passing it.  S only grows with c,
+    # so 1/S(0) lies past the root
+    c = min(limit, 1.0 / sum(n0 / a0 for n0, _, a0, _, _ in terms))
+    (n0, n1, a0, a1, a2), *rest = terms
+    while True:
+        n, dn = n0 - c * n1, -n1
+        d, dd = a0 - c * (a1 - c * a2), 2.0 * c * a2 - a1
+        for m0, m1, b0, b1, b2 in rest:         # n/d + m/e = (n e + m d)/(d e)
+            m, e = m0 - c * m1, b0 - c * (b1 - c * b2)
+            de_ = 2.0 * c * b2 - b1
+            n, dn = n * e + m * d, dn * e + n * de_ - m1 * d + m * dd
+            d, dd = d * e, dd * e + d * de_
+        g = d / n - c
+        if not g < 0.0:
+            return c
+        following = c - g / ((dd * n - d * dn) / (n * n) - 1.0)
+        if not following < c:
+            return c
+        c = following
+
+
 @lru_cache(maxsize=128)
 def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
              tol: float) -> _Sectors:
@@ -339,7 +455,8 @@ def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
     # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..2 n_max
     e, g = exc[:k], gnd[l:]
     half = 0.5 * (e - g)
-    root = np.hypot(half, band[2 * l - 1, 1:2 * k:2])
+    coupling = band[2 * l - 1, 1:2 * k:2]
+    root = np.hypot(half, coupling)
     mid = 0.5 * (e + g)
     fine = np.concatenate((gnd[:l], mid - root, exc[k:]))
     energies = np.concatenate((fine[:n_max + 1], exc[n_max - l + 1:n_max + 1]))
@@ -350,17 +467,23 @@ def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
         # squared norm of (a + a+)|n>: 2n + 1, or n at the truncation edge
         return 2.0 * n + 1.0 if n < n_max else float(n)
 
-    # X = a + a+ keeps the atom, so W is spread over the state's two parts
+    # X = a + a+ keeps the atom, so W is spread over the state's two parts;
+    # cross is the product of the two amplitudes of |0>
+    cross = 0.0
     if L < l:
-        weight = spread(L)                      # |g,L>
+        vacuum_e = 0.0                          # |g,L>
+        weight = spread(L)
     elif L > n_max:
-        weight = spread(L - l)                  # |e,L-l>
+        vacuum_e = 1.0                          # |e,L-l>
+        weight = spread(L - l)
     else:
-        # the lower root's vector puts weight p on |e,L-l>, 1 - p on |g,L>
+        # the lower root's vector puts weight vacuum_e on |e,L-l>, the rest
+        # on |g,L>, and its amplitudes have the opposite sign to the coupling
         b = L - l
         r = float(root[b])
-        p = (r - float(half[b])) / (2.0 * r)
-        weight = p * spread(b) + (1.0 - p) * spread(L)
+        vacuum_e = (r - float(half[b])) / (2.0 * r)
+        cross = -float(coupling[b]) / (2.0 * r)
+        weight = vacuum_e * spread(b) + (1.0 - vacuum_e) * spread(L)
         upper = float(mid[b]) + r
     # E_R over the sectors L - 1 and L + 1 that exist
     neighbour = min(energies[L - 1:L + 2:2].tolist() if L
@@ -384,8 +507,11 @@ def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
         fine = _pair_solution(l, 0.0, fine_n, smallest_eigpair(a))
     else:
         fine = MeanFieldSolution(0.0, fine_value, float(fine_L), fine_n)
-    return _Sectors(solution, fine, tied, min(following, upper), neighbour,
-                    weight)
+    c_ins = 0.0 if tied else _insulating_hopping(
+        l, n_max, L, energies, mid + root, exc, gnd, vacuum_e, cross,
+        value - ENERGY_TIE_EPS + MARGIN)
+    return _Sectors(solution, fine, c_ins, tied, min(following, upper),
+                    neighbour, weight)
 
 
 def zero_sectors(params: ModelParams, n_max: int) -> _Sectors:
@@ -422,11 +548,12 @@ def minimize_over_psi(params: ModelParams,
     eps max(|omega|, |Omega|, |mu|) (4 n_max + l), exceeds MARGIN: every
     bound below assumes that rounding is far below MARGIN.
 
-    psi = 0 is read first, from its key's entry (zero_sectors), whose
-    sector data prove that E(psi) > E(0) - ENERGY_TIE_EPS for psi <= h*.
-    If h* >= psi_max the psi = 0 solution is the answer and nothing else
-    is solved.
-    Otherwise the search opens on the one interval [h*, psi_max]: psi_max
+    psi = 0 is read first, from its key's entry (zero_sectors).  At a
+    hopping z kappa <= c_ins, the entry's threshold, its sector data prove
+    E(psi) >= E(0) - ENERGY_TIE_EPS at every psi, so the psi = 0 solution
+    is the answer and nothing else is built or solved.  Otherwise they
+    prove E(psi) > E(0) - ENERGY_TIE_EPS for psi <= h*, the entry's reach,
+    and the search opens on the one interval [h*, psi_max]: psi_max
     is evaluated first, then h* unless it is 0, where E(0) is known, each
     like a split point (below) with width psi_max - h*.
 
@@ -505,11 +632,13 @@ def minimize_over_psi(params: ModelParams,
             f"band at n_max = {2 * n_max} by more than MARGIN = {MARGIN:g}")
 
     # psi = 0 is solved once, from the sector blocks: it opens the search
-    # and is the answer whenever the minimum ties with it
+    # and is the answer whenever the minimum ties with it, and at once
+    # below the entry's threshold
     sectors = zero_sectors(params, n_max)
-    zero, reach = sectors.solution, sectors.reach(c)
-    if reach >= psi_max:
+    zero = sectors.solution
+    if c <= sectors.c_ins:
         return zero
+    reach = sectors.reach(c)
     tie = zero.energy - ENERGY_TIE_EPS
     best = zero
     # nothing in [0, reach] reaches tie, so one interval [reach, psi_max]

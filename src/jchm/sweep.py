@@ -177,14 +177,16 @@ def shutdown_pool(cancel_futures: bool = False) -> None:
 
 
 def _worker_pool(jobs: int) -> ProcessPoolExecutor:
-    """The open pool when it has this executor class and worker count, else
-    a new one, forked only after the old one has shut down: its manager
-    thread is then joined, and Python 3.12 warns on a fork beside a live
-    thread.  The class is read from this module at each call, so a stand-in
-    swapped in for it (tests, perfbench) gets a pool of its own."""
+    """The open pool when it has this executor class and worker count and
+    is not yet marked broken (a worker died while it idled), else a new
+    one, forked only after the old one has shut down: its manager thread
+    is then joined, and Python 3.12 warns on a fork beside a live thread.
+    The class is read from this module at each call, so a stand-in swapped
+    in for it (tests, perfbench) gets a pool of its own."""
     global _pool
     key = (ProcessPoolExecutor, jobs)
-    if _pool is None or _pool[0] != key:
+    if (_pool is None or _pool[0] != key
+            or getattr(_pool[1], "_broken", False)):
         shutdown_pool()
         _pool = (key, ProcessPoolExecutor(max_workers=jobs))
     return _pool[1]
@@ -204,7 +206,8 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
     cells or the usable cores.  They keep their caches between grids, which
     no cell's result depends on.  The pool lives until shutdown_pool() or
     interpreter exit, which joins its workers; a map that raises (a killed
-    worker, an interrupt) shuts it down, so the next grid forks afresh.
+    worker, an interrupt) shuts it down, so the next grid forks afresh, as
+    it does when the pool was marked broken before the grid began.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")

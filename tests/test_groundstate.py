@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jchm import eigen, groundstate
+from jchm.analytic import Branch, SectorSpec, sector_energy
 from jchm.classify import convergence_probe
 from jchm.eigen import (
     EigensolverError,
@@ -33,7 +34,7 @@ from jchm.operators import (
     build_mean_field,
     build_mpjc,
 )
-from jchm.sweep import GridSpec, params_for
+from jchm.sweep import GridSpec, classify_at, params_for
 
 from conftest import (
     count_band_builds,
@@ -337,6 +338,128 @@ def test_zero_reach_is_sound(l, omega, delta, mu, z, log_kappa, n_extra,
         assert pair.value > floor
 
 
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 4), omega=st.floats(0.2, 4.0),
+       delta=st.floats(-1.0, 1.0), mu=st.floats(0.0, 3.0), z=st.integers(1, 6),
+       f=st.floats(0.0, 1.0), n_extra=st.integers(2, 40),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=6))
+# the MI(1) point of test_minimize_single_occupancy_insulator, 0 < h* < psi_max
+@example(l=1, omega=1.7, delta=0.0, mu=1.0, z=2, f=1.0, n_extra=38,
+         fractions=[0.5, 0.99])
+def test_insulating_hopping_is_sound(l, omega, delta, mu, z, f, n_extra,
+                                     fractions):
+    # at every hopping c = f c_ins up to the entry's threshold c_ins, every
+    # energy at psi in [0, 2 psi_max] lies above the psi = 0 energy less
+    # ENERGY_TIE_EPS; psi_max, 2 psi_max and f = 1 are sampled too
+    assume(omega - delta > 0.0)
+    n_max = l + n_extra
+    key = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu, z=z)
+    entry = zero_sectors(key, n_max)
+    assert entry.c_ins >= 0.0
+    floor = entry.solution.energy - ENERGY_TIE_EPS
+    top = math.sqrt(n_max)                          # 2 psi_max
+    for share in (f, 1.0):
+        params = dataclasses.replace(key, kappa=share * entry.c_ins / z)
+        for psi in [0.0, top / 2, top] + [g * top for g in fractions]:
+            pair = smallest_eigpair(build_mean_field(params, psi, n_max))
+            assert pair.value > floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 4), omega=st.floats(0.2, 4.0),
+       delta=st.floats(-1.0, 1.0), mu=st.floats(0.0, 3.0), z=st.integers(1, 6),
+       log_kappa=st.floats(-5.0, 0.0), n_extra=st.integers(2, 40))
+# the MI(1) point of test_zero_reach_is_sound, and a deep MI:0 point whose
+# reach covers psi_max
+@example(l=1, omega=1.7, delta=0.0, mu=1.0, z=2, log_kappa=-1.3, n_extra=38)
+@example(l=1, omega=2.7, delta=0.0, mu=1.0, z=2, log_kappa=-4.0, n_extra=38)
+def test_a_reach_over_psi_max_lies_below_the_threshold(l, omega, delta, mu, z,
+                                                       log_kappa, n_extra):
+    # N <= n_max turns the reach's proof over [0, psi_max] into both
+    # conditions of the threshold, so no cell loses its early exit
+    assume(omega - delta > 0.0)
+    params = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu,
+                         kappa=10.0 ** log_kappa, z=z)
+    n_max = l + n_extra
+    if zero_reach(params, n_max) >= math.sqrt(n_max) / 2:
+        assert params.z * params.kappa <= zero_sectors(params, n_max).c_ins
+
+
+def test_insulating_hopping_pins():
+    # l = 1 at resonance, omega = 2.2: the vacuum (MI:0) drives only into
+    # sector 1, whose two roots E-+ each hold half of |g,1>, so the exact
+    # second-order edge is 1 / (1/(2 E-) + 1/(2 E+)); the threshold is half
+    # of it, as the photon-number bound doubles the drive's weight
+    vacuum = zero_sectors(ModelParams.resonant(1, 2.2), 40)
+    assert vacuum.solution.l_expect == 0.0
+    spec = SectorSpec(l=1, L=1, omega=2.2, Omega=2.2)
+    lower, upper = (sector_energy(spec, branch)
+                    for branch in (Branch.MINUS, Branch.PLUS))
+    edge = 1.0 / (0.5 / lower + 0.5 / upper)
+    assert vacuum.c_ins == pytest.approx(edge / 2, rel=1e-8)
+    # a sector tie is not certified (test_zero_reach_pins)
+    tied = ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0, kappa=1e-4)
+    assert zero_sectors(tied, 40).c_ins == 0.0
+    # the MI(1) point of test_minimize_opens_a_partly_proven_insulator_at_
+    # the_reach lies above its threshold, so it still opens at the reach
+    mi1 = ModelParams.resonant(1, 1.7, kappa=10 ** -1.3)
+    assert zero_sectors(mi1, 40).c_ins == pytest.approx(0.0885, abs=1e-4)
+    assert zero_sectors(mi1, 40).c_ins < mi1.z * mi1.kappa
+
+
+def certified_at(params: ModelParams, n_max: int, c: float) -> bool:
+    """Both conditions of the hopping threshold at c, from a dense
+    eigendecomposition of H0: Q (H0 - c N - floor) Q is positive
+    semidefinite on the complement of the psi = 0 state |0>, and
+    c <x| (that block)^-1 |x> <= 1 for x = (a + a+)|0>, with floor =
+    E0 - ENERGY_TIE_EPS + MARGIN."""
+    values, vectors = np.linalg.eigh(build_mean_field(params, 0.0, n_max)
+                                     .dense())
+    photons = np.diag(np.repeat(np.arange(n_max + 1.0), 2))
+    a = np.diag(np.repeat(np.sqrt(np.arange(1.0, n_max + 1.0)), 2), 2)
+    rest = vectors[:, 1:]
+    floor = values[0] - ENERGY_TIE_EPS + MARGIN
+    block = (np.diag(values[1:] - floor) - c * rest.T @ photons @ rest)
+    if np.linalg.eigvalsh(block)[0] < 0.0:
+        return False
+    x = rest.T @ (a + a.T) @ vectors[:, 0]
+    return c * float(x @ np.linalg.solve(block, x)) <= 1.0
+
+
+@pytest.mark.parametrize("l, x, y", [
+    (1, -2.5, -1.1), (1, -1.5, -0.7), (1, -1.5, 0.3), (2, -2.0, -0.5),
+    (2, -2.0, -0.9), (2, -2.5, 0.1), (3, -1.5, -0.8), (4, -1.0, -1.0),
+])
+def test_insulating_hopping_is_the_largest_certified_hopping(l, x, y):
+    # the closed form against a dense route: both conditions hold just below
+    # the threshold and one fails just above it.  At (2, -2.0, -0.9), MI:0,
+    # a sector the drive does not reach from |0> turns indefinite first
+    # (i); elsewhere c S reaches 1 first (ii)
+    params = params_for(l, x, y)
+    n_max = resolve_n_max(l, None)
+    entry = zero_sectors(params, n_max)
+    assert not entry.tied and entry.c_ins > 0.0
+    assert certified_at(params, n_max, entry.c_ins * (1.0 - 1e-6))
+    assert not certified_at(params, n_max, entry.c_ins * (1.0 + 1e-6))
+
+
+def test_a_certified_insulator_builds_no_band(monkeypatch):
+    # validate's MI:0 cell (l, x, y) = (1, -2.5, -1.1): its reach stops
+    # short of psi_max, but its hopping lies below the entry's threshold,
+    # so once the entry is read the cell builds no mean-field band and
+    # runs no band Cholesky
+    params = params_for(1, -2.5, -1.1)
+    entry = zero_sectors(params, 40)
+    c = params.z * params.kappa
+    assert entry.reach(c) < math.sqrt(40) / 2 and c <= entry.c_ins
+    built = []
+    monkeypatch.setattr(groundstate, "build_mean_field",
+                        lambda *args: built.append(args))
+    factored = count_factorisations(monkeypatch)
+    assert classify_at(1, -2.5, -1.1).token == "MI:0"
+    assert built == [] and factored == []
+
+
 def test_zero_reach_pins():
     psi_max = math.sqrt(40) / 2
     # a deep insulator is proven over all of [0, psi_max]
@@ -524,8 +647,8 @@ def test_minimize_l_expect_lies_within_the_truncation():
 def test_minimize_solves_with_vectors_only_where_used(monkeypatch, kappa,
                                                        vector_solves):
     # psi = 0 is read once, from one entry of sector data with no band
-    # eigensolve, and returned for an insulator.  The deep insulator is
-    # proven by its entry's reach over all of [0, psi_max] and builds no
+    # eigensolve, and returned for an insulator.  The deep insulator lies
+    # below its entry's hopping threshold and builds no
     # mean-field band at all.  The superfluid, tested before solving, takes one cold solve:
     # its split point is solved once, for its pair, from which the
     # polish on the slope starts, and every later point is solved warm from
@@ -567,6 +690,7 @@ def test_minimize_opens_a_partly_proven_insulator_at_the_reach(monkeypatch):
     params = ModelParams.resonant(1, 1.7, kappa=10 ** -1.3)
     reach = zero_reach(params, 40)
     assert 0.0 < reach < math.sqrt(40) / 2
+    assert zero_sectors(params, 40).c_ins < params.z * params.kappa
     built = []
 
     def counted(params, psi, n_max):
@@ -600,9 +724,9 @@ def synthetic_landscape(monkeypatch, energy, slope,
                         reach: float = 0.0) -> list[float]:
     """Make minimize_over_psi see energy(psi) and its slope alone, through
     every seam it solves or tests by: the cold solve (smallest_eigpair),
-    the psi = 0 entry (zero_sectors: its solution, and its reach proving
-    reach), the
-    polish's slope (_slope) and warm steps (_slope_point) and the band
+    the psi = 0 entry (zero_sectors: its solution, its hopping threshold
+    pinned at 0, so that no hopping skips the search, and its reach proving
+    reach), the polish's slope (_slope) and warm steps (_slope_point) and the band
     Cholesky of the rule (energy_at_psi).  The real Hamiltonian is never built: build_mean_field
     hands the rule psi itself, its Cholesky of A - t I succeeds when
     energy(psi) > t, and its solve of A is the pair at psi.  Returns the psi
@@ -617,7 +741,8 @@ def synthetic_landscape(monkeypatch, energy, slope,
     def zero(params, n_max):
         solution = MeanFieldSolution(psi_star=0.0, energy=energy(0.0),
                                      l_expect=0.0, n_max_used=n_max)
-        return SimpleNamespace(solution=solution, reach=lambda c: reach)
+        return SimpleNamespace(solution=solution, c_ins=0.0,
+                               reach=lambda c: reach)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a synthetic landscape solves no matrix")

@@ -1,7 +1,9 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from types import SimpleNamespace
@@ -243,6 +245,24 @@ def test_a_failed_map_drops_the_pool(monkeypatch):
     assert run_grid(spec, jobs=2) == serial
     assert [(p["max_workers"], p["open_before"]) for p in pools] == [
         (2, 0), (2, 0)]
+
+
+def test_a_pool_broken_while_it_idles_is_replaced(monkeypatch):
+    # a worker killed while the shared pool idles between grids (say by the
+    # OOM killer) marks the pool broken once its manager thread notices; the
+    # next grid then maps on a fresh pool instead of raising
+    spec = GridSpec(l=3, x_lo=-4.0, x_hi=-3.0, nx=2, y_lo=-1.0, y_hi=0.0, ny=2)
+    serial = run_grid(spec, jobs=1)
+    monkeypatch.setattr(sweep, "_usable_cores", lambda: 2)
+    assert run_grid(spec, jobs=2) == serial
+    pool = sweep._pool[1]
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while not pool._broken:
+        assert time.monotonic() < deadline, "the pool never reported the kill"
+        time.sleep(0.01)
+    assert run_grid(spec, jobs=2) == serial
+    assert sweep._pool[1] is not pool
 
 
 def test_no_pool_worker_outlives_its_process():
