@@ -17,10 +17,6 @@ must fail), and a returned eigenvector has a fixed sign:
   smallest_eigpair when the shift is not below the spectrum or the
   iteration does not converge.
 
-certify_smallest also certifies a value for leading principal submatrices
-of a band, from its first columns: the psi = 0 levels n_max and 2 n_max
-are both certified on one band at 2 n_max that way (groundstate).
-
 TOL, read at call time, never reaches dsbevx (it keeps its own abstol): it
 sets how loose these checks are and how close two psi = 0 sector energies
 must be to tie (groundstate).
@@ -189,36 +185,22 @@ def _positive_definite(a: SymmetricMatrix, shift: float) -> bool:
     return _cholesky(a, shift) is not None
 
 
-def certify_smallest(a: SymmetricMatrix, value: float, *orders: int) -> None:
+def certify_smallest(a: SymmetricMatrix, value: float) -> None:
     """Certify that the smallest eigenvalue of a lies within d = tolerance(value)
-    of value, by inertia; given orders, certify it instead for each leading
-    principal submatrix A_m of a whose order m is listed.
+    of value, by inertia.
 
     A - s I is positive definite, so its Cholesky factorisation succeeds,
     exactly when s lies below every eigenvalue.  Success at s = value - d
     puts the smallest eigenvalue above value - d; failure at s = value + d
     puts one at or below value + d.  In floating point the factorisation
-    decides up to rounding of order eps * ||A||, far below d.  A_m - s I
-    is positive definite exactly when its leading principal minors are
-    positive (Sylvester's criterion; Golub & Van Loan, Matrix Computations,
-    section 4.2), and those are the first m leading minors of A - s I.  So
-    success for the largest order m proves it for every smaller one, and
-    failure for the smallest proves it for every larger one: one pair of
-    factorisations certifies all the orders.  The first m columns of the
-    band hold the band of A_m, since dpbtrf never reads the slots past the
-    end of a subdiagonal.  Raises EigensolverError otherwise, for instance
-    when value is a higher eigenvalue.
+    decides up to rounding of order eps * ||A||, far below d.  Raises
+    EigensolverError otherwise, for instance when value is a higher
+    eigenvalue.
     """
     d = tolerance(value)
-    below = above = a
-    if orders:
-        largest, smallest = max(orders), min(orders)
-        below = above = SymmetricMatrix(a.band[:, :largest])
-        if smallest < largest:
-            above = SymmetricMatrix(a.band[:, :smallest])
-    if not _positive_definite(below, value - d):
+    if not _positive_definite(a, value - d):
         reason = f"an eigenvalue lies below {value - d:.17g}"
-    elif _positive_definite(above, value + d):
+    elif _positive_definite(a, value + d):
         reason = f"no eigenvalue lies below {value + d:.17g}"
     else:
         return

@@ -7,11 +7,12 @@ pair (eigen.smallest_eigpair, the one cold solver): the value bounds the
 search, and when the point becomes the answer its vector gives <L>, and
 the polish (below) its slope.  psi = 0 takes its lowest
 L-sector energy analytically, under the same inertia certificate, and
-its <L> is that sector's L.  One pass per key (l, omega, Omega, mu,
-n_max), over one psi-free band assembled at 2 n_max, certifies it and the
-2 n_max level the label is read from, and is cached as one read-only
+its <L> is that sector's L.  One routine (_zero_level) reads that level
+off a psi-free band and certifies it on the same band; per key (l, omega,
+Omega, mu, n_max) it runs on the band at n_max and on one at 2 n_max, the
+level the label is read from, and both levels are cached as one read-only
 entry (zero_sectors), so every kappa of a grid row shares both, as do
-energy_scan and refine_boundary.  The same sector data give each entry
+energy_scan and refine_boundary.  The n_max sector data give each entry
 one hopping threshold c_ins (_Sectors.c_ins: a photon-number bound on
 the drive and a Schur complement on the psi = 0 state, whose drive
 couples only to the sectors L* +- 1), at or below which no energy at any
@@ -262,7 +263,8 @@ def _pair_solution(l: int, psi: float, n_max: int,
 class _Sectors:
     """The psi = 0 entry of one key: the certified solutions at n_max
     (solution) and at 2 n_max, the level the label is read from (fine),
-    the hopping threshold c_ins, and the n_max spectrum that reach reads:
+    each from a band of its own truncation (_zero_level), the hopping
+    threshold c_ins, and the n_max spectrum that reach reads:
     tied says whether the next
     E_L lies within eigen.tolerance(E0) of E0, the lowest E_L; second is
     E1, the second-lowest eigenvalue of the psi-free band: the next E_L or
@@ -297,9 +299,9 @@ class _Sectors:
 
     def reach(self, c: float) -> float:
         """Half-width h of an interval [-h, h] on which the energy at
-        truncation n_max and hopping c = z kappa provably exceeds
-        T = E0 - ENERGY_TIE_EPS, E0 the psi = 0 energy; infinite at zero
-        hopping, 0.0 when nothing is proven.
+        truncation n_max and hopping c = z kappa > 0 provably exceeds
+        T = E0 - ENERGY_TIE_EPS, E0 the psi = 0 energy; 0.0 when nothing
+        is proven.  Zero hopping never asks: c_ins >= 0 settles it.
 
         H(psi) = H0 + c psi^2 - c psi X, X = a + a+, and ||X|| <=
         2 sqrt(n_max).  Take the Schur complement of H(psi) - T on the
@@ -311,8 +313,6 @@ class _Sectors:
         c W <= E_R - s.  So h = (min(E1, E_R - c W) - T) / (2 c sqrt(n_max)).
         A sector tie (the band is solved) is not certified.
         """
-        if c == 0.0:
-            return math.inf
         if self.tied:
             return 0.0
         t = self.solution.energy - ENERGY_TIE_EPS
@@ -355,11 +355,12 @@ def _insulating_hopping(l: int, n_max: int, L: int, lower: np.ndarray,
     (see _Sectors.c_ins).
 
     lower holds E_L for L = 0..n_max + l and upper the upper block roots;
-    exc and gnd are the diagonals of |e,n> and |g,n>; |0>, in sector L,
-    has weight vacuum_e on |e,L-l> and cross = u v, the product of its two
-    amplitudes.  Each sector is a 2x2 block {|e,L-l>, |g,L>} of
-    H0 - c N - floor (_sector_photons), a single state's absent partner
-    standing in as entry 1 with no photons and no coupling: its
+    exc and gnd are the diagonals of |e,n> and |g,n>, n = 0..n_max; |0>,
+    in sector L, has weight vacuum_e on |e,L-l> and cross = u v, the
+    product of its two amplitudes.  Each sector is a 2x2 block
+    {|e,L-l>, |g,L>} of H0 - c N - floor (_sector_photons), a single
+    state's absent partner standing in as entry 1 with no photons and no
+    coupling: its
     determinant d0 - c s1 + c^2 s2 first vanishes at its smaller root, and
     in sector L only the partner of |0> is kept.  N only lowers each block,
     so (i) fails past the least root, limit, and (ii) is solved on
@@ -368,9 +369,9 @@ def _insulating_hopping(l: int, n_max: int, L: int, lower: np.ndarray,
     ne, ng, off, mix = _sector_photons(l, n_max)
     size = len(ne)
     de, dg, top = np.ones((3, size))
-    np.subtract(exc[:n_max + 1], floor, out=de[l:])
-    np.subtract(gnd[:n_max + 1], floor, out=dg[:n_max + 1])
-    np.subtract(upper[:n_max - l + 1], floor, out=top[l:n_max + 1])
+    np.subtract(exc, floor, out=de[l:])
+    np.subtract(gnd, floor, out=dg[:n_max + 1])
+    np.subtract(upper, floor, out=top[l:n_max + 1])
     d0 = (lower - floor) * top                  # the product of the roots
     a, b = de * ng, dg * ne
     s1 = a + b
@@ -425,42 +426,59 @@ def _insulating_hopping(l: int, n_max: int, L: int, lower: np.ndarray,
         c = following
 
 
-@lru_cache(maxsize=128)
-def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
-             tol: float) -> _Sectors:
-    """The psi = 0 entry of one key (l, omega, Omega, mu, n_max), both
-    levels certified, from the block roots of one psi-free band at 2 n_max,
-    assembled for this entry alone, as the entry holds all that is read
-    from it; tol = eigen.TOL, which the certificates read, keys each proof
-    to the tolerance it holds at.
+def _zero_level(l: int, band: np.ndarray) -> tuple[
+        MeanFieldSolution, int, float, bool, np.ndarray,
+        tuple[np.ndarray, ...]]:
+    """The certified psi = 0 level of a psi-free band at its own truncation
+    n: (solution, L, next, tied, energies, blocks), with L, next and tied
+    as _lowest_sector gives them for energies, the lowest E_L for L =
+    0..n + l, and blocks = (half, coupling, root, mid) of the 2x2 blocks
+    L = l..n, whose roots are mid -+ root.
 
-    At psi = 0 the Hamiltonian commutes with L, so at truncation n each
-    L = 0..n + l has one candidate energy E_L: the lower root of the 2x2
-    block {|e,L-l>, |g,L>} for l <= L <= n, and the single state |g,L> for
-    L < l or |e,L-l> for L > n, whose partner the truncation drops.  The
-    n_max band is the leading principal submatrix of the 2 n_max band, so
-    its blocks L <= n_max are bitwise those of 2 n_max, and its edge states
-    are diagonal entries of it.  At each level the lowest E_L passes the
-    same inertia certificate as a band solve, on that level's leading
-    principal submatrix (certify_smallest), and <L> is its L exactly; when
-    both levels share their lowest sector, one pair of factorisations
-    certifies both.  When a level's two lowest E_L lie within
-    eigen.tolerance(E0), the sectors cannot say which state the band solve
-    picks, and that level's band is solved (smallest_eigpair).
+    At psi = 0 the Hamiltonian commutes with L, so each L has one candidate
+    energy E_L: the lower root of the 2x2 block {|e,L-l>, |g,L>} for
+    l <= L <= n, and the single state |g,L> for L < l or |e,L-l> for
+    L > n, whose partner the truncation drops.  The lowest E_L passes the
+    same inertia certificate as a band solve, on this band
+    (certify_smallest), and <L> is its L exactly.  When the two lowest E_L
+    lie within eigen.tolerance(E0), the sectors cannot say which state the
+    band solve picks, and the band is solved (smallest_eigpair).
     """
-    fine_n = 2 * n_max
-    band = _psi_free_band.__wrapped__(l, omega, Omega, mu, fine_n)
-    exc, gnd = band[0, 1::2], band[0, 0::2]     # |e,n>, |g,n>, n = 0..2 n_max
-    k = fine_n - l + 1                          # number of 2x2 blocks
-    # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..2 n_max
+    n = band.shape[1] // 2 - 1
+    exc, gnd = band[0, 1::2], band[0, 0::2]     # |e,n>, |g,n>
+    k = n - l + 1                               # number of 2x2 blocks
+    # block L couples |e,L-l> in column 2(L-l)+1 to |g,L>, for L = l..n
     e, g = exc[:k], gnd[l:]
     half = 0.5 * (e - g)
     coupling = band[2 * l - 1, 1:2 * k:2]
     root = np.hypot(half, coupling)
     mid = 0.5 * (e + g)
-    fine = np.concatenate((gnd[:l], mid - root, exc[k:]))
-    energies = np.concatenate((fine[:n_max + 1], exc[n_max - l + 1:n_max + 1]))
+    energies = np.concatenate((gnd[:l], mid - root, exc[k:]))
     L, value, following, tied = _lowest_sector(energies)
+    a = SymmetricMatrix(band)
+    if tied:
+        solution = _pair_solution(l, 0.0, n, smallest_eigpair(a))
+    else:
+        certify_smallest(a, value)
+        solution = MeanFieldSolution(0.0, value, float(L), n)
+    return solution, L, following, tied, energies, (half, coupling, root, mid)
+
+
+@lru_cache(maxsize=128)
+def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
+             tol: float) -> _Sectors:
+    """The psi = 0 entry of one key (l, omega, Omega, mu, n_max): each
+    level certified on a band of its own truncation (_zero_level), n_max on
+    the cached psi-free band the key's psi search copies, and 2 n_max on
+    one assembled for this entry alone, as the entry holds all that is read
+    from it; tol = eigen.TOL, which the certificates read, keys each proof
+    to the tolerance it holds at.  The n_max level's sector data also give
+    the hopping threshold and the reach (_Sectors).
+    """
+    band = _psi_free_band(l, omega, Omega, mu, n_max)
+    solution, L, following, tied, energies, blocks = _zero_level(l, band)
+    half, coupling, root, mid = blocks
+    exc, gnd = band[0, 1::2], band[0, 0::2]
     upper = math.inf                            # block L's upper root
 
     def spread(n: int) -> float:
@@ -488,28 +506,11 @@ def _sectors(l: int, omega: float, Omega: float, mu: float, n_max: int,
     # E_R over the sectors L - 1 and L + 1 that exist
     neighbour = min(energies[L - 1:L + 2:2].tolist() if L
                     else energies[1:2].tolist())
-    fine_L, fine_value, _, fine_tied = _lowest_sector(fine)
-    a = SymmetricMatrix(band)
-    order = 2 * (n_max + 1)                     # the n_max band's dimension
-    if not (tied or fine_tied) and fine_L == L <= n_max:
-        certify_smallest(a, value, order, len(a))   # one pair proves both
-    else:
-        if not tied:
-            certify_smallest(a, value, order)
-        if not fine_tied:
-            certify_smallest(a, fine_value)
-    if tied:
-        solution = _pair_solution(l, 0.0, n_max, smallest_eigpair(
-            SymmetricMatrix(_psi_free_band(l, omega, Omega, mu, n_max))))
-    else:
-        solution = MeanFieldSolution(0.0, value, float(L), n_max)
-    if fine_tied:
-        fine = _pair_solution(l, 0.0, fine_n, smallest_eigpair(a))
-    else:
-        fine = MeanFieldSolution(0.0, fine_value, float(fine_L), fine_n)
+    fine = _zero_level(l, _psi_free_band.__wrapped__(l, omega, Omega, mu,
+                                                     2 * n_max))[0]
     c_ins = 0.0 if tied else _insulating_hopping(
         l, n_max, L, energies, mid + root, exc, gnd, vacuum_e, cross,
-        value - ENERGY_TIE_EPS + MARGIN)
+        solution.energy - ENERGY_TIE_EPS + MARGIN)
     return _Sectors(solution, fine, c_ins, tied, min(following, upper),
                     neighbour, weight)
 
@@ -548,10 +549,12 @@ def minimize_over_psi(params: ModelParams,
     eps max(|omega|, |Omega|, |mu|) (4 n_max + l), exceeds MARGIN: every
     bound below assumes that rounding is far below MARGIN.
 
-    psi = 0 is read first, from its key's entry (zero_sectors).  At a
-    hopping z kappa <= c_ins, the entry's threshold, its sector data prove
-    E(psi) >= E(0) - ENERGY_TIE_EPS at every psi, so the psi = 0 solution
-    is the answer and nothing else is built or solved.  Otherwise they
+    psi = 0 is read first, from its key's entry (zero_sectors), whose n_max
+    level is certified on the psi-free band the search copies.  At a
+    hopping z kappa <= c_ins, the entry's threshold, zero hopping included
+    as c_ins >= 0, its sector data prove E(psi) >= E(0) - ENERGY_TIE_EPS at
+    every psi, so the psi = 0 solution is the answer and nothing else is
+    built or solved.  Otherwise they
     prove E(psi) > E(0) - ENERGY_TIE_EPS for psi <= h*, the entry's reach,
     and the search opens on the one interval [h*, psi_max]: psi_max
     is evaluated first, then h* unless it is 0, where E(0) is known, each

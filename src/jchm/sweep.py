@@ -214,10 +214,10 @@ def run_grid(spec: GridSpec, n_max: int | None = None, *,
     n_max = resolve_n_max(spec.l, n_max)
     xs = spec.x_values
     # row by row, and whole rows per pool chunk (about 8 chunks per
-    # worker): the cells of one y share one psi = 0 entry, both levels
-    # certified when the row's first cell reads it
-    # (groundstate.zero_sectors), so a process misses that cache at most
-    # once per row
+    # worker): the cells of one y share one psi = 0 entry, each level
+    # certified on a band of its own truncation when the row's first cell
+    # reads it (groundstate.zero_sectors), so a process misses that cache
+    # at most once per row
     tasks = [(spec, n_max, x, y) for y in spec.y_values for x in xs]
     # the pool forks all its workers at once, and CPU-bound cells gain
     # nothing from more workers than cores

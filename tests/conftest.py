@@ -37,15 +37,15 @@ def cold_zero_cache():
     operators._psi_free_band.cache_clear()
 
 
-def count_certificates(monkeypatch) -> list[tuple[int, float, tuple]]:
-    """(dimension, value, orders) of every inertia certificate
-    (certify_smallest) that the psi = 0 entries make from here on."""
-    calls: list[tuple[int, float, tuple]] = []
+def count_certificates(monkeypatch) -> list[tuple[int, float]]:
+    """(dimension, value) of every inertia certificate (certify_smallest)
+    that the psi = 0 entries make from here on."""
+    calls: list[tuple[int, float]] = []
     certify = eigen.certify_smallest
 
-    def counted(a, value, *orders):
-        calls.append((len(a), value, orders))
-        return certify(a, value, *orders)
+    def counted(a, value):
+        calls.append((len(a), value))
+        return certify(a, value)
 
     monkeypatch.setattr(groundstate, "certify_smallest", counted)
     return calls

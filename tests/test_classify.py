@@ -16,6 +16,7 @@ from jchm.groundstate import (
     MeanFieldSolution,
     default_n_max,
     minimize_over_psi,
+    zero_sectors,
 )
 from jchm.operators import ModelParams
 from jchm.sweep import classify_at
@@ -260,13 +261,10 @@ def test_probe_and_minimiser_resolve_their_own_settings():
 ])
 def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
                                                       token):
-    # psi = 0 is solved from the sector blocks of one band, at 2 n, with no
-    # band vector solve, and both levels are read from the minimiser's
-    # entry, certified when it is first read: when they share their lowest
-    # sector one certificate, one pair of band Choleskys, proves both;
-    # otherwise the n level is certified on the band's leading part and
-    # the 2 n level on the whole band; an MI(L) point's levels share the
-    # sector L
+    # psi = 0 is solved from the sector blocks with no band vector solve,
+    # and both levels are read from the minimiser's entry, certified when
+    # it is first read: each level once, on a band of its own truncation,
+    # the cached band at n and one at 2 n, one pair of band Choleskys each
     dims = count_band_solves(monkeypatch)
     built = count_band_builds(monkeypatch)
     certified = count_certificates(monkeypatch)
@@ -274,16 +272,11 @@ def test_probe_reuses_the_minimiser_psi_zero_solution(monkeypatch, params,
     pt = classify_point(params)
     n = default_n_max(params.l)
     assert pt.token == token
-    assert dims == [] and built == [2 * n]
-    whole, part = 2 * (2 * n + 1), 2 * (n + 1)
-    if token.startswith("MI"):
-        assert [orders for _, _, orders in certified] == [(part, whole)]
-        assert factored == [whole, part]
-    else:
-        assert [orders for _, _, orders in certified] == [(part,), ()]
-        assert factored == [part, part, whole, whole]
-    assert all(dim == whole for dim, _, _ in certified)
-    assert certified[-1][1] == pt.energy
+    assert dims == [] and built == [n, 2 * n]
+    part, whole = 2 * (n + 1), 2 * (2 * n + 1)
+    solution = zero_sectors(params, n).solution
+    assert certified == [(part, solution.energy), (whole, pt.energy)]
+    assert factored == [part, part, whole, whole]
 
 
 @pytest.mark.usefixtures("cold_zero_cache")

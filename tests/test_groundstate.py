@@ -159,10 +159,10 @@ def test_sector_solution_matches_the_band_solve(l, omega, delta, mu, z, kappa,
 def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     # at l = 2, omega = (3 + sqrt 5)/2 the L = 2 sector ties with the
     # vacuum to rounding at both levels: the sectors cannot say which state
-    # dsbevx picks, so each level's band is solved, both when the key is
-    # first read, and its answer returned unchanged; the entry assembles
-    # its own 2 n_max band, and the n_max level is solved on the cached
-    # n_max band
+    # dsbevx picks, so each level's band is solved, once, on a band of its
+    # own truncation, when the key is first read, and its answer returned
+    # unchanged with no certificate: the n_max level on the cached n_max
+    # band, and the 2 n_max level on one the entry assembles
     params = ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0)
     n_max = 40
     pairs = [smallest_eigpair(build_mean_field(params, 0.0, n))
@@ -170,6 +170,7 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     assert abs(pairs[0].value) < 1e-14
     groundstate._sectors.cache_clear()
     built = count_band_builds(monkeypatch)
+    certified = count_certificates(monkeypatch)
     calls = []
 
     def counted(*args, **kwargs):
@@ -179,7 +180,7 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
     monkeypatch.setattr(groundstate, "smallest_eigpair", counted)
     sectors = zero_sectors(params, n_max)
     assert calls == [2 * (n_max + 1), 2 * (2 * n_max + 1)]
-    assert built == [2 * n_max]
+    assert built == [2 * n_max] and certified == []
     for level, pair, n in ((sectors.solution, pairs[0], n_max),
                            (sectors.fine, pairs[1], 2 * n_max)):
         assert level.energy == pair.value
@@ -189,39 +190,40 @@ def test_sector_tie_falls_back_to_the_band_solve(monkeypatch):
 
 @pytest.mark.usefixtures("cold_zero_cache")
 def test_psi_zero_solution_is_certified_once_per_key(monkeypatch):
-    # every kappa shares the psi = 0 entry of its key, read-only: one
-    # 2 n_max band, and, as both levels share their lowest sector (MI:2),
-    # one pair of band Choleskys that certifies both when it is first read
+    # every kappa shares the psi = 0 entry of its key, read-only: when it
+    # is first read, each level (both MI:2) is certified once, by one pair
+    # of band Choleskys on a band of its own truncation, the cached band
+    # at n_max and one at 2 n_max
     built = count_band_builds(monkeypatch)
     certified = count_certificates(monkeypatch)
     factored = count_factorisations(monkeypatch)
     entry = zero_sectors(ModelParams.resonant(2, 2.3, kappa=1e-4), 40)
     first, fine = entry.solution, entry.fine
     assert first.l_expect == 2.0
-    assert built == [80]
-    assert certified == [(162, first.energy, (82, 162))]
-    assert factored == [162, 82]
+    assert built == [40, 80]
+    assert certified == [(82, first.energy), (162, fine.energy)]
+    assert factored == [82, 82, 162, 162]
     for kappa in (0.0, 1e-2, 0.3):
         params = ModelParams.resonant(2, 2.3, kappa=kappa)
         assert zero_sectors(params, 40) is entry
-        zero_reach(params, 40)
+        if kappa:
+            zero_reach(params, 40)
     assert fine == MeanFieldSolution(0.0, first.energy, 2.0, 80)
-    assert built == [80] and len(certified) == 1 and len(factored) == 2
+    assert built == [40, 80] and len(certified) == 2 and len(factored) == 4
     with pytest.raises(dataclasses.FrozenInstanceError):
         entry.fine = first
     # another truncation is another key
     zero_sectors(ModelParams.resonant(2, 2.3), 80)
-    assert built == [80, 160]
-    assert len(certified) == 2 and len(factored) == 4
+    assert built == [40, 80, 80, 160]
+    assert len(certified) == 4 and len(factored) == 8
 
 
 @pytest.mark.usefixtures("cold_zero_cache")
 def test_levels_with_different_lowest_sectors_are_certified_apart(
         monkeypatch):
     # at l = 1, omega = 1.0646 the 2 n_max argmin, L = 60, lies above
-    # n_max = 40: each level is certified at its own value when the key is
-    # first read, the n_max level on the leading part of the one 2 n_max
-    # band and the 2 n_max level on the whole band
+    # n_max = 40: each level is certified once, at its own value, on a
+    # band of its own truncation, when the key is first read
     params = ModelParams.resonant(1, 1.0646, kappa=1e-6)
     built = count_band_builds(monkeypatch)
     certified = count_certificates(monkeypatch)
@@ -229,9 +231,9 @@ def test_levels_with_different_lowest_sectors_are_certified_apart(
     sol, fine = entry.solution, entry.fine
     assert fine.l_expect == 60.0 and sol.l_expect <= 40
     assert fine.energy < sol.energy
-    assert certified == [(162, sol.energy, (82,)), (162, fine.energy, ())]
+    assert certified == [(82, sol.energy), (162, fine.energy)]
     assert zero_sectors(params, 40) is entry
-    assert len(certified) == 2 and built == [80]
+    assert len(certified) == 2 and built == [40, 80]
 
 
 @pytest.mark.parametrize("params", [
@@ -239,24 +241,27 @@ def test_levels_with_different_lowest_sectors_are_certified_apart(
     ModelParams.resonant(3, 3.0),        # forbidden, levels differ
 ])
 def test_planted_wrong_sector_fails_the_certificate(monkeypatch, params):
-    # the n_max level handed its second-lowest sector energy, as a wrong
-    # argmin would, must fail the inertia certificate, not be cached
+    # either level handed its second-lowest sector energy, as a wrong
+    # argmin would, must fail the inertia certificate, not be cached: the
+    # n_max level, read first, and then the 2 n_max level
     lowest = groundstate._lowest_sector
-    planted = []
+    for level in (0, 1):
+        planted = []
 
-    def second(energies):
-        L, value, following, tied = lowest(energies)
-        if planted:
-            return L, value, following, tied
-        planted.append(following)
-        return L, following, following, False
+        def second(energies):
+            L, value, following, tied = lowest(energies)
+            planted.append(following)
+            if len(planted) != level + 1:
+                return L, value, following, tied
+            return L, following, following, False
 
-    groundstate._sectors.cache_clear()
-    monkeypatch.setattr(groundstate, "_lowest_sector", second)
-    with pytest.raises(EigensolverError,
-                       match="not certified: an eigenvalue lies below"):
-        zero_sectors(params, groundstate.default_n_max(params.l))
-    assert planted and groundstate._sectors.cache_info().currsize == 0
+        groundstate._sectors.cache_clear()
+        monkeypatch.setattr(groundstate, "_lowest_sector", second)
+        with pytest.raises(EigensolverError,
+                           match="not certified: an eigenvalue lies below"):
+            zero_sectors(params, groundstate.default_n_max(params.l))
+        assert len(planted) == level + 1
+        assert groundstate._sectors.cache_info().currsize == 0
 
 
 def psi_zero_reference(params: ModelParams, n: int) -> MeanFieldSolution:
@@ -355,7 +360,7 @@ def test_insulating_hopping_is_sound(l, omega, delta, mu, z, f, n_extra,
     n_max = l + n_extra
     key = ModelParams(l=l, omega=omega, Omega=omega - delta, mu=mu, z=z)
     entry = zero_sectors(key, n_max)
-    assert entry.c_ins >= 0.0
+    assert 0.0 <= entry.c_ins < math.inf
     floor = entry.solution.energy - ENERGY_TIE_EPS
     top = math.sqrt(n_max)                          # 2 psi_max
     for share in (f, 1.0):
@@ -465,8 +470,6 @@ def test_zero_reach_pins():
     # a deep insulator is proven over all of [0, psi_max]
     assert zero_reach(ModelParams.resonant(1, 2.7, kappa=1e-4),
                                   40) >= psi_max
-    # zero hopping: the energy is E0 at every psi
-    assert zero_reach(ModelParams.resonant(1, 2.2), 40) == math.inf
     # a sector tie is not certified (test_sector_tie_falls_back...)
     tied = ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0, kappa=1e-4)
     assert zero_reach(tied, 40) == 0.0
@@ -480,6 +483,24 @@ def test_zero_reach_pins():
     a2 = c - c * c * np.sum(amps[1:] ** 2 / (values[1:] - values[0]))
     assert a2 < 0.0
     assert zero_reach(sf, 40) == 0.0
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams.resonant(1, 2.2),
+    # the sector tie of test_sector_tie_falls_back_to_the_band_solve, whose
+    # threshold c_ins is 0
+    ModelParams.resonant(2, (3.0 + math.sqrt(5.0)) / 2.0),
+])
+def test_zero_hopping_returns_the_psi_zero_solution(monkeypatch, params):
+    # zero hopping leaves the energy E0 at every psi, and c_ins >= 0: the
+    # minimiser's exit at c <= c_ins returns the entry's solution before
+    # any band is built
+    entry = zero_sectors(params, 40)
+    built = []
+    monkeypatch.setattr(groundstate, "build_mean_field",
+                        lambda *args: built.append(args))
+    assert minimize_over_psi(params, 40) is entry.solution
+    assert built == []
 
 
 def test_expected_l_examples():

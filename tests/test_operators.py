@@ -225,9 +225,10 @@ def test_mean_field_bands_do_not_alias(psi):
 @settings(max_examples=60, deadline=None)
 @given(params=params_st, n=st.integers(4, 40))
 def test_psi_free_band_is_the_leading_part_of_the_doubled_band(params, n):
-    # the psi = 0 entry reads both truncation levels from one band at 2 n:
-    # the band at n equals its leading 2 (n + 1) columns bit for bit, bar
-    # the l-photon coupling slots that cross the cut, which it leaves zero
+    # a smaller truncation is a leading principal submatrix of a larger
+    # one: the band at n equals the leading 2 (n + 1) columns of the band
+    # at 2 n bit for bit, bar the l-photon coupling slots that cross the
+    # cut, which it leaves zero
     l = params.l
     key = (l, params.omega, params.Omega, params.mu)
     small = operators._psi_free_band.__wrapped__(*key, n)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from jchm import eigen, groundstate, sweep
+from jchm import eigen, groundstate, operators, sweep
 from jchm.operators import build_mean_field
 from jchm.analytic import Side, strong_coupling_boundary
 from jchm.sweep import (
@@ -112,31 +112,30 @@ def test_run_grid_reuses_each_row_of_sector_data():
 def test_psi_zero_cache_is_invisible(monkeypatch, l, y):
     # one 41-cell row (MI:1 and SF at l = 1, FORBIDDEN and SF at l = 2)
     # classified from a cleared psi = 0 cache and again from a warm one
-    # gives the same cells; the row's psi = 0 entry assembles one band, at
-    # 2 n_max, and certifies both levels on it when the first cell reads
-    # it: with one certificate for both when they share their lowest
-    # sector (MI:1), and otherwise one per level; the psi search builds
-    # one more, the cached n_max band its SF cells share
+    # gives the same cells; the row assembles two bands, the cached n_max
+    # band, which its SF cells share, and one at 2 n_max, and the row's
+    # psi = 0 entry certifies each level once, on the band of its own
+    # truncation, when the first cell reads it
     xs = GridSpec.default(l, nx=41).x_values
     n_max = groundstate.default_n_max(l)
-    doubled = build_mean_field(params_for(l, xs[0], y), 0.0, 2 * n_max)
+    bands = [build_mean_field(params_for(l, xs[0], y), 0.0, n).band.tobytes()
+             for n in (n_max, 2 * n_max)]
     groundstate._sectors.cache_clear()
+    operators._psi_free_band.cache_clear()
     built = count_band_builds(monkeypatch)
     certified = []
     certify = eigen.certify_smallest
 
-    def counted(a, value, *orders):
-        certified.append((a.band.tobytes(), orders))
-        return certify(a, value, *orders)
+    def counted(a, value):
+        certified.append(a.band.tobytes())
+        return certify(a, value)
     monkeypatch.setattr(groundstate, "certify_smallest", counted)
 
     cold = [classify_at(l, x, y) for x in xs]
-    part, whole = 2 * (n_max + 1), 2 * (2 * n_max + 1)
-    levels = [(part, whole)] if l == 1 else [(part,), ()]
-    assert certified == [(doubled.band.tobytes(), o) for o in levels]
-    assert built == [2 * n_max, n_max]
+    assert certified == bands
+    assert built == [n_max, 2 * n_max]
     warm = [classify_at(l, x, y) for x in xs]
-    assert len(certified) == len(levels) and built == [2 * n_max, n_max]
+    assert certified == bands and built == [n_max, 2 * n_max]
     assert [repr(pt) for pt in warm] == [repr(pt) for pt in cold]
     assert warm == cold
     assert len({pt.token for pt in cold}) == 2
