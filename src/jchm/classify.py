@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .groundstate import (
     MeanFieldSolution,
@@ -61,6 +62,16 @@ class PhaseLabel:
         if self.kind is PhaseKind.MOTT_INSULATOR:
             return f"MI:{self.L}"
         return self.kind.value
+
+
+# Labels are immutable, so a settled cell shares one instance per phase.
+_SUPERFLUID = PhaseLabel(PhaseKind.SUPERFLUID)
+_FORBIDDEN = PhaseLabel(PhaseKind.FORBIDDEN)
+
+
+@lru_cache(maxsize=128)
+def _mott_insulator(L: int) -> PhaseLabel:
+    return PhaseLabel(PhaseKind.MOTT_INSULATOR, L)
 
 
 @dataclass(frozen=True)
@@ -143,7 +154,7 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
     if sol.psi_star > 0.0:
         return PhasePoint(
             x=x, y=y, psi_star=sol.psi_star, energy=sol.energy,
-            l_expect=sol.l_expect, label=PhaseLabel(PhaseKind.SUPERFLUID),
+            l_expect=sol.l_expect, label=_SUPERFLUID,
             n_max_used=sol.n_max_used,
         )
 
@@ -151,18 +162,11 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
     fine = convergence_probe(params, n)
     l_expect = fine.l_expect
     nearest = round(l_expect)
-
-    def probed(label: PhaseLabel | None, note: str = "") -> PhasePoint:
-        # the 2 n level, reported at (x, y)
-        return PhasePoint(
-            x=x, y=y, psi_star=0.0, energy=fine.energy, l_expect=l_expect,
-            label=label, n_max_used=fine.n_max_used, note=note,
-        )
-
     pin = PIN_FRACTION * fine.n_max_used
+    label = message = None
     if l_expect >= pin:
-        return probed(PhaseLabel(PhaseKind.FORBIDDEN))
-    if nearest > n:
+        label = _FORBIDDEN
+    elif nearest > n:
         message = (f"<L> = {l_expect:.6g} at n_max = {fine.n_max_used} lies "
                    f"above n_max = {n} and below the pin at {pin:g}; "
                    "increase n_max")
@@ -170,6 +174,13 @@ def classify_point(params: ModelParams, n_max: int | None = None, *,
         message = (f"<L> = {l_expect:.6g} is not close to an integer "
                    "(degenerate sectors at a lobe boundary?)")
     else:
-        return probed(PhaseLabel(PhaseKind.MOTT_INSULATOR, nearest))
-    raise IndeterminatePhaseError(
-        message, probed(None, f"indeterminate: {message}"))
+        label = _mott_insulator(nearest)
+    # the 2 n level, reported at (x, y)
+    point = PhasePoint(
+        x=x, y=y, psi_star=0.0, energy=fine.energy, l_expect=l_expect,
+        label=label, n_max_used=fine.n_max_used,
+        note="" if message is None else f"indeterminate: {message}",
+    )
+    if message is not None:
+        raise IndeterminatePhaseError(message, point)
+    return point

@@ -133,7 +133,7 @@ def _load_config(path: str | None) -> dict:
             data = json.load(fh)
     except OSError as err:
         raise ValueError(f"config: cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"config: {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ValueError(f"config: {path} must hold a JSON object")
@@ -499,6 +499,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand and flag; main reuses one of them."""
     parser = _Parser(
         prog="jchm",
         description="Mean-field phase diagrams of l-photon lattice cavity arrays.",
@@ -521,8 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about twenty times what parsing does, and it holds
+# no per-call state: each parse makes a new namespace and each call its own
+# _Config.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(_Config(args))
     except ValueError as err:

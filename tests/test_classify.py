@@ -19,7 +19,7 @@ from jchm.groundstate import (
     zero_sectors,
 )
 from jchm.operators import ModelParams
-from jchm.sweep import classify_at
+from jchm.sweep import GridSpec, classify_at, run_grid
 
 from conftest import (
     count_band_builds,
@@ -325,3 +325,45 @@ def test_no_band_is_diagonalised_twice_per_classification(monkeypatch, l,
     assert (pt.psi_star == math.sqrt(pt.n_max_used) / 2) == edge
     assert bands and len(set(bands)) == len(bands)
     assert built and len(set(built)) == len(built)
+
+
+# classify_at reprs recorded before settled cells shared their labels: MI,
+# FORBIDDEN and INDET (message, then point) read closed-form sector data
+RECORDED = {
+    (2, -4.0, -0.3): "PhasePoint(x=-4.0, y=-0.3, psi_star=0.0, energy=-0.3727726133558187, l_expect=2.0, label=PhaseLabel(kind=<PhaseKind.MOTT_INSULATOR: 'MI'>, L=2), n_max_used=80, note='')",
+    (2, -4.0, 0.2): "PhasePoint(x=-4.0, y=0.2, psi_star=0.0, energy=-16.403521934565887, l_expect=80.0, label=PhaseLabel(kind=<PhaseKind.FORBIDDEN: 'FORBIDDEN'>, L=None), n_max_used=80, note='')",
+    (1, -6.0, -0.0646): (
+        "'<L> = 60 at n_max = 80 lies above n_max = 40 and below the pin at 64; increase n_max'",
+        "PhasePoint(x=-6.0, y=-0.0646, psi_star=0.0, energy=-3.8699666924148364, l_expect=60.0, label=None, n_max_used=80, note='indeterminate: <L> = 60 at n_max = 80 lies above n_max = 40 and below the pin at 64; increase n_max')"),
+}
+# the SF point's floats come from eigensolves, so a BLAS build may move their
+# last digits: its repr is pinned with them zeroed, and they to 1e-12
+RECORDED_SF = (
+    (1, -1.0, -1.0),
+    "PhasePoint(x=-1.0, y=-1.0, psi_star=0.0, energy=0.0, l_expect=0.0, label=PhaseLabel(kind=<PhaseKind.SUPERFLUID: 'SF'>, L=None), n_max_used=40, note='')",
+    (0.47978285133921583, -0.034095654610807026, 0.5942612387461532),
+)
+
+
+def test_classify_at_reprs_are_unchanged():
+    for (l, x, y), recorded in RECORDED.items():
+        try:
+            assert repr(classify_at(l, x, y)) == recorded
+        except IndeterminatePhaseError as err:
+            assert (repr(str(err)), repr(err.point)) == recorded
+    at, recorded, floats = RECORDED_SF
+    pt = classify_at(*at)
+    assert repr(replace(pt, psi_star=0.0, energy=0.0, l_expect=0.0)) == recorded
+    assert (pt.psi_star, pt.energy, pt.l_expect) == pytest.approx(floats, rel=1e-12)
+
+
+def test_shared_labels_equal_fresh_ones():
+    # settled cells share one label per phase (per L for MI): each equals,
+    # and hashes like, a freshly built label, serially and from a pool
+    spec = GridSpec(l=1, x_lo=-4.0, x_hi=-0.5, nx=3, y_lo=-1.4, y_hi=0.2, ny=5)
+    serial = list(run_grid(spec, jobs=1).iter_cells())
+    assert list(run_grid(spec, jobs=2).iter_cells()) == serial
+    assert {pt.token for pt in serial} >= {"MI:0", "MI:1", "SF", "FORBIDDEN"}
+    for pt in serial:
+        fresh = PhaseLabel(pt.label.kind, pt.label.L)
+        assert pt.label == fresh and hash(pt.label) == hash(fresh)

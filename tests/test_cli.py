@@ -465,11 +465,14 @@ def test_config_value_errors_name_the_key(tmp_path, capsys, monkeypatch,
     assert repr(value) in err
 
 
-def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
+def test_non_finite_inputs_are_invalid(tmp_path, capsys, monkeypatch):
     # NaN and infinities are rejected, naming the setting, before any cell,
     # scan row or analytic row is computed; x = -inf is zero hopping and
     # stays valid, and an analytic x past 10**x's float range, or one whose
-    # strong-coupling edge overflows, is rejected like an infinite one
+    # strong-coupling edge overflows, is rejected like an infinite one; so
+    # is a config file that is not UTF-8, under its own path
+    undecodable = tmp_path / "latin.json"
+    undecodable.write_bytes(b"\xff\xfe")
     monkeypatch.setattr(sweep, "classify_point",
                         lambda *a, **k: pytest.fail("a cell was classified"))
     monkeypatch.setattr(sweep, "minimize_over_psi",
@@ -496,6 +499,8 @@ def test_non_finite_inputs_are_invalid(capsys, monkeypatch):
          "x-range: kappa = 10**x must be finite"),
         (["analytic", "--l", "1", "--x-range=-3:308:3"],
          "x-range: the strong-coupling edge must be finite"),
+        (["point", "--l", "1", "--x=-1", "--y=-1", "--config", str(undecodable)],
+         f"config: {undecodable} is not valid JSON: 'utf-8' codec can't decode"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -682,3 +687,42 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "unbounded" in proc.stdout
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; no flag, config value or
+    # setting of one call reaches the next
+    trees, models = [], []
+    init, run_grid = cli._Parser.__init__, cli.run_grid
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "jchm":
+            trees.append(self)
+        init(self, *args, **kwargs)
+
+    def recorded(spec, *args, **kwargs):
+        models.append(spec.z)
+        return run_grid(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    monkeypatch.setattr(cli, "run_grid", recorded)
+    cli._parser.cache_clear()
+    first = ["diagram", "--l", "4", "--x-range=-4:-3:2", "--y-range=-1:0:2"]
+    cfg = tmp_path / "z3.json"
+    cfg.write_text(json.dumps({"z": 3}))
+    a, b, spec = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.json"
+    assert run_cli(capsys, *first, "--out", str(a))[0] == 0
+    assert run_cli(capsys, *first, "--format", "json", "--config", str(cfg),
+                   "--out", str(spec))[0] == 0
+    assert run_cli(capsys, "point", "--l", "1", "--x=-2", "--y=-1")[0] == 0
+    assert run_cli(capsys, *first, "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(spec.read_text())["spec"]["z"] == 3
+    assert models == [2, 3, 2]
+    assert len(trees) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "--l", "1", "--x=-3", "--y=-1", "--format", "json"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jchm ") and "unrecognized arguments" in err
+    assert len(trees) == 1
