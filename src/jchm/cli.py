@@ -524,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Building the parser costs about twenty times what parsing does, and it holds
 # no per-call state: each parse makes a new namespace and each call its own
-# _Config.
+# _Config. Only a process that calls main more than once (a library caller, a
+# test, a benchmark loop) saves anything; the console script calls it once.
 _parser = functools.cache(build_parser)
 
 
